@@ -17,7 +17,13 @@ from functools import lru_cache
 from math import gcd, isqrt
 
 from .arith import is_prime, prime_divisors
-from .covers import lambda_, one_sized_bruteforce, sigma_exact, _min_set_cover
+from .covers import (
+    DEFAULT_ENUM_BOUND,
+    _min_set_cover,
+    lambda_,
+    one_sized_bruteforce,
+    sigma_exact,
+)
 from .errors import (
     GroupIsCyclic,
     NotSolvable,
@@ -33,8 +39,6 @@ from .lattice import (
     is_solvable,
     normal_subgroups,
 )
-
-DEFAULT_ENUM_BOUND = 32
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from .reports import (
     CHECK_IDS,
     DEFAULT_MAX_ORDER,
     AnalyzeOptions,
+    _sigma_json,
     outcome_json,
     run_analyze,
     run_verify_corpus,
@@ -196,11 +197,6 @@ def _yn(v: bool | None) -> str:
     return "-" if v is None else ("yes" if v else "no")
 
 
-def _sigma_json_value(group: Group) -> int | str:
-    value = covers.sigma_exact(group)
-    return "Infinite" if value.is_infinite else value.value
-
-
 def _cmd_sigma(args: argparse.Namespace) -> int:
     rows, text = [], []
     for g in _select(args):
@@ -208,7 +204,7 @@ def _cmd_sigma(args: argparse.Namespace) -> int:
             rows.append({"groupName": g.name, "order": g.order, "skipped": True})
             text.append(f"{g.name}: " + _SKIP_NOTE.format(g.order, args.max_order))
             continue
-        s = _sigma_json_value(g)
+        s = _sigma_json(covers.sigma_exact(g))
         rows.append({"groupName": g.name, "order": g.order, "sigma": s})
         text.append(f"{g.name}: sigma={s}")
     return _emit(args, rows, text)

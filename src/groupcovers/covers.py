@@ -29,6 +29,7 @@ from typing import Callable, Iterable, Sequence
 from .errors import (
     EnumerationBoundExceeded,
     GroupIsCyclic,
+    InvalidParameters,
     InvariantViolation,
     NoFactorWithMultipleComplements,
     NotProperSubgroup,
@@ -408,7 +409,9 @@ class EnumerationStats:
         return self.size_counts[-1][0]
 
 
-def _check_enumerable(group: Group, enum_bound: int) -> None:
+def _check_enumerable(group: Group, enum_bound: int, size_cap: int | None) -> None:
+    if size_cap is not None and size_cap < 0:
+        raise InvalidParameters(f"size cap {size_cap} is negative")
     if group.is_cyclic:
         raise GroupIsCyclic("cyclic groups have no cover by proper subgroups")
     if group.order > enum_bound:
@@ -422,7 +425,7 @@ def cover_enumeration_stats(
     *,
     enum_bound: int = DEFAULT_ENUM_BOUND,
 ) -> EnumerationStats:
-    _check_enumerable(group, enum_bound)
+    _check_enumerable(group, enum_bound, size_cap)
     space = _search_space(group)
     class_sizes = [len(c) for c in space.class_masks]
     counts: dict[int, int] = {}
@@ -466,7 +469,7 @@ def enumerate_irredundant_covers(
     irredundant covers (large elementary abelian ones especially) prefer
     cover_enumeration_stats.
     """
-    _check_enumerable(group, enum_bound)
+    _check_enumerable(group, enum_bound, size_cap)
     space = _search_space(group)
     lookup = _subgroup_by_mask(group)
     found: list[Cover] = []

@@ -1,10 +1,23 @@
 """Subgroup lattices, normal structure, and chief series.
 
 Subgroups are bitmasks over element indices.  The full lattice is
-computed by closing the cyclic subgroups under joins; every subgroup is
-a join of cyclic ones, and any subgroup can be reached by adjoining one
-cyclic subgroup at a time, so joining found subgroups against cyclic
-subgroups until nothing new appears is exhaustive.
+computed by cyclic extension: every subgroup is a join of cyclic ones,
+and any subgroup can be reached by adjoining one cyclic subgroup at a
+time, so joining found subgroups against cyclic subgroups until nothing
+new appears is exhaustive.
+
+Every subgroup found keeps a short generator tuple: a cyclic subgroup
+its least generator, a join <S, c> the tuple of S followed by c.  The
+join is Dimino's closure.  Because S is already a subgroup, <S, c> is a
+union of right cosets S*r: the closure starts from S and S*c, and for
+each coset representative r and each generator g it adds the whole
+coset S*(r*g) when r*g is new.  That costs O(|J|) table lookups plus
+(|J|/|S|)*k generator products, where the pairwise closure of a bare
+element set costs O(|J|^2).  Lagrange gives a cutoff: a proper subgroup
+has at most |G|/p elements, p the least prime dividing |G|, so the
+closure stops, and the join is G, as soon as it holds more than that.
+`generated_mask` runs the same join, adjoining one seed element at a
+time.
 
 All listings come back in a canonical order, sorted by (order, members
 mask), so downstream choices like "the first witness" are reproducible.
@@ -60,22 +73,61 @@ class ChiefFactor:
         return self.complement_count >= 1
 
 
+def _proper_cap(order: int) -> int:
+    """Largest order a proper subgroup can have: |G| / least prime divisor."""
+    return order // prime_divisors(order)[0] if order > 1 else 0
+
+
+def _join(
+    table: tuple[tuple[int, ...], ...],
+    members: list[int],
+    mask: int,
+    gens: tuple[int, ...],
+    c: int,
+    cap: int,
+) -> int:
+    """Mask of <S, c> for the subgroup S = mask, generated by gens, c not in S.
+
+    members lists the elements of S.  Returns the full mask as soon as
+    the join holds more than cap elements.
+    """
+    n = len(members)
+    if 2 * n > cap:
+        return (1 << len(table)) - 1
+    for s in members:
+        mask |= 1 << table[s][c]
+    size = 2 * n
+    reps = [c]
+    gens = gens + (c,)
+    for r in reps:
+        row = table[r]
+        for g in gens:
+            z = row[g]
+            if not mask >> z & 1:
+                size += n
+                if size > cap:
+                    return (1 << len(table)) - 1
+                for s in members:
+                    mask |= 1 << table[s][z]
+                reps.append(z)
+    return mask
+
+
 def generated_mask(group: Group, seed_mask: int) -> int:
-    """Subgroup generated by the elements of seed_mask."""
+    """Subgroup generated by the elements of seed_mask.
+
+    Adjoins each seed element not yet in the subgroup, one join at a time.
+    """
     t = group.cayley
-    mask = 1
-    members = [0]
-    queue = [x for x in iter_bits(seed_mask) if x != 0]
-    while queue:
-        x = queue.pop()
+    cap = _proper_cap(group.order)
+    mask, gens = 1, ()
+    for x in iter_bits(seed_mask):
         if mask >> x & 1:
             continue
-        mask |= 1 << x
-        members.append(x)
-        for y in members:
-            for z in (t[x][y], t[y][x]):
-                if not mask >> z & 1:
-                    queue.append(z)
+        mask = _join(t, list(iter_bits(mask)), mask, gens, x, cap)
+        if mask == group.full_mask:
+            break
+        gens += (x,)
     return mask
 
 
@@ -97,31 +149,27 @@ def _cyclic_masks(group: Group) -> tuple[tuple[int, int], ...]:
 
 @lru_cache(maxsize=None)
 def _subgroup_masks(group: Group) -> tuple[int, ...]:
-    full = group.full_mask
-    found = {m for m, _ in _cyclic_masks(group)}
-    nontrivial_cyclic = [m for m in found if m != 1]
+    t = group.cayley
+    cap = _proper_cap(group.order)
+    gens = {m: (x,) if m != 1 else () for m, x in _cyclic_masks(group)}
+    nontrivial_cyclic = [(m, x) for m, x in _cyclic_masks(group) if m != 1]
     closure: dict[int, int] = {}
-    full_seeds: list[int] = []
-    worklist = list(found)
+    worklist = list(gens)
     while worklist:
         s = worklist.pop()
-        for c in nontrivial_cyclic:
+        s_gens = gens[s]
+        members = list(iter_bits(s))
+        for c, x in nontrivial_cyclic:
             if c & ~s == 0:
                 continue
             u = s | c
             j = closure.get(u)
             if j is None:
-                if u == full or any(fs & ~u == 0 for fs in full_seeds):
-                    j = full
-                else:
-                    j = generated_mask(group, u)
-                    if j == full:
-                        full_seeds.append(u)
-                closure[u] = j
-            if j not in found:
-                found.add(j)
+                j = closure[u] = _join(t, members, s, s_gens, x, cap)
+            if j not in gens:
+                gens[j] = s_gens + (x,)
                 worklist.append(j)
-    return tuple(sorted(found, key=lambda m: (m.bit_count(), m)))
+    return tuple(sorted(gens, key=lambda m: (m.bit_count(), m)))
 
 
 @lru_cache(maxsize=None)

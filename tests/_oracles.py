@@ -2,7 +2,10 @@
 
 Everything here is a subset scan or a combination search over raw
 Cayley tables and bitmasks.  No lattice shortcuts, no pruning beyond
-feasibility, so these can referee the real implementations.
+feasibility, so these can referee the real implementations.  The one
+exception is the reference routes at the end: the library's earlier
+pairwise subgroup closure, kept as a slower independent route for
+orders beyond the reach of a subset scan.
 """
 
 from __future__ import annotations
@@ -155,3 +158,67 @@ def find_isomorphism(ta, tb) -> list[int] | None:
         return False
 
     return img if extend(1) else None
+
+
+# ---------------------------------------------------------------------------
+# Reference routes: the pairwise closure the lattice used before
+# generator-based joins.  Quadratic in the subgroup order per closure.
+
+
+def pairwise_generated_mask(table, seed_mask: int) -> int:
+    """Subgroup generated by seed_mask, closing under all pairwise products."""
+    mask = 1
+    members = [0]
+    queue = [x for x in bits(seed_mask) if x != 0]
+    while queue:
+        x = queue.pop()
+        if mask >> x & 1:
+            continue
+        mask |= 1 << x
+        members.append(x)
+        for y in members:
+            for z in (table[x][y], table[y][x]):
+                if not mask >> z & 1:
+                    queue.append(z)
+    return mask
+
+
+def pairwise_subgroup_masks(table) -> set[int]:
+    """Every subgroup, by joining found subgroups with cyclic ones.
+
+    Each join <S, C> is the pairwise closure of the union of the two
+    masks.  A union already known to generate the group (a superset of
+    one that did) skips the closure.
+    """
+    n = len(table)
+    full = (1 << n) - 1
+    found = set()
+    for x in range(n):
+        mask, y = 1, x
+        while y != 0:
+            mask |= 1 << y
+            y = table[y][x]
+        found.add(mask)
+    nontrivial_cyclic = [m for m in found if m != 1]
+    closure: dict[int, int] = {}
+    full_seeds: list[int] = []
+    worklist = list(found)
+    while worklist:
+        s = worklist.pop()
+        for c in nontrivial_cyclic:
+            if c & ~s == 0:
+                continue
+            u = s | c
+            j = closure.get(u)
+            if j is None:
+                if u == full or any(fs & ~u == 0 for fs in full_seeds):
+                    j = full
+                else:
+                    j = pairwise_generated_mask(table, u)
+                    if j == full:
+                        full_seeds.append(u)
+                closure[u] = j
+            if j not in found:
+                found.add(j)
+                worklist.append(j)
+    return found

@@ -125,6 +125,14 @@ class TestCovers:
         assert stats["coverCount"] == 7
         assert stats["sizeCounts"] == [[3, 7]]
 
+    def test_negative_cap_is_an_error(self, capsys, catalog):
+        code, out, err = run(
+            capsys, "covers", catalog, "--group", "E8", "--enumerate", "--cap", "-1"
+        )
+        assert code == 1
+        assert out == ""
+        assert "error:" in err and "-1" in err
+
     def test_text_rendering(self, capsys, catalog):
         code, out, _ = run(capsys, "covers", catalog, "--group", "V4", "--enumerate")
         assert code == 0

@@ -4,6 +4,7 @@ from groupcovers import (
     Cover,
     GroupIsCyclic,
     INFINITE,
+    InvalidParameters,
     NotProperSubgroup,
     NotSolvable,
     NotSubgroup,
@@ -226,6 +227,12 @@ class TestEnumeration:
         capped = enumerate_irredundant_covers(e8(), 3)
         assert len(capped) == 7
         assert all(len(c) == 3 for c in capped)
+
+    def test_negative_cap_rejected(self):
+        with pytest.raises(InvalidParameters):
+            cover_enumeration_stats(e8(), -1)
+        with pytest.raises(InvalidParameters):
+            enumerate_irredundant_covers(e8(), -1)
 
     def test_cap_below_sigma_is_empty(self):
         st = cover_enumeration_stats(dihedral(4), 2)

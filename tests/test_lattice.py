@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from groupcovers import (
     InvalidParameters,
@@ -26,9 +27,14 @@ from groupcovers import (
     symmetric,
     sylow_subgroup,
 )
+from groupcovers.groups import mask_of
 from groupcovers.lattice import derived_subgroup_mask, generated_mask, normal_core
 
-from _oracles import brute_subgroup_masks
+from _oracles import (
+    brute_subgroup_masks,
+    pairwise_generated_mask,
+    pairwise_subgroup_masks,
+)
 
 
 def elementary_abelian_8():
@@ -55,6 +61,40 @@ def test_all_subgroups_match_subset_bruteforce(make):
     expected = brute_subgroup_masks(g.cayley)
     got = {s.members for s in all_subgroups(g)}
     assert got == expected
+
+
+def test_all_subgroups_match_pairwise_oracle_on_corpus(corpus):
+    checked = 0
+    for g in corpus.values():
+        if g.order > 64:
+            continue
+        got = {s.members for s in all_subgroups(g)}
+        assert got == pairwise_subgroup_masks(g.cayley), g.name
+        checked += 1
+    assert checked == 95
+
+
+# Sparse seeds of a few elements reach proper subgroups; dense random
+# masks almost always generate the whole group.
+SEED_GROUPS = {
+    "S4": symmetric(4),
+    "D8xD8": direct_product(dihedral(4), dihedral(4)),
+    "A5": alternating(5),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_generated_mask_matches_pairwise_oracle(data):
+    g = SEED_GROUPS[data.draw(st.sampled_from(sorted(SEED_GROUPS)))]
+    elements = st.integers(min_value=0, max_value=g.order - 1)
+    seed = data.draw(
+        st.one_of(
+            st.lists(elements, max_size=4).map(mask_of),
+            st.integers(min_value=0, max_value=g.full_mask),
+        )
+    )
+    assert generated_mask(g, seed) == pairwise_generated_mask(g.cayley, seed)
 
 
 def test_subgroups_sorted_canonically():
