@@ -132,15 +132,14 @@ def _emit(args: argparse.Namespace, rows: list[dict[str, Any]], text: list[str])
     return 0
 
 
-def _skip(group: Group, args: argparse.Namespace) -> bool:
-    return group.order > args.max_order
+def _skip(group: Group, opts: AnalyzeOptions) -> bool:
+    return group.order > opts.max_order
 
 
 _SKIP_NOTE = "skipped (order {} exceeds --max-order {})"
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    opts = _options(args)
+def _cmd_analyze(args: argparse.Namespace, opts: AnalyzeOptions) -> int:
     reports = [run_analyze(g, opts) for g in _select(args)]
     if args.json:
         if len(reports) == 1:
@@ -197,12 +196,12 @@ def _yn(v: bool | None) -> str:
     return "-" if v is None else ("yes" if v else "no")
 
 
-def _cmd_sigma(args: argparse.Namespace) -> int:
+def _cmd_sigma(args: argparse.Namespace, opts: AnalyzeOptions) -> int:
     rows, text = [], []
     for g in _select(args):
-        if _skip(g, args):
+        if _skip(g, opts):
             rows.append({"groupName": g.name, "order": g.order, "skipped": True})
-            text.append(f"{g.name}: " + _SKIP_NOTE.format(g.order, args.max_order))
+            text.append(f"{g.name}: " + _SKIP_NOTE.format(g.order, opts.max_order))
             continue
         s = _sigma_json(covers.sigma_exact(g))
         rows.append({"groupName": g.name, "order": g.order, "sigma": s})
@@ -210,12 +209,12 @@ def _cmd_sigma(args: argparse.Namespace) -> int:
     return _emit(args, rows, text)
 
 
-def _cmd_lambda(args: argparse.Namespace) -> int:
+def _cmd_lambda(args: argparse.Namespace, opts: AnalyzeOptions) -> int:
     rows, text = [], []
     for g in _select(args):
-        if _skip(g, args):
+        if _skip(g, opts):
             rows.append({"groupName": g.name, "order": g.order, "skipped": True})
-            text.append(f"{g.name}: " + _SKIP_NOTE.format(g.order, args.max_order))
+            text.append(f"{g.name}: " + _SKIP_NOTE.format(g.order, opts.max_order))
             continue
         if g.is_cyclic:
             rows.append({"groupName": g.name, "order": g.order, "lambda": None})
@@ -227,12 +226,12 @@ def _cmd_lambda(args: argparse.Namespace) -> int:
     return _emit(args, rows, text)
 
 
-def _cmd_covers(args: argparse.Namespace) -> int:
+def _cmd_covers(args: argparse.Namespace, opts: AnalyzeOptions) -> int:
     rows, text = [], []
     for g in _select(args):
-        if _skip(g, args):
+        if _skip(g, opts):
             rows.append({"groupName": g.name, "order": g.order, "skipped": True})
-            text.append(f"{g.name}: " + _SKIP_NOTE.format(g.order, args.max_order))
+            text.append(f"{g.name}: " + _SKIP_NOTE.format(g.order, opts.max_order))
             continue
         row: dict[str, Any] = {"groupName": g.name, "order": g.order}
         if g.is_cyclic:
@@ -247,7 +246,7 @@ def _cmd_covers(args: argparse.Namespace) -> int:
         line = f"{g.name}: lambda={len(family)} maximal cyclic orders={orders}"
         if args.enumerate:
             stats = covers.cover_enumeration_stats(
-                g, args.cap, enum_bound=args.enum_bound
+                g, args.cap, enum_bound=opts.enum_bound
             )
             row["enumeration"] = {
                 "coverCount": stats.cover_count,
@@ -262,12 +261,12 @@ def _cmd_covers(args: argparse.Namespace) -> int:
     return _emit(args, rows, text)
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
+def _cmd_classify(args: argparse.Namespace, opts: AnalyzeOptions) -> int:
     rows, text = [], []
     for g in _select(args):
-        if _skip(g, args):
+        if _skip(g, opts):
             rows.append({"groupName": g.name, "order": g.order, "skipped": True})
-            text.append(f"{g.name}: " + _SKIP_NOTE.format(g.order, args.max_order))
+            text.append(f"{g.name}: " + _SKIP_NOTE.format(g.order, opts.max_order))
             continue
         row: dict[str, Any] = {"groupName": g.name, "order": g.order}
         try:
@@ -286,8 +285,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return _emit(args, rows, text)
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    envelope = run_verify_corpus(_load_entries(args.catalog), _options(args))
+def _cmd_verify(args: argparse.Namespace, opts: AnalyzeOptions) -> int:
+    envelope = run_verify_corpus(_load_entries(args.catalog), opts)
     summary = envelope["summary"]
     if args.json:
         sys.stdout.write(serialize_envelope(envelope))
@@ -314,7 +313,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _options(args))
     except GroupCoversError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -17,6 +17,14 @@ both properties.  So the search runs over distinct traces and multiplies
 in the per-trace subgroup counts afterwards, branching on the least
 uncovered generator with an exclusion set so each trace family is
 visited exactly once.
+
+Only the set of sizes matters for one-sizedness, and that walk can skip
+most of the tree.  Every member added below a node must own a generator
+that is still uncovered there, so a node at depth d with u uncovered
+generators completes only to covers of size d+1 .. d+u.  Once every size
+in that window has been seen, the subtree has nothing new to report.
+The counting walk (cover_enumeration_stats) never prunes this way and
+is the reference route for the size walk.
 """
 
 from __future__ import annotations
@@ -342,6 +350,7 @@ def _walk_trace_covers(
     space: _SearchSpace,
     on_cover: Callable[[tuple[int, ...], bool], None],
     size_cap: int | None,
+    known: set[int] | None = None,
 ) -> None:
     """Visit every irredundant trace family exactly once.
 
@@ -351,6 +360,12 @@ def _walk_trace_covers(
     partitions the cover space.  A branch is abandoned as soon as any
     chosen trace loses its last private generator, since privacy only
     shrinks as members are added.
+
+    With a set of known sizes (which on_cover is expected to grow), a
+    node at depth d with u uncovered generators is skipped when every
+    size in d+1 .. d+|u| is already known: each further member covers at
+    least one of the u, so no completion has a size outside that window.
+    Only the sizes are then exact; the families visited are a subset.
     """
     traces = space.traces
     k = len(space.generators)
@@ -369,6 +384,10 @@ def _walk_trace_covers(
             return
         if size_cap is not None and len(chosen) >= size_cap:
             return
+        if known is not None:
+            d = len(chosen)
+            if known.issuperset(range(d + 1, d + uncovered.bit_count() + 1)):
+                return
         g = (uncovered & -uncovered).bit_length() - 1
         for tid in by_gen[g]:
             if banned >> tid & 1:
@@ -412,6 +431,8 @@ class EnumerationStats:
 def _check_enumerable(group: Group, enum_bound: int, size_cap: int | None) -> None:
     if size_cap is not None and size_cap < 0:
         raise InvalidParameters(f"size cap {size_cap} is negative")
+    if enum_bound < 0:
+        raise InvalidParameters(f"enumeration bound {enum_bound} is negative")
     if group.is_cyclic:
         raise GroupIsCyclic("cyclic groups have no cover by proper subgroups")
     if group.order > enum_bound:
@@ -425,6 +446,13 @@ def cover_enumeration_stats(
     *,
     enum_bound: int = DEFAULT_ENUM_BOUND,
 ) -> EnumerationStats:
+    """Count the irredundant covers by size (size <= size_cap if given).
+
+    This is the counting walk: it visits every irredundant trace family
+    and multiplies in the per-trace subgroup counts.  It is also the
+    reference route for irredundant_cover_sizes, whose pruned walk must
+    report exactly the sizes counted here.
+    """
     _check_enumerable(group, enum_bound, size_cap)
     space = _search_space(group)
     class_sizes = [len(c) for c in space.class_masks]
@@ -449,12 +477,30 @@ def cover_enumeration_stats(
     )
 
 
+def _trace_cover_sizes(space: _SearchSpace) -> tuple[int, ...]:
+    known: set[int] = set()
+
+    def note(tids: tuple[int, ...], _singles: bool) -> None:
+        known.add(len(tids))
+
+    _walk_trace_covers(space, note, None, known)
+    return tuple(sorted(known))
+
+
+@lru_cache(maxsize=None)
 def irredundant_cover_sizes(
     group: Group, *, enum_bound: int = DEFAULT_ENUM_BOUND
 ) -> tuple[int, ...]:
-    """All sizes attained by irredundant covers, ascending."""
-    stats = cover_enumeration_stats(group, enum_bound=enum_bound)
-    return tuple(size for size, _ in stats.size_counts)
+    """All sizes attained by irredundant covers, ascending.
+
+    Runs the size walk, which skips every branch whose reachable sizes
+    are all known already; cover_enumeration_stats counts the covers.
+    """
+    _check_enumerable(group, enum_bound, None)
+    sizes = _trace_cover_sizes(_search_space(group))
+    if not sizes:
+        raise InvariantViolation("no irredundant cover found for a non-cyclic group")
+    return sizes
 
 
 def enumerate_irredundant_covers(

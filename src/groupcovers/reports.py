@@ -51,6 +51,10 @@ class AnalyzeOptions:
     force_enumeration: bool = False
 
     def __post_init__(self) -> None:
+        if self.max_order < 0:
+            raise InvalidParameters(f"max order {self.max_order} is negative")
+        if self.enum_bound < 0:
+            raise InvalidParameters(f"enumeration bound {self.enum_bound} is negative")
         unknown = [c for c in self.checks if c not in CHECK_IDS]
         if unknown:
             raise InvalidParameters(f"unknown check id {unknown[0]!r}")

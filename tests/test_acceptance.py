@@ -27,6 +27,7 @@ from groupcovers import (
     direct_product,
     enumerate_irredundant_covers,
     frobenius_style_cover,
+    irredundant_cover_sizes,
     is_irredundant,
     is_solvable,
     lambda_,
@@ -150,6 +151,9 @@ def test_criterion_04_enumeration_oracle(corpus, noncyclic):
             for c in enumerate_irredundant_covers(g, cap)
         }
         assert got == expected, g.name
+        if cap is None:
+            sizes = tuple(sorted({len(c) for c in expected}))
+            assert irredundant_cover_sizes(g) == sizes, g.name
 
 
 @criterion(5, "size-range, trace, and quotient properties across the corpus")
@@ -159,6 +163,9 @@ def test_criterion_05_cover_structure(noncyclic):
             continue
         assert is_irredundant(g, maximal_cyclic_family(g)), g.name
         stats = cover_enumeration_stats(g, enum_bound=ENUM_BOUND)
+        assert irredundant_cover_sizes(g, enum_bound=ENUM_BOUND) == tuple(
+            s for s, _ in stats.size_counts
+        ), g.name
         sig = sigma_exact(g).value
         lam = lambda_(g)
         assert stats.min_size == sig and stats.max_size == lam, g.name

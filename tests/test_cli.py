@@ -266,3 +266,18 @@ class TestErrors:
         )
         assert code == 1
         assert "bogus" in err
+
+    @pytest.mark.parametrize(
+        "command", ["analyze", "sigma", "lambda", "covers", "classify", "verify-corpus"]
+    )
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--checks", "bogus"), ("--enum-bound", "-5"), ("--max-order", "-1")],
+    )
+    def test_common_flags_validated_for_every_command(
+        self, capsys, catalog, command, flag, value
+    ):
+        code, out, err = run(capsys, flag, value, command, catalog)
+        assert code == 1
+        assert out == ""
+        assert "error:" in err and value in err

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from groupcovers import (
     Cover,
@@ -32,6 +33,7 @@ from groupcovers import (
     sigma_tomkinson,
     symmetric,
 )
+from groupcovers.covers import _SearchSpace, _trace_cover_sizes, _walk_trace_covers
 
 from _oracles import (
     brute_irredundant_covers,
@@ -234,6 +236,14 @@ class TestEnumeration:
         with pytest.raises(InvalidParameters):
             enumerate_irredundant_covers(e8(), -1)
 
+    def test_negative_enum_bound_rejected(self):
+        with pytest.raises(InvalidParameters):
+            cover_enumeration_stats(e8(), enum_bound=-5)
+        with pytest.raises(InvalidParameters):
+            enumerate_irredundant_covers(e8(), enum_bound=-5)
+        with pytest.raises(InvalidParameters):
+            irredundant_cover_sizes(e8(), enum_bound=-5)
+
     def test_cap_below_sigma_is_empty(self):
         st = cover_enumeration_stats(dihedral(4), 2)
         assert st.cover_count == 0
@@ -245,6 +255,32 @@ class TestEnumeration:
             cover_enumeration_stats(big, enum_bound=32)
         assert "40" in str(info.value)
         assert cover_enumeration_stats(big, enum_bound=40).cover_count > 0
+
+
+@st.composite
+def trace_families(draw):
+    k = draw(st.integers(1, 7))
+    extra = draw(st.frozensets(st.integers(1, (1 << k) - 1), max_size=20))
+    return k, extra
+
+
+# The window check must cover every size in d+1 .. d+|u|, not just its ends.
+# On (5, {0b00011, 0b01100, 0b11110}) sizes 5, 4 and 2 are known when the
+# walk reaches the branch that starts with 0b00011 (window 2..4), and that
+# branch holds the only size-3 cover, so checking the endpoints alone
+# loses size 3.  Random families catch that rarely, hence the example.
+@settings(max_examples=500, deadline=None)
+@given(trace_families())
+@example((5, frozenset({0b00011, 0b01100, 0b11110})))
+def test_size_walk_matches_counting_walk_on_synthetic_traces(family):
+    k, extra = family
+    traces = sorted(
+        {1 << i for i in range(k)} | extra, key=lambda t: (t.bit_count(), t)
+    )
+    space = _SearchSpace(tuple(range(k)), tuple(traces), tuple((t,) for t in traces))
+    counted = set()
+    _walk_trace_covers(space, lambda tids, _singles: counted.add(len(tids)), None)
+    assert _trace_cover_sizes(space) == tuple(sorted(counted))
 
 
 class TestTomkinson:
