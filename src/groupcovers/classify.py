@@ -13,7 +13,6 @@ isomorphism search; at these shapes the invariants are characterizing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd, isqrt
 
 from .arith import is_prime, prime_divisors
@@ -30,13 +29,14 @@ from .errors import (
     PreconditionViolation,
     PrimeDoesNotDivideOrder,
 )
-from .groups import Group, iter_bits, quotient
+from .groups import Group, iter_bits, per_group, quotient
 from .lattice import (
     Subgroup,
     all_subgroups,
     chief_series,
     has_normal_p_complement,
     is_solvable,
+    maximal_masks,
     normal_subgroups,
 )
 
@@ -109,7 +109,7 @@ def _recognize_family(group: Group, h: Subgroup) -> FamilyTag | None:
     return None
 
 
-@lru_cache(maxsize=None)
+@per_group
 def classify(group: Group) -> ClassificationOutcome:
     """Decide one-sizedness structurally, returning the witnesses.
 
@@ -213,19 +213,6 @@ class AbelianCoverCheck:
     status: str
 
 
-def _maximal_abelian_proper_masks(group: Group) -> list[int]:
-    abelian = [
-        s.members
-        for s in all_subgroups(group)
-        if s.order < group.order and _is_abelian_within(group, s.members)
-    ]
-    return [
-        m
-        for m in abelian
-        if not any(o != m and m & ~o == 0 for o in abelian)
-    ]
-
-
 def check_abelian_sigma_cover(group: Group) -> AbelianCoverCheck:
     """Does some cover of minimum size consist of abelian subgroups?
 
@@ -237,9 +224,12 @@ def check_abelian_sigma_cover(group: Group) -> AbelianCoverCheck:
         raise GroupIsCyclic("cyclic groups have no cover by proper subgroups")
     sig = sigma_exact(group).value
     assert sig is not None
-    found = _min_set_cover(
-        group.full_mask, sorted(_maximal_abelian_proper_masks(group)), limit=sig
-    )
+    abelian = [
+        s.members
+        for s in all_subgroups(group)
+        if s.order < group.order and _is_abelian_within(group, s.members)
+    ]
+    found = _min_set_cover(group.full_mask, sorted(maximal_masks(abelian)), limit=sig)
     exists = found is not None
     solvable = is_solvable(group)
     if not exists:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from pathlib import Path
 from typing import Any
 
@@ -22,7 +22,7 @@ from . import covers
 from .catalog import build_catalog, bundled_catalog_text, parse_catalog
 from .classify import classify
 from .covers import DEFAULT_ENUM_BOUND
-from .errors import GroupCoversError, GroupIsCyclic, InvalidParameters
+from .errors import GroupCoversError, InvalidParameters
 from .groups import Group
 from .reports import (
     CHECK_IDS,
@@ -123,7 +123,26 @@ def _select(args: argparse.Namespace) -> list[Group]:
     return list(groups.values())
 
 
-def _emit(args: argparse.Namespace, rows: list[dict[str, Any]], text: list[str]) -> int:
+def _per_group(
+    args: argparse.Namespace,
+    opts: AnalyzeOptions,
+    describe: Callable[[Group, dict[str, Any]], str],
+) -> int:
+    """One JSON row and one text line per selected group.
+
+    describe(g, row) adds its fields to the row and returns the text
+    after "name: "; groups above --max-order get a skip row instead.
+    """
+    rows, text = [], []
+    for g in _select(args):
+        row: dict[str, Any] = {"groupName": g.name, "order": g.order}
+        if g.order > opts.max_order:
+            row["skipped"] = True
+            line = f"skipped (order {g.order} exceeds --max-order {opts.max_order})"
+        else:
+            line = describe(g, row)
+        rows.append(row)
+        text.append(f"{g.name}: {line}")
     if args.json:
         print(json.dumps(rows, sort_keys=True, indent=2))
     else:
@@ -132,11 +151,7 @@ def _emit(args: argparse.Namespace, rows: list[dict[str, Any]], text: list[str])
     return 0
 
 
-def _skip(group: Group, opts: AnalyzeOptions) -> bool:
-    return group.order > opts.max_order
-
-
-_SKIP_NOTE = "skipped (order {} exceeds --max-order {})"
+_CYCLIC_NOTE = "cyclic, no cover by proper subgroups"
 
 
 def _cmd_analyze(args: argparse.Namespace, opts: AnalyzeOptions) -> int:
@@ -197,53 +212,37 @@ def _yn(v: bool | None) -> str:
 
 
 def _cmd_sigma(args: argparse.Namespace, opts: AnalyzeOptions) -> int:
-    rows, text = [], []
-    for g in _select(args):
-        if _skip(g, opts):
-            rows.append({"groupName": g.name, "order": g.order, "skipped": True})
-            text.append(f"{g.name}: " + _SKIP_NOTE.format(g.order, opts.max_order))
-            continue
-        s = _sigma_json(covers.sigma_exact(g))
-        rows.append({"groupName": g.name, "order": g.order, "sigma": s})
-        text.append(f"{g.name}: sigma={s}")
-    return _emit(args, rows, text)
+    def describe(g: Group, row: dict[str, Any]) -> str:
+        row["sigma"] = s = _sigma_json(covers.sigma_exact(g))
+        return f"sigma={s}"
+
+    return _per_group(args, opts, describe)
 
 
 def _cmd_lambda(args: argparse.Namespace, opts: AnalyzeOptions) -> int:
-    rows, text = [], []
-    for g in _select(args):
-        if _skip(g, opts):
-            rows.append({"groupName": g.name, "order": g.order, "skipped": True})
-            text.append(f"{g.name}: " + _SKIP_NOTE.format(g.order, opts.max_order))
-            continue
+    def describe(g: Group, row: dict[str, Any]) -> str:
         if g.is_cyclic:
-            rows.append({"groupName": g.name, "order": g.order, "lambda": None})
-            text.append(f"{g.name}: cyclic, no cover by proper subgroups")
-        else:
-            lam = covers.lambda_(g)
-            rows.append({"groupName": g.name, "order": g.order, "lambda": lam})
-            text.append(f"{g.name}: lambda={lam}")
-    return _emit(args, rows, text)
+            row["lambda"] = None
+            return _CYCLIC_NOTE
+        row["lambda"] = lam = covers.lambda_(g)
+        return f"lambda={lam}"
+
+    return _per_group(args, opts, describe)
 
 
 def _cmd_covers(args: argparse.Namespace, opts: AnalyzeOptions) -> int:
-    rows, text = [], []
-    for g in _select(args):
-        if _skip(g, opts):
-            rows.append({"groupName": g.name, "order": g.order, "skipped": True})
-            text.append(f"{g.name}: " + _SKIP_NOTE.format(g.order, opts.max_order))
-            continue
-        row: dict[str, Any] = {"groupName": g.name, "order": g.order}
+    if args.cap is not None and args.cap < 0:
+        raise InvalidParameters(f"size cap {args.cap} is negative")
+
+    def describe(g: Group, row: dict[str, Any]) -> str:
         if g.is_cyclic:
             row["lambda"] = None
-            rows.append(row)
-            text.append(f"{g.name}: cyclic, no cover by proper subgroups")
-            continue
+            return _CYCLIC_NOTE
         family = covers.maximal_cyclic_family(g)
         orders = [m.order for m in family.members]
         row["lambda"] = len(family)
         row["memberOrders"] = orders
-        line = f"{g.name}: lambda={len(family)} maximal cyclic orders={orders}"
+        line = f"lambda={len(family)} maximal cyclic orders={orders}"
         if args.enumerate:
             stats = covers.cover_enumeration_stats(
                 g, args.cap, enum_bound=opts.enum_bound
@@ -256,33 +255,20 @@ def _cmd_covers(args: argparse.Namespace, opts: AnalyzeOptions) -> int:
             pairs = " ".join(f"{s}:{c}" for s, c in stats.size_counts)
             cap_note = "" if args.cap is None else f" (cap {args.cap})"
             line += f"\n  covers={stats.cover_count}{cap_note} by size: {pairs}"
-        rows.append(row)
-        text.append(line)
-    return _emit(args, rows, text)
+        return line
+
+    return _per_group(args, opts, describe)
 
 
 def _cmd_classify(args: argparse.Namespace, opts: AnalyzeOptions) -> int:
-    rows, text = [], []
-    for g in _select(args):
-        if _skip(g, opts):
-            rows.append({"groupName": g.name, "order": g.order, "skipped": True})
-            text.append(f"{g.name}: " + _SKIP_NOTE.format(g.order, opts.max_order))
-            continue
-        row: dict[str, Any] = {"groupName": g.name, "order": g.order}
-        try:
-            out = outcome_json(classify(g))
-        except GroupIsCyclic:
+    def describe(g: Group, row: dict[str, Any]) -> str:
+        if g.is_cyclic:
             row["classifyOutcome"] = None
-            rows.append(row)
-            text.append(f"{g.name}: cyclic, not applicable")
-            continue
-        row["classifyOutcome"] = out
-        text.append(
-            f"{g.name}: oneSized={_yn(out['oneSized'])}"
-            f" family={_family_text(out['family'])}"
-        )
-        rows.append(row)
-    return _emit(args, rows, text)
+            return "cyclic, not applicable"
+        row["classifyOutcome"] = out = outcome_json(classify(g))
+        return f"oneSized={_yn(out['oneSized'])} family={_family_text(out['family'])}"
+
+    return _per_group(args, opts, describe)
 
 
 def _cmd_verify(args: argparse.Namespace, opts: AnalyzeOptions) -> int:

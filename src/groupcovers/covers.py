@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
@@ -45,7 +44,7 @@ from .errors import (
     NotSubgroup,
     PreconditionViolation,
 )
-from .groups import Group, is_normal_mask, is_subgroup_mask, iter_bits
+from .groups import Group, is_normal_mask, is_subgroup_mask, iter_bits, per_group
 from .lattice import (
     Subgroup,
     all_subgroups,
@@ -91,7 +90,7 @@ class Cover:
         return tuple(s.members for s in self.members)
 
 
-@lru_cache(maxsize=None)
+@per_group
 def _subgroup_by_mask(group: Group) -> dict[int, Subgroup]:
     return {s.members: s for s in all_subgroups(group)}
 
@@ -256,30 +255,27 @@ def _min_set_cover(
     return best_size, best_sel
 
 
-@lru_cache(maxsize=None)
+@per_group
 def sigma_exact(group: Group) -> SigmaValue:
-    """Exact minimum cover size, infinite for cyclic groups.
+    """Exact minimum cover size, infinite for cyclic groups."""
+    if group.is_cyclic:
+        return INFINITE
+    return SigmaValue(len(minimal_cover(group)))
+
+
+def minimal_cover(group: Group) -> Cover:
+    """A cover of minimum size, the witness for sigma_exact(group).
 
     Candidates are the maximal subgroups: enlarging each member of any
     cover to a maximal subgroup above it never increases the family
     size, so the optimum over maximal subgroups is the true optimum.
     """
     if group.is_cyclic:
-        return INFINITE
+        raise GroupIsCyclic("cyclic groups have no cover by proper subgroups")
     masks = [s.members for s in maximal_subgroups(group)]
     result = _min_set_cover(group.full_mask, masks)
     if result is None:
         raise InvariantViolation("maximal subgroups fail to cover a non-cyclic group")
-    return SigmaValue(result[0])
-
-
-def minimal_cover(group: Group) -> Cover:
-    """A witness cover of size sigma_exact(group)."""
-    if group.is_cyclic:
-        raise GroupIsCyclic("cyclic groups have no cover by proper subgroups")
-    masks = [s.members for s in maximal_subgroups(group)]
-    result = _min_set_cover(group.full_mask, masks)
-    assert result is not None
     size, sel = result
     cover = make_cover(group, sel)
     if len(cover.members) != size or not is_cover(group, cover):
@@ -287,7 +283,7 @@ def minimal_cover(group: Group) -> Cover:
     return cover
 
 
-@lru_cache(maxsize=None)
+@per_group
 def sigma_tomkinson(group: Group) -> SigmaValue:
     """Minimum cover size via chief factors, for solvable groups.
 
@@ -326,7 +322,7 @@ class _SearchSpace:
     class_masks: tuple[tuple[int, ...], ...]
 
 
-@lru_cache(maxsize=None)
+@per_group
 def _search_space(group: Group) -> _SearchSpace:
     family = [c for c in cyclic_subgroups(group) if c.is_maximal]
     family.sort(key=lambda c: c.subgroup.key())
@@ -439,7 +435,7 @@ def _check_enumerable(group: Group, enum_bound: int, size_cap: int | None) -> No
         raise EnumerationBoundExceeded(group.order, enum_bound)
 
 
-@lru_cache(maxsize=None)
+@per_group
 def cover_enumeration_stats(
     group: Group,
     size_cap: int | None = None,
@@ -487,7 +483,7 @@ def _trace_cover_sizes(space: _SearchSpace) -> tuple[int, ...]:
     return tuple(sorted(known))
 
 
-@lru_cache(maxsize=None)
+@per_group
 def irredundant_cover_sizes(
     group: Group, *, enum_bound: int = DEFAULT_ENUM_BOUND
 ) -> tuple[int, ...]:

@@ -12,9 +12,11 @@ families, direct products, and quotients by a normal subgroup.
 
 from __future__ import annotations
 
+import inspect
 import re
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from math import lcm
 from typing import Iterable, Iterator, Sequence
 
@@ -125,8 +127,8 @@ class Group:
     """An immutable finite group given by its multiplication table.
 
     Two Group objects are never considered equal, even for identical
-    tables; identity semantics let per-group caches key on the object
-    itself.
+    tables.  Derived data lives in the group's own memo (see per_group)
+    and is freed with the group.
     """
 
     def __init__(
@@ -147,6 +149,7 @@ class Group:
         )
         self.inverse: tuple[int, ...] = inverse
         self.name: str = name if name is not None else f"G{self.order}"
+        self._memo: dict = {}
 
     def __repr__(self) -> str:
         return f"<Group {self.name!r} of order {self.order}>"
@@ -241,6 +244,39 @@ class Group:
         for x in iter_bits(mask):
             out |= 1 << self.conjugate(x, g)
         return out
+
+
+CacheInfo = namedtuple("CacheInfo", "hits misses")
+
+
+def per_group(fn):
+    """Memoize fn(group, ...) in the group's memo, so results die with it.
+
+    Arguments after the group are bound to their parameters with defaults
+    applied, so calls that mean the same thing share one entry.
+    Exceptions are not cached.  cache_info() gives the hits and misses
+    summed over all groups; a miss is one computation.
+    """
+    sig = inspect.signature(fn)
+    bind = len(sig.parameters) > 1
+    counts = [0, 0]
+
+    @wraps(fn)
+    def memoized(group, *args, **kwargs):
+        key = fn
+        if bind:
+            bound = sig.bind(group, *args, **kwargs)
+            bound.apply_defaults()
+            key = (fn, *tuple(bound.arguments.values())[1:])
+        if key in group._memo:
+            counts[0] += 1
+        else:
+            counts[1] += 1
+            group._memo[key] = fn(group, *args, **kwargs)
+        return group._memo[key]
+
+    memoized.cache_info = lambda: CacheInfo(*counts)
+    return memoized
 
 
 def validate_group(

@@ -26,11 +26,11 @@ mask), so downstream choices like "the first witness" are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import Sequence
 
 from .arith import is_prime, p_part, prime_divisors, prime_power_base
 from .errors import InvalidParameters, PrimeDoesNotDivideOrder
-from .groups import Group, is_normal_mask, iter_bits
+from .groups import Group, is_normal_mask, iter_bits, per_group
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,7 @@ def generated_mask(group: Group, seed_mask: int) -> int:
     return mask
 
 
-@lru_cache(maxsize=None)
+@per_group
 def _cyclic_masks(group: Group) -> tuple[tuple[int, int], ...]:
     """(mask, least generator) for every cyclic subgroup, ascending scan."""
     t = group.cayley
@@ -147,7 +147,6 @@ def _cyclic_masks(group: Group) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(seen.items(), key=lambda kv: (kv[0].bit_count(), kv[0])))
 
 
-@lru_cache(maxsize=None)
 def _subgroup_masks(group: Group) -> tuple[int, ...]:
     t = group.cayley
     cap = _proper_cap(group.order)
@@ -172,7 +171,7 @@ def _subgroup_masks(group: Group) -> tuple[int, ...]:
     return tuple(sorted(gens, key=lambda m: (m.bit_count(), m)))
 
 
-@lru_cache(maxsize=None)
+@per_group
 def all_subgroups(group: Group) -> tuple[Subgroup, ...]:
     return tuple(
         Subgroup(m, m.bit_count(), is_normal_mask(group, m))
@@ -180,30 +179,31 @@ def all_subgroups(group: Group) -> tuple[Subgroup, ...]:
     )
 
 
-@lru_cache(maxsize=None)
+def maximal_masks(masks: Sequence[int]) -> list[int]:
+    """The masks not properly contained in another one, in input order."""
+    return [m for m in masks if not any(o != m and m & ~o == 0 for o in masks)]
+
+
+def minimal_masks(masks: Sequence[int]) -> list[int]:
+    """The masks properly containing no other one, in input order."""
+    return [m for m in masks if not any(o != m and o & ~m == 0 for o in masks)]
+
+
+@per_group
 def cyclic_subgroups(group: Group) -> tuple[CyclicSubgroup, ...]:
     pairs = _cyclic_masks(group)
+    maximal = set(maximal_masks([mask for mask, _ in pairs]))
     out = []
     for mask, gen in pairs:
-        maximal = not any(
-            other != mask and mask & ~other == 0 for other, _ in pairs
-        )
         sub = Subgroup(mask, mask.bit_count(), is_normal_mask(group, mask))
-        out.append(CyclicSubgroup(sub, gen, maximal))
+        out.append(CyclicSubgroup(sub, gen, mask in maximal))
     return tuple(out)
 
 
 def maximal_subgroups(group: Group) -> tuple[Subgroup, ...]:
-    subs = all_subgroups(group)
     full = group.full_mask
-    proper = [s for s in subs if s.members != full]
-    return tuple(
-        s
-        for s in proper
-        if not any(
-            t.members != s.members and s.members & ~t.members == 0 for t in proper
-        )
-    )
+    proper = {s.members: s for s in all_subgroups(group) if s.members != full}
+    return tuple(proper[m] for m in maximal_masks(list(proper)))
 
 
 def normal_subgroups(group: Group) -> tuple[Subgroup, ...]:
@@ -211,14 +211,8 @@ def normal_subgroups(group: Group) -> tuple[Subgroup, ...]:
 
 
 def minimal_normal_subgroups(group: Group) -> tuple[Subgroup, ...]:
-    normals = [s for s in normal_subgroups(group) if s.members != 1]
-    return tuple(
-        s
-        for s in normals
-        if not any(
-            t.members != s.members and t.members & ~s.members == 0 for t in normals
-        )
-    )
+    normals = {s.members: s for s in normal_subgroups(group) if s.members != 1}
+    return tuple(normals[m] for m in minimal_masks(list(normals)))
 
 
 def normal_core(group: Group, mask: int) -> int:
@@ -248,7 +242,7 @@ def derived_subgroup_mask(group: Group, mask: int) -> int:
     return generated_mask(group, comms)
 
 
-@lru_cache(maxsize=None)
+@per_group
 def is_solvable(group: Group) -> bool:
     mask = group.full_mask
     while True:
@@ -258,13 +252,17 @@ def is_solvable(group: Group) -> bool:
         mask = nxt
 
 
-def sylow_subgroup(group: Group, p: int) -> Subgroup:
+def _check_prime_divisor(group: Group, p: int) -> None:
     if not is_prime(p):
         raise InvalidParameters(f"p = {p} is not prime")
     if group.order % p != 0:
         raise PrimeDoesNotDivideOrder(
             f"{p} does not divide the group order {group.order}"
         )
+
+
+def sylow_subgroup(group: Group, p: int) -> Subgroup:
+    _check_prime_divisor(group, p)
     target = p_part(group.order, p)
     for s in all_subgroups(group):
         if s.order == target:
@@ -272,14 +270,14 @@ def sylow_subgroup(group: Group, p: int) -> Subgroup:
     raise AssertionError("unreachable: Sylow subgroup must exist")
 
 
-@lru_cache(maxsize=None)
+@per_group
 def is_nilpotent(group: Group) -> bool:
     return all(
         sylow_subgroup(group, p).is_normal for p in prime_divisors(group.order)
     )
 
 
-@lru_cache(maxsize=None)
+@per_group
 def is_supersolvable(group: Group) -> bool:
     """Every maximal subgroup has prime index."""
     if group.order == 1:
@@ -316,13 +314,13 @@ def _complement_count(group: Group, lower: int, upper: int) -> int:
     return count
 
 
-@lru_cache(maxsize=None)
+@per_group
 def chief_series(group: Group) -> tuple[ChiefFactor, ...]:
     """A chief series of the group, canonically chosen.
 
     At each step the next term is the smallest (by order, then mask)
-    normal subgroup of the whole group sitting minimally above the
-    current term.  Each factor records its order, how many subgroups
+    normal subgroup of the whole group properly above the current term;
+    having the least order, it sits minimally above it.  Each factor records its order, how many subgroups
     complement it, whether it is central, and the prime when the factor
     order is a prime power.
     """
@@ -331,12 +329,7 @@ def chief_series(group: Group) -> tuple[ChiefFactor, ...]:
     lower = 1
     while lower != group.full_mask:
         above = [m for m in normals if lower & ~m == 0 and m != lower]
-        candidates = [
-            m
-            for m in above
-            if not any(o != m and o & ~m == 0 for o in above)
-        ]
-        upper = min(candidates, key=lambda m: (m.bit_count(), m))
+        upper = min(above, key=lambda m: (m.bit_count(), m))
         order = upper.bit_count() // lower.bit_count()
         factors.append(
             ChiefFactor(
@@ -353,11 +346,6 @@ def chief_series(group: Group) -> tuple[ChiefFactor, ...]:
 
 
 def has_normal_p_complement(group: Group, p: int) -> bool:
-    if not is_prime(p):
-        raise InvalidParameters(f"p = {p} is not prime")
-    if group.order % p != 0:
-        raise PrimeDoesNotDivideOrder(
-            f"{p} does not divide the group order {group.order}"
-        )
+    _check_prime_divisor(group, p)
     target = group.order // p_part(group.order, p)
     return any(s.order == target for s in normal_subgroups(group))

@@ -37,6 +37,9 @@ def catalog(tmp_path):
     return str(path)
 
 
+PER_GROUP_COMMANDS = ("sigma", "lambda", "covers", "classify")
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -69,21 +72,26 @@ class TestSigma:
         assert code == 0
         assert "A5: sigma=10" in out
 
+    # Every per-group command shares the skip row.
     def test_max_order_skip(self, capsys, catalog):
-        code, out, _ = run(capsys, "sigma", catalog, "--group", "A5")
-        assert code == 0
-        assert "skipped (order 60 exceeds --max-order 64)" not in out
-        code, out, _ = run(
-            capsys, "sigma", catalog, "--group", "A5", "--max-order", "32"
-        )
-        assert code == 0
-        assert out == "A5: skipped (order 60 exceeds --max-order 32)\n"
+        for command in PER_GROUP_COMMANDS:
+            code, out, _ = run(capsys, command, catalog, "--group", "A5")
+            assert code == 0
+            assert "skipped (order 60 exceeds --max-order 64)" not in out
+            code, out, _ = run(
+                capsys, command, catalog, "--group", "A5", "--max-order", "32"
+            )
+            assert code == 0
+            assert out == "A5: skipped (order 60 exceeds --max-order 32)\n"
 
     def test_skip_row_in_json(self, capsys, catalog):
-        _, out, _ = run(
-            capsys, "--json", "sigma", catalog, "--group", "A5", "--max-order", "32"
-        )
-        assert json.loads(out) == [{"groupName": "A5", "order": 60, "skipped": True}]
+        for command in PER_GROUP_COMMANDS:
+            _, out, _ = run(
+                capsys, "--json", command, catalog, "--group", "A5", "--max-order", "32"
+            )
+            assert json.loads(out) == [
+                {"groupName": "A5", "order": 60, "skipped": True}
+            ], command
 
 
 class TestLambda:
@@ -126,12 +134,13 @@ class TestCovers:
         assert stats["sizeCounts"] == [[3, 7]]
 
     def test_negative_cap_is_an_error(self, capsys, catalog):
-        code, out, err = run(
-            capsys, "covers", catalog, "--group", "E8", "--enumerate", "--cap", "-1"
-        )
-        assert code == 1
-        assert out == ""
-        assert "error:" in err and "-1" in err
+        for flags in (["--enumerate"], []):
+            code, out, err = run(
+                capsys, "covers", catalog, "--group", "E8", *flags, "--cap", "-1"
+            )
+            assert code == 1
+            assert out == ""
+            assert err == "error: size cap -1 is negative\n"
 
     def test_text_rendering(self, capsys, catalog):
         code, out, _ = run(capsys, "covers", catalog, "--group", "V4", "--enumerate")

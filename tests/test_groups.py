@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from groupcovers import (
@@ -10,16 +13,21 @@ from groupcovers import (
     NotLatinSquare,
     OrderBoundExceeded,
     alternating,
+    classify,
+    cover_enumeration_stats,
     cyclic,
     dihedral,
     direct_product,
     from_permutation_generators,
     generalized_quaternion,
     quotient,
+    run_analyze,
     semidirect_cp_cn,
+    sigma_exact,
     symmetric,
     validate_group,
 )
+from groupcovers.covers import DEFAULT_ENUM_BOUND
 from groupcovers.groups import mask_of
 
 from _oracles import find_isomorphism
@@ -261,3 +269,29 @@ def _normal_masks(group: Group):
 
 def test_mask_helper():
     assert mask_of([0, 2, 5]) == 0b100101
+
+
+class TestPerGroupMemo:
+    # D8xC3 is not one-sized; S3xC5 is, so run_analyze also builds its
+    # quotients.
+    @pytest.mark.parametrize("make, k, n", [(dihedral, 4, 3), (symmetric, 3, 5)])
+    def test_group_is_freed_after_analysis(self, make, k, n):
+        g = direct_product(make(k), cyclic(n))
+        run_analyze(g)
+        classify(g)
+        sigma_exact(g)
+        cover_enumeration_stats(g)
+        ref = weakref.ref(g)
+        del g
+        gc.collect()
+        assert ref() is None
+
+    def test_one_entry_per_meaning(self):
+        g = dihedral(4)
+        before = cover_enumeration_stats.cache_info()
+        first = cover_enumeration_stats(g)
+        assert cover_enumeration_stats(g, None) is first
+        assert cover_enumeration_stats(g, enum_bound=DEFAULT_ENUM_BOUND) is first
+        after = cover_enumeration_stats.cache_info()
+        assert after.misses - before.misses == 1
+        assert after.hits - before.hits == 2
