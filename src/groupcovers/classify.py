@@ -16,22 +16,12 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .arith import is_prime, prime_divisors
-from .covers import (
-    DEFAULT_ENUM_BOUND,
-    _min_set_cover,
-    lambda_,
-    one_sized_bruteforce,
-    sigma_exact,
-)
-from .errors import (
-    GroupIsCyclic,
-    NotSolvable,
-    PreconditionViolation,
-    PrimeDoesNotDivideOrder,
-)
-from .groups import Group, iter_bits, per_group, quotient
+from .covers import _min_set_cover, lambda_, one_sized_bruteforce, sigma_exact
+from .errors import GroupIsCyclic, NotSolvable, PreconditionViolation
+from .groups import Group, is_cyclic_mask, iter_bits, per_group, quotient
 from .lattice import (
     Subgroup,
+    _check_prime_divisor,
     all_subgroups,
     chief_series,
     has_normal_p_complement,
@@ -68,10 +58,6 @@ def _is_abelian_within(group: Group, mask: int) -> bool:
     )
 
 
-def _is_cyclic_subgroup(group: Group, sub: Subgroup) -> bool:
-    return max(group.element_order(x) for x in iter_bits(sub.members)) == sub.order
-
-
 def _is_normal_within(group: Group, ambient: int, sub: int) -> bool:
     return all(
         group.conjugate_set(sub, g) == sub for g in iter_bits(ambient)
@@ -80,7 +66,7 @@ def _is_normal_within(group: Group, ambient: int, sub: int) -> bool:
 
 def _recognize_family(group: Group, h: Subgroup) -> FamilyTag | None:
     m = h.order
-    orders = [group.element_order(x) for x in iter_bits(h.members)]
+    orders = [group.element_orders[x] for x in iter_bits(h.members)]
     abelian = _is_abelian_within(group, h.members)
 
     root = isqrt(m)
@@ -104,7 +90,7 @@ def _recognize_family(group: Group, h: Subgroup) -> FamilyTag | None:
         )
         if not has_normal_p:
             continue
-        if any(s.order == n and _is_cyclic_subgroup(group, s) for s in inside):
+        if any(s.order == n and is_cyclic_mask(group, s.members) for s in inside):
             return FamilyTag("CpRtimesCn", p=p, n=n)
     return None
 
@@ -131,7 +117,7 @@ def classify(group: Group) -> ClassificationOutcome:
                 continue
             if gcd(h.order, c.order) != 1:
                 continue
-            if not _is_cyclic_subgroup(group, c):
+            if not is_cyclic_mask(group, c.members):
                 continue
             return ClassificationOutcome(True, family, h, c)
     return ClassificationOutcome(False, None, None, None)
@@ -149,12 +135,10 @@ class ClassificationAgreement:
         return self.structural.one_sized == self.bruteforce
 
 
-def verify_classification(
-    group: Group, *, enum_bound: int = DEFAULT_ENUM_BOUND
-) -> ClassificationAgreement:
+def verify_classification(group: Group) -> ClassificationAgreement:
     """Run the structural decision and the cover-based one side by side."""
     outcome = classify(group)
-    brute = one_sized_bruteforce(group, enum_bound=enum_bound)
+    brute = one_sized_bruteforce(group)
     sig = sigma_exact(group).value
     assert sig is not None
     return ClassificationAgreement(
@@ -182,10 +166,7 @@ def check_p_nilpotence(group: Group, p: int) -> PNilpotenceCheck:
     the group must have a normal p-complement.  Records both truths."""
     if not is_solvable(group):
         raise NotSolvable("chief-factor centrality check needs a solvable group")
-    if group.order % p != 0:
-        raise PrimeDoesNotDivideOrder(
-            f"{p} does not divide the group order {group.order}"
-        )
+    _check_prime_divisor(group, p)
     hypothesis = all(
         f.is_central
         for f in chief_series(group)
@@ -260,13 +241,11 @@ class QuotientInvariantsCheck:
     status: str
 
 
-def check_quotient_invariants(
-    group: Group, *, enum_bound: int = DEFAULT_ENUM_BOUND
-) -> QuotientInvariantsCheck:
+def check_quotient_invariants(group: Group) -> QuotientInvariantsCheck:
     """For a one-sized group, every non-cyclic quotient must again have
     minimum cover size sigma(G) and exactly sigma(G) maximal cyclic
     subgroups."""
-    if not one_sized_bruteforce(group, enum_bound=enum_bound):
+    if not one_sized_bruteforce(group):
         raise PreconditionViolation(
             "quotient invariants only apply to one-sized groups"
         )

@@ -44,7 +44,9 @@ from .errors import (
     NotSubgroup,
     PreconditionViolation,
 )
-from .groups import Group, is_normal_mask, is_subgroup_mask, iter_bits, per_group
+from .groups import (
+    Group, is_cyclic_mask, is_normal_mask, is_subgroup_mask, iter_bits, per_group
+)
 from .lattice import (
     Subgroup,
     all_subgroups,
@@ -483,7 +485,6 @@ def _trace_cover_sizes(space: _SearchSpace) -> tuple[int, ...]:
     return tuple(sorted(known))
 
 
-@per_group
 def irredundant_cover_sizes(
     group: Group, *, enum_bound: int = DEFAULT_ENUM_BOUND
 ) -> tuple[int, ...]:
@@ -491,11 +492,22 @@ def irredundant_cover_sizes(
 
     Runs the size walk, which skips every branch whose reachable sizes
     are all known already; cover_enumeration_stats counts the covers.
+    Every result is checked against the range endpoints: the smallest
+    size must be sigma and the largest lambda.
     """
     _check_enumerable(group, enum_bound, None)
+    return _checked_cover_sizes(group)
+
+
+@per_group
+def _checked_cover_sizes(group: Group) -> tuple[int, ...]:
     sizes = _trace_cover_sizes(_search_space(group))
-    if not sizes:
-        raise InvariantViolation("no irredundant cover found for a non-cyclic group")
+    sig, lam = sigma_exact(group).value, lambda_(group)
+    if not sizes or sizes[0] != sig or sizes[-1] != lam:
+        raise InvariantViolation(
+            f"{group.name}: enumerated sizes {sizes} conflict with "
+            f"sigma={sig}, lambda={lam}"
+        )
     return sizes
 
 
@@ -548,11 +560,7 @@ def frobenius_style_cover(
     h_mask = complement.members if isinstance(complement, Subgroup) else int(complement)
     _require(is_subgroup_mask(group, n_mask), "N is not a subgroup")
     _require(is_subgroup_mask(group, h_mask), "H is not a subgroup")
-    h_order = h_mask.bit_count()
-    _require(
-        max(group.element_order(x) for x in iter_bits(h_mask)) == h_order,
-        "H is not cyclic",
-    )
+    _require(is_cyclic_mask(group, h_mask), "H is not cyclic")
     _require(
         any(s.members == h_mask for s in maximal_subgroups(group)),
         "H is not a maximal subgroup",
@@ -560,7 +568,7 @@ def frobenius_style_cover(
     _require(normal_core(group, h_mask) == 1, "H is not core-free")
     _require(is_normal_mask(group, n_mask), "N is not normal")
     _require(n_mask & h_mask == 1, "N and H intersect nontrivially")
-    n_order = n_mask.bit_count()
+    n_order, h_order = n_mask.bit_count(), h_mask.bit_count()
     _require(n_order * h_order == group.order, "N H does not exhaust the group")
 
     conjugates = {group.conjugate_set(h_mask, g) for g in range(group.order)}
@@ -580,30 +588,17 @@ def frobenius_style_cover(
 
 
 # ---------------------------------------------------------------------------
-# One-sizedness by brute force
+# One-sizedness
 
 
-def one_sized_bruteforce(
-    group: Group, *, enum_bound: int = DEFAULT_ENUM_BOUND
-) -> bool:
+def one_sized_bruteforce(group: Group) -> bool:
     """True iff every irredundant cover has the same size.
 
-    Irredundant cover sizes always fill the range endpoints sigma and
-    lambda, so this reduces to lambda == sigma; within the enumeration
-    bound the full size set is cross-checked.
+    Irredundant cover sizes run from sigma to lambda and attain both, so
+    this is lambda == sigma.  irredundant_cover_sizes checks those two
+    endpoints against the size walk wherever the walk runs.
     """
-    lam = lambda_(group)
-    sig = sigma_exact(group).value
-    assert sig is not None
-    answer = lam == sig
-    if group.order <= enum_bound:
-        sizes = irredundant_cover_sizes(group, enum_bound=enum_bound)
-        if sizes[0] != sig or sizes[-1] != lam or (len(sizes) == 1) != answer:
-            raise InvariantViolation(
-                f"{group.name}: enumerated sizes {sizes} conflict with "
-                f"sigma={sig}, lambda={lam}"
-            )
-    return answer
+    return lambda_(group) == sigma_exact(group).value
 
 
 __all__ = [

@@ -158,9 +158,6 @@ class Group:
     def full_mask(self) -> int:
         return (1 << self.order) - 1
 
-    def elements(self) -> range:
-        return range(self.order)
-
     # -- arithmetic on element indices
 
     def mul(self, a: int, b: int) -> int:
@@ -230,15 +227,6 @@ class Group:
 
     # -- element-set operations
 
-    def centralizer(self, mask: int) -> int:
-        t = self.cayley
-        targets = list(iter_bits(mask))
-        out = 0
-        for g in range(self.order):
-            if all(t[g][x] == t[x][g] for x in targets):
-                out |= 1 << g
-        return out
-
     def conjugate_set(self, mask: int, g: int) -> int:
         out = 0
         for x in iter_bits(mask):
@@ -293,6 +281,12 @@ def is_subgroup_mask(group: Group, mask: int) -> bool:
     t = group.cayley
     members = list(iter_bits(mask))
     return all(mask >> t[a][b] & 1 for a in members for b in members)
+
+
+def is_cyclic_mask(group: Group, mask: int) -> bool:
+    """True iff the subgroup mask has an element whose order is its size."""
+    orders = group.element_orders
+    return max(orders[x] for x in iter_bits(mask)) == mask.bit_count()
 
 
 def is_normal_mask(group: Group, mask: int) -> bool:

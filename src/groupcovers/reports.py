@@ -48,7 +48,6 @@ class AnalyzeOptions:
     max_order: int = DEFAULT_MAX_ORDER
     enum_bound: int = DEFAULT_ENUM_BOUND
     checks: tuple[str, ...] = CHECK_IDS
-    force_enumeration: bool = False
 
     def __post_init__(self) -> None:
         if self.max_order < 0:
@@ -149,7 +148,7 @@ def outcome_json(outcome: Any) -> dict[str, Any]:
     }
 
 
-def run_check(group: Group, check_id: str, *, enum_bound: int = DEFAULT_ENUM_BOUND) -> str:
+def run_check(group: Group, check_id: str) -> str:
     """Status of one named cross-check on a non-cyclic group."""
     if check_id == "lemma-pnilp":
         if not lattice.is_solvable(group):
@@ -166,7 +165,7 @@ def run_check(group: Group, check_id: str, *, enum_bound: int = DEFAULT_ENUM_BOU
         return check_abelian_sigma_cover(group).status
     if check_id == "osclemma-quotients":
         try:
-            return check_quotient_invariants(group, enum_bound=enum_bound).status
+            return check_quotient_invariants(group).status
         except PreconditionViolation:
             return "vacuous"
     raise InvalidParameters(f"unknown check id {check_id!r}")
@@ -219,17 +218,13 @@ def run_analyze(
             errors.append(f"tomkinson: {exc}")
 
     sizes = None
-    if opts.force_enumeration or group.order <= opts.enum_bound:
-        bound = max(group.order, opts.enum_bound)
+    if group.order <= opts.enum_bound:
         sizes = stage(
             "enumeration",
-            lambda: covers.irredundant_cover_sizes(group, enum_bound=bound),
+            lambda: covers.irredundant_cover_sizes(group, enum_bound=opts.enum_bound),
         )
 
-    one_sized = stage(
-        "one-sized",
-        lambda: covers.one_sized_bruteforce(group, enum_bound=opts.enum_bound),
-    )
+    one_sized = stage("one-sized", lambda: covers.one_sized_bruteforce(group))
     outcome = stage("classify", lambda: classify(group))
 
     agreement = None
@@ -239,9 +234,7 @@ def run_analyze(
     lemma_checks = tuple(
         {
             "id": cid,
-            "status": stage(
-                cid, lambda cid=cid: run_check(group, cid, enum_bound=opts.enum_bound)
-            ),
+            "status": stage(cid, lambda cid=cid: run_check(group, cid)),
         }
         for cid in opts.checks
     )

@@ -121,11 +121,14 @@ NEGATIVE_NAMES = [
 @criterion(3, "structural classification matches brute force on every corpus group")
 def test_criterion_03_classification(corpus, noncyclic):
     disagreements = [
-        g.name
-        for g in noncyclic
-        if classify(g).one_sized != one_sized_bruteforce(g, enum_bound=ENUM_BOUND)
+        g.name for g in noncyclic if classify(g).one_sized != one_sized_bruteforce(g)
     ]
     assert not disagreements
+    # the full size walk, where it runs, must agree too
+    walked = [g for g in noncyclic if g.order <= ENUM_BOUND]
+    assert walked
+    for g in walked:
+        assert (len(irredundant_cover_sizes(g)) == 1) == classify(g).one_sized, g.name
     for name in POSITIVE_NAMES:
         assert classify(corpus[name]).one_sized, name
     for name in NEGATIVE_NAMES:
@@ -172,8 +175,8 @@ def test_criterion_05_cover_structure(noncyclic):
         assert all(sig <= s <= lam for s, _ in stats.size_counts), g.name
         # a size-lambda cover must use each maximal cyclic subgroup once
         assert lam not in stats.multi_trace_sizes, g.name
-        if one_sized_bruteforce(g, enum_bound=ENUM_BOUND):
-            res = check_quotient_invariants(g, enum_bound=ENUM_BOUND)
+        if one_sized_bruteforce(g):
+            res = check_quotient_invariants(g)
             assert res.status == "consistent", g.name
             assert maximal_cyclic_pairs_generate(g), g.name
 

@@ -11,6 +11,7 @@ from groupcovers import (
     check_abelian_sigma_cover,
     check_p_nilpotence,
     check_quotient_invariants,
+    chief_series,
     classify,
     cyclic,
     dihedral,
@@ -175,6 +176,13 @@ class TestPNilpotence:
             check_p_nilpotence(symmetric(3), 5)
         with pytest.raises(InvalidParameters):
             check_p_nilpotence(cyclic(12), 6)
+
+    def test_non_prime_rejected_before_chief_series(self):
+        g = dihedral(4)
+        misses = chief_series.cache_info().misses
+        with pytest.raises(InvalidParameters):
+            check_p_nilpotence(g, 4)
+        assert chief_series.cache_info().misses == misses
 
 
 class TestAbelianSigmaCover:

@@ -6,6 +6,7 @@ from groupcovers import (
     GroupIsCyclic,
     INFINITE,
     InvalidParameters,
+    InvariantViolation,
     NotProperSubgroup,
     NotSolvable,
     NotSubgroup,
@@ -33,6 +34,7 @@ from groupcovers import (
     sigma_tomkinson,
     symmetric,
 )
+from groupcovers import covers
 from groupcovers.covers import _SearchSpace, _trace_cover_sizes, _walk_trace_covers
 
 from _oracles import (
@@ -256,6 +258,25 @@ class TestEnumeration:
         assert "40" in str(info.value)
         assert cover_enumeration_stats(big, enum_bound=40).cover_count > 0
 
+    def test_sizes_checked_against_lambda(self, monkeypatch):
+        g = dihedral(4)
+        monkeypatch.setattr(covers, "lambda_", lambda group: 99)
+        with pytest.raises(InvariantViolation, match="lambda=99"):
+            irredundant_cover_sizes(g)
+
+    def test_bounds_share_one_size_walk(self, monkeypatch):
+        walks = []
+
+        def counting_walk(*args):
+            walks.append(args)
+            return _walk_trace_covers(*args)
+
+        monkeypatch.setattr(covers, "_walk_trace_covers", counting_walk)
+        g = dihedral(4)
+        assert irredundant_cover_sizes(g, enum_bound=32) == (3, 4, 5)
+        assert irredundant_cover_sizes(g, enum_bound=40) == (3, 4, 5)
+        assert len(walks) == 1
+
 
 @st.composite
 def trace_families(draw):
@@ -407,9 +428,9 @@ class TestOneSized:
         assert one_sized_bruteforce(make()) is expected
 
     def test_beyond_enum_bound_skips_crosscheck(self):
-        # still answers via lambda == sigma when enumeration is out of reach
+        # answers via lambda == sigma alone; no walk runs, whatever the order
         g = dihedral(20)
-        assert one_sized_bruteforce(g, enum_bound=16) is False
+        assert one_sized_bruteforce(g) is False
 
 
 def test_cover_len_and_masks():

@@ -80,11 +80,6 @@ class TestRunAnalyze:
             "osclemma-quotients": "vacuous",
         }
 
-    def test_force_enumeration(self):
-        opts = AnalyzeOptions(enum_bound=4, force_enumeration=True)
-        r = run_analyze(dihedral(4), opts)
-        assert r.irredundant_sizes == (3, 4, 5)
-
     def test_enum_bound_respected_without_force(self):
         r = run_analyze(dihedral(4), AnalyzeOptions(enum_bound=4))
         assert r.irredundant_sizes is None
