@@ -437,7 +437,6 @@ def _check_enumerable(group: Group, enum_bound: int, size_cap: int | None) -> No
         raise EnumerationBoundExceeded(group.order, enum_bound)
 
 
-@per_group
 def cover_enumeration_stats(
     group: Group,
     size_cap: int | None = None,
@@ -452,6 +451,11 @@ def cover_enumeration_stats(
     report exactly the sizes counted here.
     """
     _check_enumerable(group, enum_bound, size_cap)
+    return _counted_covers(group, size_cap)
+
+
+@per_group
+def _counted_covers(group: Group, size_cap: int | None) -> EnumerationStats:
     space = _search_space(group)
     class_sizes = [len(c) for c in space.class_masks]
     counts: dict[int, int] = {}
@@ -473,6 +477,9 @@ def cover_enumeration_stats(
         size_counts=tuple(sorted(counts.items())),
         multi_trace_sizes=tuple(sorted(multi)),
     )
+
+
+cover_enumeration_stats.cache_info = _counted_covers.cache_info
 
 
 def _trace_cover_sizes(space: _SearchSpace) -> tuple[int, ...]:

@@ -8,19 +8,23 @@ which keeps the combinatorial layers allocation-free.
 Construction routes: an explicit table (validated against all four
 axioms), closure of permutation generators, one of the named preset
 families, direct products, and quotients by a normal subgroup.
+
+Associativity is checked by Light's test (Clifford & Preston, The
+Algebraic Theory of Semigroups I, 1961, section 1.2).  The good y, with
+(xy)z = x(yz) for all x, z, are closed under products, as (x(yw))z =
+((xy)w)z = (xy)(wz) = x(y(wz)) = x((yw)z).  So a good generating set
+proves the table associative, at O(n^2) per generator, not O(n^3).
 """
 
 from __future__ import annotations
 
-import inspect
+import operator
 import re
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, wraps
 from math import lcm
 from typing import Iterable, Iterator, Sequence
-
-import numpy as np
 
 from .arith import is_prime
 from .errors import (
@@ -61,62 +65,76 @@ def iter_bits(mask: int) -> Iterator[int]:
 # Table validation
 
 
-def _as_array(cayley: Sequence[Sequence[int]]) -> np.ndarray:
+def _table_rows(cayley: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     try:
-        arr = np.array([[int(v) for v in row] for row in cayley], dtype=np.int64)
-    except (TypeError, ValueError) as exc:
+        rows = tuple(tuple(map(operator.index, row)) for row in cayley)
+    except TypeError as exc:
         raise InvalidParameters(
             f"multiplication table must be a square array of integers ({exc})"
         ) from None
-    if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[0] != arr.shape[1]:
+    n = len(rows)
+    if n == 0 or any(len(row) != n for row in rows):
         raise InvalidParameters("multiplication table must be square and nonempty")
-    if arr.shape[0] > ORDER_BOUND:
+    if n > ORDER_BOUND:
         raise OrderBoundExceeded(ORDER_BOUND)
-    return arr
+    return rows
 
 
-def _check_axioms(arr: np.ndarray) -> tuple[int, ...]:
+def _greedy_generators(t: tuple[tuple[int, ...], ...]) -> Iterator[int]:
+    """Yield y1, y2, ... each outside the right-multiplication closure of
+    those before it; while they are good, it is a group that each one doubles."""
+    members, reached, gens = [0], {0}, []
+    for y in range(1, len(t)):
+        if y not in reached:
+            yield y
+            gens.append(y)
+            for a in members:  # grows while it is scanned
+                new = {t[a][s] for s in gens} - reached
+                reached |= new
+                members.extend(new)
+
+
+def _check_axioms(t: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     """Validate identity, Latin property, inverses, associativity.
 
     Returns the inverse map.  Checks run in that fixed order so the
     reported error names the first broken axiom, not a downstream
-    symptom of it.
+    symptom of it.  Entries are range-checked first, since a negative
+    one would index from the end of a row.
     """
-    n = arr.shape[0]
-    idx = np.arange(n)
+    n = len(t)
+    idx = tuple(range(n))
 
-    out_of_range = (arr < 0) | (arr >= n)
-    if out_of_range.any():
-        row = int(np.argmax(out_of_range.any(axis=1)))
-        raise NotLatinSquare("row", row)
+    for a, row in enumerate(t):
+        if min(row) < 0 or max(row) >= n:
+            raise NotLatinSquare("row", a)
 
-    if not np.array_equal(arr[0], idx):
+    if t[0] != idx:
         raise NoIdentityAtZero("row 0 does not fix every element")
-    if not np.array_equal(arr[:, 0], idx):
+    if tuple(row[0] for row in t) != idx:
         raise NoIdentityAtZero("column 0 does not fix every element")
 
-    row_ok = (np.sort(arr, axis=1) == idx).all(axis=1)
-    if not row_ok.all():
-        raise NotLatinSquare("row", int(np.argmax(~row_ok)))
-    col_ok = (np.sort(arr, axis=0) == idx[:, None]).all(axis=0)
-    if not col_ok.all():
-        raise NotLatinSquare("column", int(np.argmax(~col_ok)))
+    for axis, lines in (("row", t), ("column", zip(*t))):
+        for a, line in enumerate(lines):
+            if len(set(line)) != n:
+                raise NotLatinSquare(axis, a)
 
     # Rows are permutations, so a right inverse exists; demand it also
     # works from the left.
-    right_inv = np.argmax(arr == 0, axis=1)
-    two_sided = arr[right_inv, idx] == 0
-    if not two_sided.all():
-        raise MissingInverse(int(np.argmax(~two_sided)))
+    right_inv = tuple(row.index(0) for row in t)
+    for a, r in enumerate(right_inv):
+        if t[r][a] != 0:
+            raise MissingInverse(a)
 
-    for a in range(n):
-        left = arr[arr[a]]
-        right = arr[a][arr]
-        if not np.array_equal(left, right):
-            b, c = np.argwhere(left != right)[0]
-            raise NotAssociative(a, int(b), int(c))
+    # Light's test over a generating set (see the module docstring).
+    for y in _greedy_generators(t):
+        times_y = operator.itemgetter(*t[y])
+        for x, row in enumerate(t):
+            if times_y(row) != t[row[y]]:
+                z = next(z for z in idx if t[row[y]][z] != row[t[y][z]])
+                raise NotAssociative(x, y, z)
 
-    return tuple(int(v) for v in right_inv)
+    return right_inv
 
 
 # ---------------------------------------------------------------------------
@@ -138,16 +156,12 @@ class Group:
         *,
         _trusted: bool = False,
     ) -> None:
-        arr = _as_array(cayley)
-        if _trusted:
-            inverse = tuple(int(v) for v in np.argmax(arr == 0, axis=1))
-        else:
-            inverse = _check_axioms(arr)
-        self.order: int = int(arr.shape[0])
-        self.cayley: tuple[tuple[int, ...], ...] = tuple(
-            tuple(int(v) for v in row) for row in arr
+        rows = _table_rows(cayley)
+        self.order: int = len(rows)
+        self.cayley: tuple[tuple[int, ...], ...] = rows
+        self.inverse: tuple[int, ...] = (
+            tuple(row.index(0) for row in rows) if _trusted else _check_axioms(rows)
         )
-        self.inverse: tuple[int, ...] = inverse
         self.name: str = name if name is not None else f"G{self.order}"
         self._memo: dict = {}
 
@@ -204,12 +218,7 @@ class Group:
 
     @cached_property
     def is_abelian(self) -> bool:
-        t = self.cayley
-        return all(
-            t[a][b] == t[b][a]
-            for a in range(self.order)
-            for b in range(a + 1, self.order)
-        )
+        return tuple(zip(*self.cayley)) == self.cayley
 
     @cached_property
     def is_cyclic(self) -> bool:
@@ -217,13 +226,9 @@ class Group:
 
     @cached_property
     def center(self) -> int:
+        """The elements whose row equals their column."""
         t = self.cayley
-        n = self.order
-        m = 0
-        for x in range(n):
-            if all(t[x][g] == t[g][x] for g in range(n)):
-                m |= 1 << x
-        return m
+        return mask_of(x for x, col in enumerate(zip(*t)) if t[x] == col)
 
     # -- element-set operations
 
@@ -238,29 +243,22 @@ CacheInfo = namedtuple("CacheInfo", "hits misses")
 
 
 def per_group(fn):
-    """Memoize fn(group, ...) in the group's memo, so results die with it.
+    """Memoize fn(group, *args) in the group's memo, so results die with it.
 
-    Arguments after the group are bound to their parameters with defaults
-    applied, so calls that mean the same thing share one entry.
-    Exceptions are not cached.  cache_info() gives the hits and misses
-    summed over all groups; a miss is one computation.
+    The key is fn and the positional arguments after the group; callers
+    pass no keywords.  Exceptions are not cached.  cache_info() gives the
+    hits and misses summed over all groups; a miss is one computation.
     """
-    sig = inspect.signature(fn)
-    bind = len(sig.parameters) > 1
     counts = [0, 0]
 
     @wraps(fn)
-    def memoized(group, *args, **kwargs):
-        key = fn
-        if bind:
-            bound = sig.bind(group, *args, **kwargs)
-            bound.apply_defaults()
-            key = (fn, *tuple(bound.arguments.values())[1:])
+    def memoized(group, *args):
+        key = (fn, *args) if args else fn
         if key in group._memo:
             counts[0] += 1
         else:
             counts[1] += 1
-            group._memo[key] = fn(group, *args, **kwargs)
+            group._memo[key] = fn(group, *args)
         return group._memo[key]
 
     memoized.cache_info = lambda: CacheInfo(*counts)
@@ -460,11 +458,9 @@ def direct_product(a: Group, b: Group, name: str | None = None) -> Group:
     n1, n2 = a.order, b.order
     if n1 * n2 > ORDER_BOUND:
         raise OrderBoundExceeded(ORDER_BOUND)
-    t1 = np.array(a.cayley, dtype=np.int64)
-    t2 = np.array(b.cayley, dtype=np.int64)
-    table = (t1[:, None, :, None] * n2 + t2[None, :, None, :]).reshape(
-        n1 * n2, n1 * n2
-    )
+    table = [
+        [p * n2 + q for p in r1 for q in r2] for r1 in a.cayley for r2 in b.cayley
+    ]
     return Group(table, name or f"{a.name} x {b.name}", _trusted=True)
 
 
@@ -510,9 +506,6 @@ class Homomorphism:
 
     def __call__(self, x: int) -> int:
         return self.mapping[x]
-
-    def image_mask(self) -> int:
-        return mask_of(self.mapping)
 
 
 def quotient(group: Group, normal_mask: int) -> tuple[Group, Homomorphism]:

@@ -222,3 +222,41 @@ def pairwise_subgroup_masks(table) -> set[int]:
                 found.add(j)
                 worklist.append(j)
     return found
+
+
+# ---------------------------------------------------------------------------
+# Reference route: table validation with associativity checked on every
+# triple, as the library did before Light's test.  Cubic in the order.
+
+
+def table_axiom_error(table) -> tuple[str, tuple] | None:
+    """The first broken group axiom of a square integer table, or None.
+
+    Axioms are checked in the library's order: entries in range, identity
+    row and column, Latin rows, Latin columns, two-sided inverses,
+    associativity.  Returns the library's error class name and its
+    details: (axis, index) for NotLatinSquare, (element,) for
+    MissingInverse, the least failing (x, y, z) for NotAssociative.
+    """
+    n = len(table)
+    elements = list(range(n))
+    for a, row in enumerate(table):
+        if any(not 0 <= v < n for v in row):
+            return "NotLatinSquare", ("row", a)
+    if list(table[0]) != elements or [row[0] for row in table] != elements:
+        return "NoIdentityAtZero", ()
+    for a, row in enumerate(table):
+        if sorted(row) != elements:
+            return "NotLatinSquare", ("row", a)
+    for b in elements:
+        if sorted(row[b] for row in table) != elements:
+            return "NotLatinSquare", ("column", b)
+    for a, row in enumerate(table):
+        if table[list(row).index(0)][a] != 0:
+            return "MissingInverse", (a,)
+    for x in elements:
+        for y in elements:
+            for z in elements:
+                if table[table[x][y]][z] != table[x][table[y][z]]:
+                    return "NotAssociative", (x, y, z)
+    return None

@@ -1,8 +1,13 @@
 import gc
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
+import groupcovers
 from groupcovers import (
     Group,
     InvalidParameters,
@@ -58,6 +63,21 @@ class TestValidation:
     def test_out_of_range_entry(self):
         with pytest.raises(NotLatinSquare):
             validate_group([[0, 1], [1, 2]])
+
+    def test_negative_entry(self):
+        # range-checked before any lookup, where -1 would wrap to 1
+        with pytest.raises(NotLatinSquare) as exc:
+            validate_group([[0, 1], [1, -1]])
+        assert (exc.value.axis, exc.value.index) == ("row", 1)
+
+    def test_float_entry_rejected(self):
+        # 0.5 must not truncate to 0 and pass as C2
+        with pytest.raises(InvalidParameters):
+            validate_group([[0, 1], [1, 0.5]])
+
+    def test_string_entry_rejected(self):
+        with pytest.raises(InvalidParameters):
+            validate_group([["0", "1"], ["1", "0"]])
 
     def test_repeated_entry_in_row(self):
         with pytest.raises(NotLatinSquare) as exc:
@@ -265,6 +285,20 @@ def _normal_masks(group: Group):
     from groupcovers.lattice import normal_subgroups
 
     return [s.members for s in normal_subgroups(group)]
+
+
+def test_import_loads_no_numpy():
+    # The library has no runtime dependencies; tables are plain tuples.
+    code = "import sys, groupcovers; print('numpy' in sys.modules)"
+    src = str(Path(groupcovers.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_mask_helper():
