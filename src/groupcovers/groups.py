@@ -14,6 +14,12 @@ Algebraic Theory of Semigroups I, 1961, section 1.2).  The good y, with
 (xy)z = x(yz) for all x, z, are closed under products, as (x(yw))z =
 ((xy)w)z = (xy)(wz) = x(y(wz)) = x((yw)z).  So a good generating set
 proves the table associative, at O(n^2) per generator, not O(n^3).
+
+Conjugacy classes are the normality primitive: any set, subgroup or not,
+is invariant under conjugation exactly when it is a union of classes, so
+`is_normal_mask` asks each class C to meet a mask in nothing or in C.
+Central elements are singleton classes that never decide this, so
+`Group.conjugacy_classes` keeps only the classes of size > 1.
 """
 
 from __future__ import annotations
@@ -230,6 +236,17 @@ class Group:
         t = self.cayley
         return mask_of(x for x, col in enumerate(zip(*t)) if t[x] == col)
 
+    @cached_property
+    def conjugacy_classes(self) -> tuple[int, ...]:
+        """Masks of the classes of size > 1, by least element; one pass over G each."""
+        t, inv = self.cayley, self.inverse
+        classes, left = [], self.full_mask & ~self.center
+        while left:
+            x = (left & -left).bit_length() - 1
+            classes.append(mask_of(t[t[inv[g]][x]][g] for g in range(self.order)))
+            left &= ~classes[-1]
+        return tuple(classes)
+
     # -- element-set operations
 
     def conjugate_set(self, mask: int, g: int) -> int:
@@ -288,9 +305,8 @@ def is_cyclic_mask(group: Group, mask: int) -> bool:
 
 
 def is_normal_mask(group: Group, mask: int) -> bool:
-    return all(
-        group.conjugate_set(mask, g) == mask for g in range(group.order)
-    )
+    """True iff mask is a union of conjugacy classes, for any mask."""
+    return all((c & mask) in (0, c) for c in group.conjugacy_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +362,10 @@ def from_permutation_generators(
         if isinstance(g, str):
             gens.append(_parse_permutation(g, degree))
         else:
-            perm = tuple(int(v) for v in g)
+            try:
+                perm = tuple(map(operator.index, g))
+            except TypeError:
+                raise MalformedCycle(f"{g!r} has a non-integer point") from None
             if sorted(perm) != list(range(degree)):
                 raise MalformedCycle(f"{g!r} is not a permutation of 0..{degree - 1}")
             gens.append(perm)

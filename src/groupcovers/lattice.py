@@ -19,6 +19,13 @@ closure stops, and the join is G, as soon as it holds more than that.
 `generated_mask` runs the same join, adjoining one seed element at a
 time.
 
+Normal structure reads the conjugacy classes (see groups.py).  x lies in
+every conjugate of a set exactly when its class lies in the set, so
+`normal_core` is the set's central part plus the classes it contains.
+For lower normal, upper/lower is central when [x, g] is in lower for all
+x in upper, g in G: each class C meeting upper outside lower must lie in
+x*lower for x in C, and one x is enough.  That is |C| lookups per class.
+
 All listings come back in a canonical order, sorted by (order, members
 mask), so downstream choices like "the first witness" are reproducible.
 """
@@ -216,12 +223,8 @@ def minimal_normal_subgroups(group: Group) -> tuple[Subgroup, ...]:
 
 
 def normal_core(group: Group, mask: int) -> int:
-    core = mask
-    for g in range(group.order):
-        core &= group.conjugate_set(mask, g)
-        if core == 1:
-            break
-    return core
+    inside = (c for c in group.conjugacy_classes if c & ~mask == 0)
+    return (mask & group.center) | sum(inside)  # disjoint, so sum is union
 
 
 def frattini_subgroup(group: Group) -> int:
@@ -290,9 +293,11 @@ def is_supersolvable(group: Group) -> bool:
 
 
 def _is_central_section(group: Group, upper: int, lower: int) -> bool:
-    for x in iter_bits(upper & ~lower):
-        for g in range(group.order):
-            if not lower >> group.commutator(x, g) & 1:
+    """upper/lower is central in G/lower; lower must be normal."""
+    for c in group.conjugacy_classes:
+        if c & upper & ~lower:
+            row = group.cayley[group.inverse[(c & -c).bit_length() - 1]]
+            if not all(lower >> row[y] & 1 for y in iter_bits(c)):
                 return False
     return True
 

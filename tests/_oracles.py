@@ -2,10 +2,11 @@
 
 Everything here is a subset scan or a combination search over raw
 Cayley tables and bitmasks.  No lattice shortcuts, no pruning beyond
-feasibility, so these can referee the real implementations.  The one
-exception is the reference routes at the end: the library's earlier
-pairwise subgroup closure, kept as a slower independent route for
-orders beyond the reach of a subset scan.
+feasibility, so these can referee the real implementations.  The
+exception is the reference routes at the end: algorithms the library
+used before faster ones replaced them (pairwise subgroup closure, the
+triple-scan table check, normality by conjugating with every element),
+kept as slower independent routes.
 """
 
 from __future__ import annotations
@@ -260,3 +261,43 @@ def table_axiom_error(table) -> tuple[str, tuple] | None:
                 if table[table[x][y]][z] != table[x][table[y][z]]:
                     return "NotAssociative", (x, y, z)
     return None
+
+
+# ---------------------------------------------------------------------------
+# Reference routes: normality by conjugating with every element, as the
+# library did before it kept conjugacy classes.  O(|G| * |mask|) each.
+
+
+def _conjugates(table, mask: int):
+    """Yield mask conjugated by g, that is {g^-1 x g : x in mask}, for each g."""
+    inv = [list(row).index(0) for row in table]
+    members = bits(mask)
+    for g in range(len(table)):
+        row_inv = table[inv[g]]
+        out = 0
+        for x in members:
+            out |= 1 << table[row_inv[x]][g]
+        yield out
+
+
+def conjugation_is_normal(table, mask: int) -> bool:
+    """True iff every conjugate of mask equals mask; any mask, not only subgroups."""
+    return all(c == mask for c in _conjugates(table, mask))
+
+
+def conjugation_normal_core(table, mask: int) -> int:
+    """Intersection of all conjugates of mask."""
+    core = mask
+    for c in _conjugates(table, mask):
+        core &= c
+    return core
+
+
+def commutator_central_section(table, upper: int, lower: int) -> bool:
+    """True iff [x, g] lies in lower for every x in upper outside lower, g in G."""
+    inv = [list(row).index(0) for row in table]
+    for x in bits(upper & ~lower):
+        for g in range(len(table)):
+            if not lower >> table[table[table[inv[x]][inv[g]]][x]][g] & 1:
+                return False
+    return True

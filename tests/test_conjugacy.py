@@ -1,0 +1,189 @@
+"""Conjugacy classes and the normality tests built on them, against the
+conjugate-by-every-element reference routes in _oracles.
+
+The library decides normality, normal cores and central chief factors
+from the group's non-central classes; the oracles conjugate by every
+element of G on the raw table.  Both must agree on every subgroup of the
+corpus and on arbitrary masks, subgroups or not, with or without the
+identity.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from groupcovers import (
+    all_subgroups,
+    alternating,
+    cyclic,
+    dihedral,
+    direct_product,
+    generalized_quaternion,
+    normal_subgroups,
+    symmetric,
+)
+from groupcovers.groups import is_normal_mask, iter_bits
+from groupcovers.lattice import _is_central_section, normal_core
+
+from _oracles import (
+    commutator_central_section,
+    conjugation_is_normal,
+    conjugation_normal_core,
+)
+
+SMALL_CORPUS_ORDER = 128
+
+
+def small_corpus(corpus):
+    return [g for _, g in sorted(corpus.items()) if g.order <= SMALL_CORPUS_ORDER]
+
+
+# ---------------------------------------------------------------------------
+# The classes themselves
+
+
+@pytest.mark.parametrize(
+    "make, count",
+    [
+        (lambda: symmetric(3), 3),
+        (lambda: dihedral(4), 5),
+        (lambda: generalized_quaternion(3), 5),
+        (lambda: alternating(4), 4),
+        (lambda: symmetric(4), 5),
+        (lambda: alternating(5), 5),
+    ],
+    ids=["S3", "D8", "Q8", "A4", "S4", "A5"],
+)
+def test_class_count(make, count):
+    g = make()
+    assert len(g.conjugacy_classes) + g.center.bit_count() == count
+
+
+def test_abelian_group_has_no_noncentral_class():
+    g = direct_product(cyclic(4), cyclic(6))
+    assert g.conjugacy_classes == ()
+    assert is_normal_mask(g, 0b1010_0110)
+
+
+def test_classes_are_lazy():
+    g = symmetric(4)
+    assert "conjugacy_classes" not in vars(g)
+    g.conjugacy_classes
+    assert "conjugacy_classes" in vars(g)
+
+
+def test_class_equation(corpus):
+    for g in small_corpus(corpus):
+        classes = g.conjugacy_classes
+        union = 0
+        for c in classes:
+            assert c.bit_count() > 1 and g.order % c.bit_count() == 0, g.name
+            assert c & union == 0 and c & g.center == 0, g.name
+            union |= c
+            assert c == _class_of(g, (c & -c).bit_length() - 1), g.name
+        assert sum(c.bit_count() for c in classes) == g.order - g.center.bit_count()
+        assert union == g.full_mask & ~g.center, g.name
+        least = [c & -c for c in classes]
+        assert least == sorted(least), g.name
+
+
+def _class_of(g, x):
+    """The class of x, conjugating by every element of G."""
+    out = 0
+    for h in range(g.order):
+        out |= 1 << g.conjugate(x, h)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Against the reference routes on the corpus
+
+
+def test_normality_and_core_on_every_corpus_subgroup(corpus):
+    checked = 0
+    for g in small_corpus(corpus):
+        for s in all_subgroups(g):
+            want = conjugation_is_normal(g.cayley, s.members)
+            assert s.is_normal == want == is_normal_mask(g, s.members), (g.name, s)
+            assert normal_core(g, s.members) == conjugation_normal_core(
+                g.cayley, s.members
+            ), (g.name, s)
+            checked += 1
+    assert checked > 1000
+
+
+def test_central_section_on_every_nested_normal_pair(corpus):
+    checked = 0
+    for g in small_corpus(corpus):
+        normals = [s.members for s in normal_subgroups(g)]
+        for lower in normals:
+            for upper in normals:
+                if lower & ~upper == 0:
+                    want = commutator_central_section(g.cayley, upper, lower)
+                    assert _is_central_section(g, upper, lower) == want, (
+                        g.name, upper, lower,
+                    )
+                    checked += 1
+    assert checked > 3000
+
+
+# ---------------------------------------------------------------------------
+# Against the reference routes on arbitrary masks
+
+POOL = [
+    symmetric(4),
+    alternating(5),
+    generalized_quaternion(4),
+    direct_product(dihedral(4), dihedral(4)),
+]
+
+
+def _flip(mask, bit, n):
+    return mask ^ (1 << (bit % n))
+
+
+masks = st.integers(min_value=0, max_value=2**64 - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(which=st.integers(0, len(POOL) - 1), raw=masks, bit=st.integers(0, 63))
+def test_random_masks_agree(which, raw, bit):
+    g = POOL[which]
+    t, n = g.cayley, g.order
+    seed = raw & g.full_mask
+    closure = 0
+    for h in range(n):
+        closure |= g.conjugate_set(seed, h)
+    core = conjugation_normal_core(t, seed)
+    # Random masks are almost never invariant; their core and normal
+    # closure always are, and one flipped bit usually breaks that.
+    for m in (seed, seed & ~1, core, closure, _flip(core, bit, n), _flip(closure, bit, n)):
+        assert is_normal_mask(g, m) == conjugation_is_normal(t, m), (g.name, m)
+        assert normal_core(g, m) == conjugation_normal_core(t, m), (g.name, m)
+    assert is_normal_mask(g, core) and is_normal_mask(g, closure)
+
+
+@settings(max_examples=200, deadline=None)
+@given(which=st.integers(0, len(POOL) - 1), raw=masks, pick=st.integers(0, 10**6))
+def test_central_section_any_upper(which, raw, pick):
+    """For lower normal, the class test is exact for any upper mask."""
+    g = POOL[which]
+    normals = normal_subgroups(g)
+    lower = normals[pick % len(normals)].members
+    for upper in (raw & g.full_mask, (raw & g.full_mask) | lower):
+        assert _is_central_section(g, upper, lower) == commutator_central_section(
+            g.cayley, upper, lower
+        ), (g.name, upper, lower)
+
+
+def test_masks_without_identity():
+    g = symmetric(4)
+    for c in g.conjugacy_classes:
+        assert is_normal_mask(g, c)
+        assert normal_core(g, c) == c
+        without_one = c & ~(c & -c)
+        assert not is_normal_mask(g, without_one)
+        assert normal_core(g, without_one) == 0
+    assert is_normal_mask(g, 0) and normal_core(g, 0) == 0
+    assert [is_normal_mask(g, 1 << x) for x in iter_bits(g.full_mask)] == [
+        conjugation_is_normal(g.cayley, 1 << x) for x in range(g.order)
+    ]

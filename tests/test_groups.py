@@ -155,6 +155,20 @@ class TestPermutationParsing:
         with pytest.raises(MalformedCycle):
             from_permutation_generators(4, ["(1 2)(2 3)"])
 
+    def test_int_sequence_generator(self):
+        g = from_permutation_generators(3, [(1, 2, 0), [1, 0, 2]])
+        assert g.order == 6
+
+    def test_float_point_rejected(self):
+        with pytest.raises(MalformedCycle):
+            from_permutation_generators(2, [[1.5, 0]])
+        with pytest.raises(MalformedCycle):
+            from_permutation_generators(2, [[1.0, 0.0]])
+
+    def test_string_point_rejected(self):
+        with pytest.raises(MalformedCycle):
+            from_permutation_generators(2, [["1", "0"]])
+
     def test_garbage_rejected(self):
         with pytest.raises(MalformedCycle):
             from_permutation_generators(3, ["(1 2) junk"])
