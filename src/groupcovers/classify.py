@@ -58,12 +58,6 @@ def _is_abelian_within(group: Group, mask: int) -> bool:
     )
 
 
-def _is_normal_within(group: Group, ambient: int, sub: int) -> bool:
-    return all(
-        group.conjugate_set(sub, g) == sub for g in iter_bits(ambient)
-    )
-
-
 def _recognize_family(group: Group, h: Subgroup) -> FamilyTag | None:
     m = h.order
     orders = [group.element_orders[x] for x in iter_bits(h.members)]
@@ -84,11 +78,9 @@ def _recognize_family(group: Group, h: Subgroup) -> FamilyTag | None:
         n = m // p
         if n < 2 or n % p == 0:
             continue
-        has_normal_p = any(
-            s.order == p and _is_normal_within(group, h.members, s.members)
-            for s in inside
-        )
-        if not has_normal_p:
+        # p does not divide n, so the subgroups of order p are the Sylow
+        # p-subgroups of H, and one is normal in H iff it is the only one
+        if sum(s.order == p for s in inside) != 1:
             continue
         if any(s.order == n and is_cyclic_mask(group, s.members) for s in inside):
             return FamilyTag("CpRtimesCn", p=p, n=n)

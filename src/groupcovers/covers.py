@@ -18,6 +18,14 @@ in the per-trace subgroup counts afterwards, branching on the least
 uncovered generator with an exclusion set so each trace family is
 visited exactly once.
 
+Irredundancy is tracked by one mask.  A node of the walk holds the
+generators covered (union) and those covered exactly once (once).  A
+generator in once is private to the chosen trace holding it, so a chosen
+trace is irredundant exactly while it meets once.  Adding a trace t with
+fresh = t & ~union gives once' = (once & ~t) | fresh; every chosen trace
+must still meet once', and t completes a cover when fresh is every
+uncovered generator, which is reported without a further call.
+
 Only the set of sizes matters for one-sizedness, and that walk can skip
 most of the tree.  Every member added below a node must own a generator
 that is still uncovered there, so a node at depth d with u uncovered
@@ -30,6 +38,7 @@ is the reference route for the size walk.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -97,20 +106,22 @@ def _subgroup_by_mask(group: Group) -> dict[int, Subgroup]:
     return {s.members: s for s in all_subgroups(group)}
 
 
-def _coerce_masks(family: Cover | Iterable[Subgroup | int]) -> list[int]:
-    if isinstance(family, Cover):
-        return [s.members for s in family.members]
-    out = []
-    for m in family:
-        out.append(m.members if isinstance(m, Subgroup) else int(m))
-    return out
+def _as_mask(m: Subgroup | int) -> int:
+    if isinstance(m, Subgroup):
+        return m.members
+    try:
+        return operator.index(m)
+    except TypeError:
+        raise InvalidParameters(f"subgroup mask {m!r} is not an integer") from None
 
 
 def make_cover(group: Group, family: Iterable[Subgroup | int]) -> Cover:
     """Validate and canonicalize a family of proper subgroups."""
     lookup = _subgroup_by_mask(group)
     members: dict[int, Subgroup] = {}
-    for mask in _coerce_masks(family):
+    if isinstance(family, Cover):
+        family = family.members
+    for mask in map(_as_mask, family):
         sub = lookup.get(mask)
         if sub is None:
             if not is_subgroup_mask(group, mask):
@@ -138,17 +149,11 @@ def is_irredundant(
 ) -> bool:
     """True iff the family is a cover and every member has a private element."""
     cov = family if isinstance(family, Cover) else make_cover(group, family)
-    if not is_cover(group, cov):
-        return False
-    masks = cov.member_masks()
-    for i, m in enumerate(masks):
-        others = 0
-        for j, o in enumerate(masks):
-            if j != i:
-                others |= o
-        if m & ~others == 0:
-            return False
-    return True
+    union = twice = 0
+    for s in cov.members:
+        twice |= union & s.members
+        union |= s.members
+    return is_cover(group, cov) and all(s.members & ~twice for s in cov.members)
 
 
 # ---------------------------------------------------------------------------
@@ -346,18 +351,17 @@ def _search_space(group: Group) -> _SearchSpace:
 
 def _walk_trace_covers(
     space: _SearchSpace,
-    on_cover: Callable[[tuple[int, ...], bool], None],
+    on_cover: Callable[[list[int]], None],
     size_cap: int | None,
     known: set[int] | None = None,
 ) -> None:
     """Visit every irredundant trace family exactly once.
 
-    on_cover receives the chosen trace indices and whether every chosen
-    trace is a singleton.  Branches on the least uncovered generator;
-    traces already tried at a node are banned in later branches, which
-    partitions the cover space.  A branch is abandoned as soon as any
-    chosen trace loses its last private generator, since privacy only
-    shrinks as members are added.
+    on_cover receives the live list of chosen traces; it may read the
+    list but not keep it, since the walk goes on mutating it.  Branches
+    on the least uncovered generator; traces already tried at a node are
+    banned in later branches, which partitions the cover space.  A node
+    is (union, once, banned), with once as in the module docstring.
 
     With a set of known sizes (which on_cover is expected to grow), a
     node at depth d with u uncovered generators is skipped when every
@@ -366,47 +370,45 @@ def _walk_trace_covers(
     Only the sizes are then exact; the families visited are a subset.
     """
     traces = space.traces
-    k = len(space.generators)
-    by_gen: list[list[int]] = [[] for _ in range(k)]
+    full = (1 << len(space.generators)) - 1
+    by_gen: list[list[int]] = [[] for _ in space.generators]
     for tid, t in enumerate(traces):
         for g in iter_bits(t):
             by_gen[g].append(tid)
 
     chosen: list[int] = []
 
-    def rec(
-        uncovered: int, banned: int, union: int, priv: list[int], singles: bool
-    ) -> None:
-        if uncovered == 0:
-            on_cover(tuple(chosen), singles)
+    def rec(union: int, once: int, banned: int) -> None:
+        uncovered = full & ~union
+        d = len(chosen)
+        if size_cap is not None and d >= size_cap:
             return
-        if size_cap is not None and len(chosen) >= size_cap:
+        if known is not None and known.issuperset(
+            range(d + 1, d + uncovered.bit_count() + 1)
+        ):
             return
-        if known is not None:
-            d = len(chosen)
-            if known.issuperset(range(d + 1, d + uncovered.bit_count() + 1)):
-                return
         g = (uncovered & -uncovered).bit_length() - 1
         for tid in by_gen[g]:
             if banned >> tid & 1:
                 continue
+            banned |= 1 << tid
             t = traces[tid]
             fresh = t & ~union
-            if fresh == 0 or any(p & ~t == 0 for p in priv):
-                banned |= 1 << tid
+            if fresh == 0:
                 continue
-            chosen.append(tid)
-            rec(
-                uncovered & ~t,
-                banned,
-                union | t,
-                [p & ~t for p in priv] + [fresh],
-                singles and t.bit_count() == 1,
-            )
-            chosen.pop()
-            banned |= 1 << tid
+            left = (once & ~t) | fresh
+            for c in chosen:
+                if c & left == 0:
+                    break
+            else:
+                chosen.append(t)
+                if fresh == uncovered:
+                    on_cover(chosen)
+                else:
+                    rec(union | t, left, banned)
+                chosen.pop()
 
-    rec((1 << k) - 1, 0, 0, [], True)
+    rec(0, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -456,18 +458,22 @@ def cover_enumeration_stats(
 
 @per_group
 def _counted_covers(group: Group, size_cap: int | None) -> EnumerationStats:
-    space = _search_space(group)
-    class_sizes = [len(c) for c in space.class_masks]
+    return _count_trace_covers(_search_space(group), size_cap)
+
+
+def _count_trace_covers(space: _SearchSpace, size_cap: int | None) -> EnumerationStats:
+    class_size = dict(zip(space.traces, map(len, space.class_masks)))
     counts: dict[int, int] = {}
     multi: set[int] = set()
 
-    def tally(tids: tuple[int, ...], singles: bool) -> None:
+    def tally(chosen: list[int]) -> None:
         n = 1
-        for tid in tids:
-            n *= class_sizes[tid]
-        counts[len(tids)] = counts.get(len(tids), 0) + n
-        if not singles:
-            multi.add(len(tids))
+        for t in chosen:
+            n *= class_size[t]
+        size = len(chosen)
+        counts[size] = counts.get(size, 0) + n
+        if size not in multi and any(t & (t - 1) for t in chosen):
+            multi.add(size)
 
     _walk_trace_covers(space, tally, size_cap)
     if not counts and size_cap is None:
@@ -485,8 +491,8 @@ cover_enumeration_stats.cache_info = _counted_covers.cache_info
 def _trace_cover_sizes(space: _SearchSpace) -> tuple[int, ...]:
     known: set[int] = set()
 
-    def note(tids: tuple[int, ...], _singles: bool) -> None:
-        known.add(len(tids))
+    def note(chosen: list[int]) -> None:
+        known.add(len(chosen))
 
     _walk_trace_covers(space, note, None, known)
     return tuple(sorted(known))
@@ -533,11 +539,11 @@ def enumerate_irredundant_covers(
     _check_enumerable(group, enum_bound, size_cap)
     space = _search_space(group)
     lookup = _subgroup_by_mask(group)
+    class_of = dict(zip(space.traces, space.class_masks))
     found: list[Cover] = []
 
-    def emit(tids: tuple[int, ...], _singles: bool) -> None:
-        pools = [space.class_masks[tid] for tid in tids]
-        for combo in itertools.product(*pools):
+    def emit(chosen: list[int]) -> None:
+        for combo in itertools.product(*(class_of[t] for t in chosen)):
             members = tuple(
                 sorted((lookup[m] for m in combo), key=Subgroup.key)
             )
@@ -563,8 +569,7 @@ def frobenius_style_cover(
     maximal, and core-free.  Always has size |N| + 1, is irredundant,
     and its members intersect pairwise in the identity alone.
     """
-    n_mask = normal.members if isinstance(normal, Subgroup) else int(normal)
-    h_mask = complement.members if isinstance(complement, Subgroup) else int(complement)
+    n_mask, h_mask = _as_mask(normal), _as_mask(complement)
     _require(is_subgroup_mask(group, n_mask), "N is not a subgroup")
     _require(is_subgroup_mask(group, h_mask), "H is not a subgroup")
     _require(is_cyclic_mask(group, h_mask), "H is not cyclic")

@@ -207,6 +207,7 @@ def cyclic_subgroups(group: Group) -> tuple[CyclicSubgroup, ...]:
     return tuple(out)
 
 
+@per_group
 def maximal_subgroups(group: Group) -> tuple[Subgroup, ...]:
     full = group.full_mask
     proper = {s.members: s for s in all_subgroups(group) if s.members != full}

@@ -5,8 +5,9 @@ Cayley tables and bitmasks.  No lattice shortcuts, no pruning beyond
 feasibility, so these can referee the real implementations.  The
 exception is the reference routes at the end: algorithms the library
 used before faster ones replaced them (pairwise subgroup closure, the
-triple-scan table check, normality by conjugating with every element),
-kept as slower independent routes.
+triple-scan table check, normality by conjugating with every element,
+the cover walk with per-node privacy lists, irredundancy by the union
+of the other members), kept as slower independent routes.
 """
 
 from __future__ import annotations
@@ -285,6 +286,12 @@ def conjugation_is_normal(table, mask: int) -> bool:
     return all(c == mask for c in _conjugates(table, mask))
 
 
+def conjugation_is_normal_within(table, ambient: int, mask: int) -> bool:
+    """True iff g^-1 * mask * g equals mask for every g in ambient."""
+    conjugates = _conjugates(table, mask)
+    return all(c == mask for g, c in enumerate(conjugates) if ambient >> g & 1)
+
+
 def conjugation_normal_core(table, mask: int) -> int:
     """Intersection of all conjugates of mask."""
     core = mask
@@ -300,4 +307,77 @@ def commutator_central_section(table, upper: int, lower: int) -> bool:
         for g in range(len(table)):
             if not lower >> table[table[table[inv[x]][inv[g]]][x]][g] & 1:
                 return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# Reference routes: the irredundant-cover walk as the library ran it before
+# the "covered exactly once" mask, holding each chosen trace's private
+# generators in a new list at every node, and irredundancy by the union of
+# the other members.  Quadratic in the family size per node or per test.
+
+
+def privacy_list_trace_walk(traces, k: int, size_cap: int | None = None):
+    """Every irredundant family of distinct traces over k generators.
+
+    traces: distinct nonzero masks below 1 << k, in the order the walk
+    tries them.  Returns (family, singles) pairs in visit order: the
+    chosen traces in choice order, and whether each is one generator.
+    Branches on the least uncovered generator and bans the traces tried
+    at a node in its later branches; a branch ends when a chosen trace
+    has no private generator left.
+    """
+    by_gen = [[] for _ in range(k)]
+    for tid, t in enumerate(traces):
+        for g in bits(t):
+            by_gen[g].append(tid)
+    found = []
+    chosen = []
+
+    def rec(uncovered, banned, union, priv, singles):
+        if uncovered == 0:
+            found.append((tuple(traces[tid] for tid in chosen), singles))
+            return
+        if size_cap is not None and len(chosen) >= size_cap:
+            return
+        g = (uncovered & -uncovered).bit_length() - 1
+        for tid in by_gen[g]:
+            if banned >> tid & 1:
+                continue
+            t = traces[tid]
+            fresh = t & ~union
+            if fresh == 0 or any(p & ~t == 0 for p in priv):
+                banned |= 1 << tid
+                continue
+            chosen.append(tid)
+            rec(
+                uncovered & ~t,
+                banned,
+                union | t,
+                [p & ~t for p in priv] + [fresh],
+                singles and t.bit_count() == 1,
+            )
+            chosen.pop()
+            banned |= 1 << tid
+
+    rec((1 << k) - 1, 0, 0, [], True)
+    return found
+
+
+def pairwise_is_irredundant(masks, full_mask: int) -> bool:
+    """True iff the masks cover full_mask and each has an element outside
+    the union of the others (a repeated mask has none)."""
+    masks = list(masks)
+    union = 0
+    for m in masks:
+        union |= m
+    if union != full_mask:
+        return False
+    for i, m in enumerate(masks):
+        others = 0
+        for j, o in enumerate(masks):
+            if j != i:
+                others |= o
+        if m & ~others == 0:
+            return False
     return True

@@ -7,6 +7,7 @@ from groupcovers import (
     NotSolvable,
     PreconditionViolation,
     PrimeDoesNotDivideOrder,
+    all_subgroups,
     alternating,
     check_abelian_sigma_cover,
     check_p_nilpotence,
@@ -17,10 +18,16 @@ from groupcovers import (
     dihedral,
     direct_product,
     generalized_quaternion,
+    normal_subgroups,
+    prime_divisors,
     semidirect_cp_cn,
     symmetric,
     verify_classification,
 )
+from groupcovers.classify import _is_abelian_within, _recognize_family
+from groupcovers.groups import is_cyclic_mask
+
+from _oracles import conjugation_is_normal_within
 
 
 def v4():
@@ -239,3 +246,54 @@ class TestQuotientInvariants:
     def test_rejects_multi_sized_group(self):
         with pytest.raises(PreconditionViolation):
             check_quotient_invariants(dihedral(4))
+
+
+# ---------------------------------------------------------------------------
+# "H has a normal subgroup of order p" as "H has one subgroup of order p"
+
+SYLOW_CORPUS_ORDER = 128
+
+
+def split_tag_by_conjugation(g, h, inside):
+    """The CpRtimesCn step of _recognize_family, deciding normality in H
+    by conjugating with every element of H."""
+    for p in prime_divisors(h.order):
+        n = h.order // p
+        if n < 2 or n % p == 0:
+            continue
+        if not any(
+            s.order == p and conjugation_is_normal_within(g.cayley, h.members, s.members)
+            for s in inside
+        ):
+            continue
+        if any(s.order == n and is_cyclic_mask(g, s.members) for s in inside):
+            return FamilyTag("CpRtimesCn", p=p, n=n)
+    return None
+
+
+def test_unique_sylow_matches_conjugation_within_h(corpus):
+    # p does not divide n = |H|/p, so the subgroups of order p are H's
+    # Sylow p-subgroups: one is normal in H exactly when it is the only one
+    cases = recognized = 0
+    for _, g in sorted(corpus.items()):
+        if g.order > SYLOW_CORPUS_ORDER:
+            continue
+        subgroups = all_subgroups(g)
+        for h in normal_subgroups(g):
+            inside = [s for s in subgroups if s.members & ~h.members == 0]
+            for p in prime_divisors(h.order):
+                n = h.order // p
+                if n < 2 or n % p == 0:
+                    continue
+                order_p = [s.members for s in inside if s.order == p]
+                normal = any(
+                    conjugation_is_normal_within(g.cayley, h.members, m) for m in order_p
+                )
+                assert (len(order_p) == 1) == normal, (g.name, h.members, p)
+                cases += 1
+            tag = _recognize_family(g, h)
+            if _is_abelian_within(g, h.members) or tag == FamilyTag("Q8"):
+                continue
+            assert tag == split_tag_by_conjugation(g, h, inside), (g.name, h.members)
+            recognized += tag is not None
+    assert (cases, recognized) == (337, 54)

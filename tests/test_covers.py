@@ -300,7 +300,7 @@ def test_size_walk_matches_counting_walk_on_synthetic_traces(family):
     )
     space = _SearchSpace(tuple(range(k)), tuple(traces), tuple((t,) for t in traces))
     counted = set()
-    _walk_trace_covers(space, lambda tids, _singles: counted.add(len(tids)), None)
+    _walk_trace_covers(space, lambda chosen: counted.add(len(chosen)), None)
     assert _trace_cover_sizes(space) == tuple(sorted(counted))
 
 

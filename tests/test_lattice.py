@@ -137,6 +137,15 @@ def test_maximal_subgroups_of_q8():
     assert all(s.is_normal for s in maxes)
 
 
+def test_maximal_subgroups_scan_once_per_group():
+    g = symmetric(4)
+    misses = maximal_subgroups.cache_info().misses
+    first = maximal_subgroups(g)
+    assert maximal_subgroups(g) is first
+    assert frattini_subgroup(g) == 1
+    assert maximal_subgroups.cache_info().misses == misses + 1
+
+
 def test_cyclic_subgroups_cover_elements():
     g = dihedral(6)
     union = 0
