@@ -156,9 +156,9 @@ class PNilpotenceCheck:
 def check_p_nilpotence(group: Group, p: int) -> PNilpotenceCheck:
     """If every complemented chief factor of p-power order is central,
     the group must have a normal p-complement.  Records both truths."""
+    _check_prime_divisor(group, p)
     if not is_solvable(group):
         raise NotSolvable("chief-factor centrality check needs a solvable group")
-    _check_prime_divisor(group, p)
     hypothesis = all(
         f.is_central
         for f in chief_series(group)

@@ -355,8 +355,8 @@ def from_permutation_generators(
     ordered lexicographically by image tuple, which puts the identity
     first automatically.
     """
-    if degree < 1:
-        raise InvalidParameters("permutation degree must be at least 1")
+    if not 1 <= degree <= ORDER_BOUND:
+        raise InvalidParameters(f"permutation degree must lie in 1..{ORDER_BOUND}")
     gens: list[tuple[int, ...]] = []
     for g in generators:
         if isinstance(g, str):
@@ -431,7 +431,7 @@ def generalized_quaternion(k: int, name: str | None = None) -> Group:
     """
     if k < 3:
         raise InvalidParameters("generalized quaternion needs order at least 8")
-    if 2**k > ORDER_BOUND:
+    if k > ORDER_BOUND.bit_length() - 1:
         raise OrderBoundExceeded(ORDER_BOUND)
     m = 2 ** (k - 1)
     h = m // 2
@@ -451,15 +451,15 @@ def generalized_quaternion(k: int, name: str | None = None) -> Group:
 
 
 def symmetric(n: int, name: str | None = None) -> Group:
-    if n < 1:
-        raise InvalidParameters("symmetric degree must be at least 1")
+    if not 1 <= n <= ORDER_BOUND:
+        raise InvalidParameters(f"symmetric degree must lie in 1..{ORDER_BOUND}")
     gens = [] if n == 1 else ["(1 2)", "(" + " ".join(map(str, range(1, n + 1))) + ")"]
     return from_permutation_generators(max(n, 1), gens, name or f"S{n}")
 
 
 def alternating(n: int, name: str | None = None) -> Group:
-    if n < 1:
-        raise InvalidParameters("alternating degree must be at least 1")
+    if not 1 <= n <= ORDER_BOUND:
+        raise InvalidParameters(f"alternating degree must lie in 1..{ORDER_BOUND}")
     label = name or f"A{n}"
     if n <= 2:
         return from_permutation_generators(max(n, 1), [], label)
@@ -489,16 +489,16 @@ def semidirect_cp_cn(p: int, n: int, l: int, name: str | None = None) -> Group:
     Requires p prime, 1 <= l < p, and l^n = 1 mod p so the action is
     well defined.  Element j*p + i is a^j x^i.
     """
-    if not is_prime(p):
-        raise InvalidParameters(f"p = {p} must be prime")
     if n < 1:
         raise InvalidParameters("n must be at least 1")
+    if p * n > ORDER_BOUND:
+        raise OrderBoundExceeded(ORDER_BOUND)
+    if not is_prime(p):
+        raise InvalidParameters(f"p = {p} must be prime")
     if not 1 <= l < p:
         raise InvalidParameters(f"twist l = {l} must lie in 1..{p - 1}")
     if pow(l, n, p) != 1:
         raise InvalidParameters(f"l^n = {l}^{n} is not 1 mod {p}")
-    if p * n > ORDER_BOUND:
-        raise OrderBoundExceeded(ORDER_BOUND)
     lpow = [pow(l, j, p) for j in range(n)]
     table = [[0] * (p * n) for _ in range(p * n)]
     for j1 in range(n):

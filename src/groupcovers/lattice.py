@@ -26,6 +26,14 @@ For lower normal, upper/lower is central when [x, g] is in lower for all
 x in upper, g in G: each class C meeting upper outside lower must lie in
 x*lower for x in C, and one x is enough.  That is |C| lookups per class.
 
+Solvability, nilpotency and supersolvability are read off the chief
+factors.  A chief factor H/K is minimal normal in G/K, so it is a direct
+power of one simple group.  It is abelian exactly when its order is a
+prime power: no non-abelian simple group has prime-power order.  G is
+solvable when every chief factor is abelian, nilpotent when every one is
+central (a minimal normal subgroup of a nilpotent group is central), and
+supersolvable when every one has prime order.
+
 All listings come back in a canonical order, sorted by (order, members
 mask), so downstream choices like "the first witness" are reproducible.
 """
@@ -236,26 +244,6 @@ def frattini_subgroup(group: Group) -> int:
     return phi
 
 
-def derived_subgroup_mask(group: Group, mask: int) -> int:
-    """Commutator subgroup [S, S] of the subgroup with the given mask."""
-    members = list(iter_bits(mask))
-    comms = 0
-    for a in members:
-        for b in members:
-            comms |= 1 << group.commutator(a, b)
-    return generated_mask(group, comms)
-
-
-@per_group
-def is_solvable(group: Group) -> bool:
-    mask = group.full_mask
-    while True:
-        nxt = derived_subgroup_mask(group, mask)
-        if nxt == mask:
-            return mask == 1
-        mask = nxt
-
-
 def _check_prime_divisor(group: Group, p: int) -> None:
     if not is_prime(p):
         raise InvalidParameters(f"p = {p} is not prime")
@@ -272,25 +260,6 @@ def sylow_subgroup(group: Group, p: int) -> Subgroup:
         if s.order == target:
             return s
     raise AssertionError("unreachable: Sylow subgroup must exist")
-
-
-@per_group
-def is_nilpotent(group: Group) -> bool:
-    return all(
-        sylow_subgroup(group, p).is_normal for p in prime_divisors(group.order)
-    )
-
-
-@per_group
-def is_supersolvable(group: Group) -> bool:
-    """Every maximal subgroup has prime index."""
-    if group.order == 1:
-        return True
-    if not is_solvable(group):
-        return False
-    return all(
-        is_prime(group.order // s.order) for s in maximal_subgroups(group)
-    )
 
 
 def _is_central_section(group: Group, upper: int, lower: int) -> bool:
@@ -326,9 +295,9 @@ def chief_series(group: Group) -> tuple[ChiefFactor, ...]:
 
     At each step the next term is the smallest (by order, then mask)
     normal subgroup of the whole group properly above the current term;
-    having the least order, it sits minimally above it.  Each factor records its order, how many subgroups
-    complement it, whether it is central, and the prime when the factor
-    order is a prime power.
+    having the least order, it sits minimally above it.  Each factor
+    records its order, how many subgroups complement it, whether it is
+    central, and the prime when the factor order is a prime power.
     """
     normals = [s.members for s in normal_subgroups(group)]
     factors: list[ChiefFactor] = []
@@ -349,6 +318,18 @@ def chief_series(group: Group) -> tuple[ChiefFactor, ...]:
         )
         lower = upper
     return tuple(factors)
+
+
+def is_solvable(group: Group) -> bool:
+    return all(f.prime is not None for f in chief_series(group))
+
+
+def is_nilpotent(group: Group) -> bool:
+    return all(f.is_central for f in chief_series(group))
+
+
+def is_supersolvable(group: Group) -> bool:
+    return all(is_prime(f.factor_order) for f in chief_series(group))
 
 
 def has_normal_p_complement(group: Group, p: int) -> bool:

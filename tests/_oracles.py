@@ -4,10 +4,12 @@ Everything here is a subset scan or a combination search over raw
 Cayley tables and bitmasks.  No lattice shortcuts, no pruning beyond
 feasibility, so these can referee the real implementations.  The
 exception is the reference routes at the end: algorithms the library
-used before faster ones replaced them (pairwise subgroup closure, the
+used before newer ones replaced them (pairwise subgroup closure, the
 triple-scan table check, normality by conjugating with every element,
 the cover walk with per-node privacy lists, irredundancy by the union
-of the other members), kept as slower independent routes.
+of the other members, the structure predicates by derived series, Sylow
+subgroups and maximal-subgroup indices), kept as slower independent
+routes.
 """
 
 from __future__ import annotations
@@ -381,3 +383,57 @@ def pairwise_is_irredundant(masks, full_mask: int) -> bool:
         if m & ~others == 0:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Reference routes: the structure predicates as the library decided them
+# before it read them off the chief series.  Solvability by the derived
+# series of all pairwise commutators, nilpotency by Sylow subgroups (one
+# per prime, so exactly |G|_p elements of p-power order), supersolvability
+# by Huppert's theorem: every maximal subgroup has prime index.
+
+
+def _is_prime(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, n))
+
+
+def commutator_derived_mask(table, mask: int) -> int:
+    """[S, S] for the subgroup mask S: the closure of all its commutators."""
+    inv = [list(row).index(0) for row in table]
+    members = bits(mask)
+    comms = 0
+    for a in members:
+        for b in members:
+            comms |= 1 << table[table[table[inv[a]][inv[b]]][a]][b]
+    return pairwise_generated_mask(table, comms)
+
+
+def derived_series_solvable(table) -> bool:
+    mask = (1 << len(table)) - 1
+    while True:
+        nxt = commutator_derived_mask(table, mask)
+        if nxt == mask:
+            return mask == 1
+        mask = nxt
+
+
+def sylow_count_nilpotent(table) -> bool:
+    """Each Sylow subgroup is normal, i.e. the elements of p-power order
+    number exactly |G|_p for every prime p."""
+    n = len(table)
+    orders = [element_order(table, x) for x in range(n)]
+    for p in filter(_is_prime, range(2, n + 1)):
+        p_part = 1
+        while n % (p_part * p) == 0:
+            p_part *= p
+        if sum(1 for k in orders if p_part % k == 0) != p_part:
+            return False
+    return True
+
+
+def prime_index_supersolvable(order: int, subgroup_masks) -> bool:
+    """Every maximal proper subgroup among subgroup_masks has prime index."""
+    full = (1 << order) - 1
+    proper = [m for m in subgroup_masks if m != full]
+    maximal = [m for m in proper if not any(o != m and m & ~o == 0 for o in proper)]
+    return all(_is_prime(order // m.bit_count()) for m in maximal)

@@ -6,6 +6,7 @@ session-scoped, so lattice and cover caches accumulate across criteria.
 """
 
 import functools
+import hashlib
 import itertools
 import json
 import time
@@ -238,7 +239,18 @@ def test_criterion_09_oracles(corpus):
             ), g.name
 
 
-@criterion(10, "two corpus verification runs emit byte-identical JSON")
+# sha256 of the stdout of `groupcovers --json verify-corpus` with these
+# extra flags.  A change that alters the corpus output on purpose updates
+# the pins and says so.
+CORPUS_JSON_SHA256 = {
+    ():
+        "a618335e1e93d83ed632ceafa476c32e76656e8cf63d7d3313c0eaf6b1102d1e",
+    ("--max-order", "512"):
+        "ea9ff60ee748db625b7be46ed30e518af24094847b5f5a65a17a773b36763ca8",
+}
+
+
+@criterion(10, "corpus verification runs emit byte-identical, pinned JSON")
 def test_criterion_10_determinism(capsys):
     outputs = []
     for _ in range(2):
@@ -247,3 +259,7 @@ def test_criterion_10_determinism(capsys):
     assert outputs[0] == outputs[1]
     envelope = json.loads(outputs[0])
     assert envelope["summary"]["disagreements"] == 0
+    for flags, digest in CORPUS_JSON_SHA256.items():
+        assert cli.main(["--json", "verify-corpus", *flags]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, flags

@@ -1,7 +1,11 @@
+import time
+
 import pytest
 
 from groupcovers import (
     DuplicateName,
+    InvalidParameters,
+    OrderBoundExceeded,
     OrderMismatch,
     ParseError,
     build_catalog,
@@ -154,6 +158,33 @@ def test_malformed_cycles_surface_at_build():
     entries = parse_catalog("group X\nperm 3; (1 2 99)\n")
     with pytest.raises(MalformedCycle):
         build_catalog(entries)
+
+
+# Construction lines whose parameters are far past the order bound.  Each
+# used to hang in a primality test, a huge power or a degree-sized
+# allocation before the bound was checked.
+OVERSIZED = [
+    ("preset cpcn 2305843009213693951 2 1", OrderBoundExceeded),
+    ("preset quaternion 10000000000", OrderBoundExceeded),
+    ("perm 10000000; (1 2); (3 4)", InvalidParameters),
+    ("perm 300000000; (1 2)", InvalidParameters),
+    ("preset sym 100000000", InvalidParameters),
+    ("preset alt 100000000", InvalidParameters),
+]
+
+
+@pytest.mark.parametrize("line,error", OVERSIZED)
+def test_oversized_parameters_fail_fast(line, error):
+    (entry,) = parse_catalog(f"group X\n{line}\n")
+    start = time.perf_counter()
+    with pytest.raises(error):
+        build_entry(entry, {})
+    assert time.perf_counter() - start < 1.0
+
+
+def test_perm_degree_at_the_bound_still_builds():
+    (entry,) = parse_catalog("group C2\nperm 512; (511 512)\n")
+    assert build_entry(entry, {}).order == 2
 
 
 def test_bundled_catalog(corpus_entries):

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -268,6 +269,26 @@ class TestErrors:
         code, _, err = run(capsys, "sigma", str(bad))
         assert code == 1
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "preset cpcn 2305843009213693951 2 1",
+            "preset quaternion 10000000000",
+            "perm 10000000; (1 2); (3 4)",
+            "perm 300000000; (1 2)",
+            "preset sym 100000000",
+        ],
+    )
+    def test_oversized_parameters_fail_fast(self, capsys, tmp_path, line):
+        path = tmp_path / "big.cat"
+        path.write_text(f"group X\n{line}\n", encoding="utf-8")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "analyze", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_unknown_check_id(self, capsys, catalog):
         code, _, err = run(

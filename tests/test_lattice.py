@@ -28,12 +28,16 @@ from groupcovers import (
     sylow_subgroup,
 )
 from groupcovers.groups import mask_of
-from groupcovers.lattice import derived_subgroup_mask, generated_mask, normal_core
+from groupcovers.lattice import generated_mask, normal_core
 
 from _oracles import (
     brute_subgroup_masks,
+    commutator_derived_mask,
+    derived_series_solvable,
     pairwise_generated_mask,
     pairwise_subgroup_masks,
+    prime_index_supersolvable,
+    sylow_count_nilpotent,
 )
 
 
@@ -201,9 +205,9 @@ def test_frattini():
 
 def test_derived_subgroup():
     s4 = symmetric(4)
-    d1 = derived_subgroup_mask(s4, s4.full_mask)
+    d1 = commutator_derived_mask(s4.cayley, s4.full_mask)
     assert bin(d1).count("1") == 12
-    d2 = derived_subgroup_mask(s4, d1)
+    d2 = commutator_derived_mask(s4.cayley, d1)
     assert bin(d2).count("1") == 4
 
 
@@ -235,6 +239,62 @@ def test_structure_flags(make, solvable, nilpotent, supersolvable):
     assert is_solvable(g) is solvable
     assert is_nilpotent(g) is nilpotent
     assert is_supersolvable(g) is supersolvable
+
+
+def library_predicates(g):
+    return (is_solvable(g), is_nilpotent(g), is_supersolvable(g))
+
+
+def oracle_predicates(g):
+    # Maximal subgroups come from the library lattice, which the tests
+    # above check against pairwise closure; closing order-210 lattices
+    # pairwise takes seconds each.
+    masks = [s.members for s in all_subgroups(g)]
+    return (
+        derived_series_solvable(g.cayley),
+        sylow_count_nilpotent(g.cayley),
+        prime_index_supersolvable(g.order, masks),
+    )
+
+
+def test_predicates_match_oracles_on_corpus(corpus):
+    mismatched = [
+        name
+        for name, g in corpus.items()
+        if library_predicates(g) != oracle_predicates(g)
+    ]
+    assert not mismatched
+
+
+# every valid <x, a | x^p, a^n, a^-1 x a = x^l> of order at most 100
+CPCN_PARAMS = [
+    (p, n, l)
+    for p in (2, 3, 5, 7, 11, 13)
+    for n in range(1, 100 // p + 1)
+    for l in range(1, p)
+    if pow(l, n, p) == 1
+]
+
+FACTORS = [
+    cyclic(2), cyclic(3), cyclic(4), symmetric(3), dihedral(4),
+    generalized_quaternion(3), alternating(4), dihedral(5),
+    semidirect_cp_cn(7, 3, 2), alternating(5),
+]
+
+
+@st.composite
+def predicate_groups(draw):
+    if draw(st.booleans()):
+        return semidirect_cp_cn(*draw(st.sampled_from(CPCN_PARAMS)))
+    a = draw(st.sampled_from(FACTORS))
+    b = draw(st.sampled_from([f for f in FACTORS if a.order * f.order <= 120]))
+    return direct_product(a, b)
+
+
+@given(predicate_groups())
+@settings(deadline=None, max_examples=60)
+def test_predicates_match_oracles_on_drawn_groups(g):
+    assert library_predicates(g) == oracle_predicates(g)
 
 
 class TestChiefSeries:
