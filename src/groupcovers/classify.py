@@ -245,7 +245,8 @@ def check_quotient_invariants(group: Group) -> QuotientInvariantsCheck:
     assert sig is not None
     items = []
     for n in normal_subgroups(group):
-        q, _ = quotient(group, n.members)
+        # G/1 is G: read its sigma and lambda instead of rebuilding them
+        q = group if n.members == 1 else quotient(group, n.members)[0]
         if q.is_cyclic:
             continue
         qsig = sigma_exact(q).value

@@ -106,13 +106,17 @@ def _subgroup_by_mask(group: Group) -> dict[int, Subgroup]:
     return {s.members: s for s in all_subgroups(group)}
 
 
-def _as_mask(m: Subgroup | int) -> int:
-    if isinstance(m, Subgroup):
-        return m.members
+def _as_mask(group: Group, m: Subgroup | int) -> int:
+    """m, or its member mask, as a set of elements of group."""
     try:
-        return operator.index(m)
+        mask = m.members if isinstance(m, Subgroup) else operator.index(m)
     except TypeError:
         raise InvalidParameters(f"subgroup mask {m!r} is not an integer") from None
+    if mask < 0 or mask >> group.order:
+        raise InvalidParameters(
+            f"subgroup mask {mask:#x} is not a set of elements 0..{group.order - 1}"
+        )
+    return mask
 
 
 def make_cover(group: Group, family: Iterable[Subgroup | int]) -> Cover:
@@ -121,7 +125,7 @@ def make_cover(group: Group, family: Iterable[Subgroup | int]) -> Cover:
     members: dict[int, Subgroup] = {}
     if isinstance(family, Cover):
         family = family.members
-    for mask in map(_as_mask, family):
+    for mask in (_as_mask(group, m) for m in family):
         sub = lookup.get(mask)
         if sub is None:
             if not is_subgroup_mask(group, mask):
@@ -569,7 +573,7 @@ def frobenius_style_cover(
     maximal, and core-free.  Always has size |N| + 1, is irredundant,
     and its members intersect pairwise in the identity alone.
     """
-    n_mask, h_mask = _as_mask(normal), _as_mask(complement)
+    n_mask, h_mask = _as_mask(group, normal), _as_mask(group, complement)
     _require(is_subgroup_mask(group, n_mask), "N is not a subgroup")
     _require(is_subgroup_mask(group, h_mask), "H is not a subgroup")
     _require(is_cyclic_mask(group, h_mask), "H is not cyclic")
@@ -583,8 +587,7 @@ def frobenius_style_cover(
     n_order, h_order = n_mask.bit_count(), h_mask.bit_count()
     _require(n_order * h_order == group.order, "N H does not exhaust the group")
 
-    conjugates = {group.conjugate_set(h_mask, g) for g in range(group.order)}
-    cover = make_cover(group, [n_mask, *conjugates])
+    cover = make_cover(group, [n_mask, *group.conjugates(h_mask)])
 
     if len(cover.members) != n_order + 1:
         raise InvariantViolation(

@@ -247,13 +247,33 @@ class Group:
             left &= ~classes[-1]
         return tuple(classes)
 
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """At most log2(n) elements generating the group (see _greedy_generators)."""
+        return tuple(_greedy_generators(self.cayley))
+
     # -- element-set operations
 
     def conjugate_set(self, mask: int, g: int) -> int:
+        """g^-1 * mask * g."""
+        t = self.cayley
+        row = t[self.inverse[g]]
         out = 0
         for x in iter_bits(mask):
-            out |= 1 << self.conjugate(x, g)
+            out |= 1 << t[row[x]][g]
         return out
+
+    def conjugates(self, mask: int) -> tuple[int, ...]:
+        """Every g^-1 * mask * g, mask first: its orbit under the generators."""
+        orbit = [mask]
+        seen = {mask}
+        for m in orbit:  # grows while it is scanned
+            for g in self.generators:
+                image = self.conjugate_set(m, g)
+                if image not in seen:
+                    seen.add(image)
+                    orbit.append(image)
+        return tuple(orbit)
 
 
 CacheInfo = namedtuple("CacheInfo", "hits misses")

@@ -1,14 +1,28 @@
 """Subgroup lattices, normal structure, and chief series.
 
 Subgroups are bitmasks over element indices.  The full lattice is
-computed by cyclic extension: every subgroup is a join of cyclic ones,
-and any subgroup can be reached by adjoining one cyclic subgroup at a
-time, so joining found subgroups against cyclic subgroups until nothing
-new appears is exhaustive.
+computed by cyclic extension up to conjugacy (Neubueser, Numer. Math. 2,
+1960): starting from the trivial subgroup, one representative S of each
+conjugacy class is joined with cyclic subgroups, and each new join
+brings its whole class, the orbit under conjugation by G's generators.
+Two lemmas make this exhaustive with few joins:
 
-Every subgroup found keeps a short generator tuple: a cyclic subgroup
-its least generator, a join <S, c> the tuple of S followed by c.  The
-join is Dimino's closure.  Because S is already a subgroup, <S, c> is a
+* Classes.  <S^g, c^g> = <S, c>^g, so joining only a representative of
+  each class and adding the classes of the joins finds every subgroup.
+* Prime steps.  If x is not in S, then <x> meets S in <x^a> for some
+  a > 1; for a prime p dividing a, y = x^(a/p) is not in S but y^p is.
+  So every subgroup above S is reached through joins <S, c> with c
+  meeting S in a subgroup of prime index in c, and only those are formed.
+  A join depends only on the coset S*x, so one per coset is formed.
+
+The closure also decides normality and maximality: a subgroup is
+normal exactly when its class is a single subgroup, and a proper S is
+maximal exactly when every prime-step join of S is G (any H strictly
+between S and G contains such a y), a property its conjugates share.
+
+Every representative keeps a short generator tuple: the trivial
+subgroup none, a join <S, c> the tuple of S followed by c's least
+generator.  The join is Dimino's closure.  Because S is already a subgroup, <S, c> is a
 union of right cosets S*r: the closure starts from S and S*c, and for
 each coset representative r and each generator g it adds the whole
 coset S*(r*g) when r*g is new.  That costs O(|J|) table lookups plus
@@ -162,36 +176,49 @@ def _cyclic_masks(group: Group) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(seen.items(), key=lambda kv: (kv[0].bit_count(), kv[0])))
 
 
-def _subgroup_masks(group: Group) -> tuple[int, ...]:
+@per_group
+def _lattice(group: Group) -> tuple[tuple[int, ...], frozenset[int], frozenset[int]]:
+    """(all subgroup masks in canonical order, the normal ones, the maximal ones).
+
+    One representative per conjugacy class is joined, only by prime
+    steps; each new join brings its whole class (see the module docstring).
+    """
     t = group.cayley
+    full = group.full_mask
     cap = _proper_cap(group.order)
-    gens = {m: (x,) if m != 1 else () for m, x in _cyclic_masks(group)}
-    nontrivial_cyclic = [(m, x) for m, x in _cyclic_masks(group) if m != 1]
-    closure: dict[int, int] = {}
-    worklist = list(gens)
-    while worklist:
-        s = worklist.pop()
-        s_gens = gens[s]
+    steps = [(m, m.bit_count(), x) for m, x in _cyclic_masks(group) if m != 1]
+    primes = set(prime_divisors(group.order))  # |c| divides |G|
+    found, normal, maximal = {1, full}, {1, full}, set()
+    reps = [(1, (), (1,))] if group.order > 1 else []
+    for s, s_gens, s_class in reps:  # grows while it is scanned
         members = list(iter_bits(s))
-        for c, x in nontrivial_cyclic:
-            if c & ~s == 0:
+        tried = s  # elements x whose coset S*x was joined already
+        proper_join = False
+        for c, order, x in steps:
+            if tried >> x & 1 or order // (c & s).bit_count() not in primes:
                 continue
-            u = s | c
-            j = closure.get(u)
-            if j is None:
-                j = closure[u] = _join(t, members, s, s_gens, x, cap)
-            if j not in gens:
-                gens[j] = s_gens + (x,)
-                worklist.append(j)
-    return tuple(sorted(gens, key=lambda m: (m.bit_count(), m)))
+            for m in members:  # <S, x> = <S, m*x>
+                tried |= 1 << t[m][x]
+            j = _join(t, members, s, s_gens, x, cap)
+            if j == full:
+                continue
+            proper_join = True
+            if j not in found:
+                j_class = group.conjugates(j)
+                found.update(j_class)
+                if len(j_class) == 1:
+                    normal.add(j)
+                reps.append((j, s_gens + (x,), j_class))
+        if not proper_join:
+            maximal.update(s_class)
+    masks = tuple(sorted(found, key=lambda m: (m.bit_count(), m)))
+    return masks, frozenset(normal), frozenset(maximal)
 
 
 @per_group
 def all_subgroups(group: Group) -> tuple[Subgroup, ...]:
-    return tuple(
-        Subgroup(m, m.bit_count(), is_normal_mask(group, m))
-        for m in _subgroup_masks(group)
-    )
+    masks, normal, _ = _lattice(group)
+    return tuple(Subgroup(m, m.bit_count(), m in normal) for m in masks)
 
 
 def maximal_masks(masks: Sequence[int]) -> list[int]:
@@ -217,9 +244,9 @@ def cyclic_subgroups(group: Group) -> tuple[CyclicSubgroup, ...]:
 
 @per_group
 def maximal_subgroups(group: Group) -> tuple[Subgroup, ...]:
-    full = group.full_mask
-    proper = {s.members: s for s in all_subgroups(group) if s.members != full}
-    return tuple(proper[m] for m in maximal_masks(list(proper)))
+    subgroups = all_subgroups(group)
+    maximal = _lattice(group)[2]
+    return tuple(s for s in subgroups if s.members in maximal)
 
 
 def normal_subgroups(group: Group) -> tuple[Subgroup, ...]:

@@ -5,6 +5,7 @@ Cayley tables and bitmasks.  No lattice shortcuts, no pruning beyond
 feasibility, so these can referee the real implementations.  The
 exception is the reference routes at the end: algorithms the library
 used before newer ones replaced them (pairwise subgroup closure, the
+closure joining every subgroup with every cyclic one, the
 triple-scan table check, normality by conjugating with every element,
 the cover walk with per-node privacy lists, irredundancy by the union
 of the other members, the structure predicates by derived series, Sylow
@@ -228,6 +229,72 @@ def pairwise_subgroup_masks(table) -> set[int]:
     return found
 
 
+def _coset_join(table, members, mask: int, gens: tuple, c: int, cap: int) -> int:
+    """<S, c> for the subgroup S = mask generated by gens, c not in S, by
+    adding whole right cosets S*(r*g); the full mask once it exceeds cap."""
+    full = (1 << len(table)) - 1
+    n = len(members)
+    if 2 * n > cap:
+        return full
+    for s in members:
+        mask |= 1 << table[s][c]
+    size, reps, gens = 2 * n, [c], gens + (c,)
+    for r in reps:
+        for g in gens:
+            z = table[r][g]
+            if not mask >> z & 1:
+                size += n
+                if size > cap:
+                    return full
+                for s in members:
+                    mask |= 1 << table[s][z]
+                reps.append(z)
+    return mask
+
+
+def cyclic_join_subgroup_masks(table) -> set[int]:
+    """Every subgroup, by joining every found subgroup with every cyclic one.
+
+    The library's closure before it worked up to conjugacy: no classes,
+    no prime-step filter, one coset join per (subgroup, cyclic subgroup)
+    pair whose union is new.  A proper subgroup has at most n/p elements,
+    p the least prime dividing n, which cuts a join off early.
+    """
+    n = len(table)
+    cap = n // next(p for p in range(2, n + 1) if n % p == 0) if n > 1 else 0
+    gens: dict[int, tuple] = {}
+    for x in range(n):
+        mask, y = 1, x
+        while y != 0:
+            mask |= 1 << y
+            y = table[y][x]
+        gens.setdefault(mask, (x,) if x else ())
+    nontrivial_cyclic = [(m, g[0]) for m, g in gens.items() if m != 1]
+    closure: dict[int, int] = {}
+    worklist = list(gens)
+    while worklist:
+        s = worklist.pop()
+        members = bits(s)
+        for c, x in nontrivial_cyclic:
+            if c & ~s == 0:
+                continue
+            u = s | c
+            j = closure.get(u)
+            if j is None:
+                j = closure[u] = _coset_join(table, members, s, gens[s], x, cap)
+            if j not in gens:
+                gens[j] = gens[s] + (x,)
+                worklist.append(j)
+    return set(gens)
+
+
+def containment_maximal_masks(masks) -> set[int]:
+    """The proper masks (the full mask is the largest) contained in no other proper one."""
+    full = max(masks)
+    proper = [m for m in masks if m != full]
+    return {m for m in proper if not any(o != m and m & ~o == 0 for o in proper)}
+
+
 # ---------------------------------------------------------------------------
 # Reference route: table validation with associativity checked on every
 # triple, as the library did before Light's test.  Cubic in the order.
@@ -281,6 +348,11 @@ def _conjugates(table, mask: int):
         for x in members:
             out |= 1 << table[row_inv[x]][g]
         yield out
+
+
+def conjugation_class(table, mask: int) -> set[int]:
+    """Every conjugate of mask."""
+    return set(_conjugates(table, mask))
 
 
 def conjugation_is_normal(table, mask: int) -> bool:

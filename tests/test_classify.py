@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 from groupcovers import (
@@ -28,6 +30,9 @@ from groupcovers.classify import _is_abelian_within, _recognize_family
 from groupcovers.groups import is_cyclic_mask
 
 from _oracles import conjugation_is_normal_within
+
+# the package's classify is the function; the module is shadowed by it
+classify_module = importlib.import_module("groupcovers.classify")
 
 
 def v4():
@@ -246,6 +251,22 @@ class TestQuotientInvariants:
     def test_rejects_multi_sized_group(self):
         with pytest.raises(PreconditionViolation):
             check_quotient_invariants(dihedral(4))
+
+    def test_trivial_normal_subgroup_reads_the_group_itself(self, monkeypatch):
+        g = direct_product(symmetric(3), cyclic(5))
+        built = []
+        real = classify_module.quotient
+
+        def recording_quotient(group, mask):
+            built.append(mask)
+            return real(group, mask)
+
+        monkeypatch.setattr(classify_module, "quotient", recording_quotient)
+        res = check_quotient_invariants(g)
+        assert 1 not in built and len(built) == len(normal_subgroups(g)) - 1
+        first = res.items[0]
+        assert (first.normal_order, first.quotient_order) == (1, 30)
+        assert (first.sigma_quotient, first.lambda_quotient) == (4, 4)
 
 
 # ---------------------------------------------------------------------------

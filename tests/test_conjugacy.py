@@ -21,11 +21,12 @@ from groupcovers import (
     normal_subgroups,
     symmetric,
 )
-from groupcovers.groups import is_normal_mask, iter_bits
-from groupcovers.lattice import _is_central_section, normal_core
+from groupcovers.groups import is_normal_mask, iter_bits, mask_of
+from groupcovers.lattice import _is_central_section, generated_mask, normal_core
 
 from _oracles import (
     commutator_central_section,
+    conjugation_class,
     conjugation_is_normal,
     conjugation_normal_core,
 )
@@ -111,6 +112,19 @@ def test_normality_and_core_on_every_corpus_subgroup(corpus):
     assert checked > 1000
 
 
+def test_subgroup_classes_from_generators_on_corpus(corpus):
+    """Group.conjugates closes under the generators only; the oracle
+    conjugates by every element."""
+    for g in small_corpus(corpus):
+        assert len(g.generators) <= g.order.bit_length() - 1
+        assert generated_mask(g, mask_of(g.generators)) == g.full_mask, g.name
+        for s in all_subgroups(g):
+            orbit = g.conjugates(s.members)
+            assert orbit[0] == s.members and len(set(orbit)) == len(orbit)
+            assert set(orbit) == conjugation_class(g.cayley, s.members), (g.name, s)
+            assert (len(orbit) == 1) == s.is_normal
+
+
 def test_central_section_on_every_nested_normal_pair(corpus):
     checked = 0
     for g in small_corpus(corpus):
@@ -142,6 +156,14 @@ def _flip(mask, bit, n):
 
 
 masks = st.integers(min_value=0, max_value=2**64 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(which=st.integers(0, len(POOL) - 1), raw=masks)
+def test_conjugates_of_random_masks(which, raw):
+    g = POOL[which]
+    seed = raw & g.full_mask
+    assert set(g.conjugates(seed)) == conjugation_class(g.cayley, seed)
 
 
 @settings(max_examples=300, deadline=None)

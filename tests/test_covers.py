@@ -152,6 +152,17 @@ class TestCoverPredicates:
         with pytest.raises(NotSubgroup):
             make_cover(g, [0b0110])
 
+    @pytest.mark.parametrize("mask", [-1, -2, 1 << 6, 1 | 1 << 10])
+    def test_make_cover_rejects_masks_outside_the_group(self, mask):
+        # -1 once looped forever in iter_bits; bits past |G| raised IndexError
+        with pytest.raises(InvalidParameters, match="not a set of elements"):
+            make_cover(symmetric(3), [mask])
+
+    def test_make_cover_rejects_subgroup_of_a_larger_group(self):
+        big = next(s for s in all_subgroups(symmetric(4)) if s.members >> 6)
+        with pytest.raises(InvalidParameters, match="not a set of elements"):
+            make_cover(symmetric(3), [big])
+
     def test_make_cover_rejects_whole_group(self):
         g = symmetric(3)
         with pytest.raises(NotProperSubgroup):
@@ -406,6 +417,14 @@ class TestFrobeniusStyle:
         g = symmetric(3)
         with pytest.raises(PreconditionViolation, match="subgroup"):
             frobenius_style_cover(g, 0b0110, self.pick(g, 2))
+
+    @pytest.mark.parametrize("mask", [-1, 1 | 1 << 10])
+    def test_masks_outside_the_group(self, mask):
+        g = symmetric(3)
+        with pytest.raises(InvalidParameters, match="not a set of elements"):
+            frobenius_style_cover(g, mask, self.pick(g, 2))
+        with pytest.raises(InvalidParameters, match="not a set of elements"):
+            frobenius_style_cover(g, self.pick(g, 3), mask)
 
 
 class TestOneSized:

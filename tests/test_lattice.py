@@ -1,10 +1,11 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from groupcovers import (
     InvalidParameters,
     NotNormal,
     NotSubgroup,
+    OrderBoundExceeded,
     PrimeDoesNotDivideOrder,
     all_subgroups,
     alternating,
@@ -14,11 +15,13 @@ from groupcovers import (
     dihedral,
     direct_product,
     frattini_subgroup,
+    from_permutation_generators,
     generalized_quaternion,
     has_normal_p_complement,
     is_nilpotent,
     is_solvable,
     is_supersolvable,
+    lambda_,
     maximal_subgroups,
     minimal_normal_subgroups,
     normal_subgroups,
@@ -27,12 +30,18 @@ from groupcovers import (
     symmetric,
     sylow_subgroup,
 )
+from groupcovers import lattice
+from groupcovers.arith import is_prime
 from groupcovers.groups import mask_of
 from groupcovers.lattice import generated_mask, normal_core
 
 from _oracles import (
     brute_subgroup_masks,
     commutator_derived_mask,
+    conjugation_class,
+    conjugation_is_normal,
+    containment_maximal_masks,
+    cyclic_join_subgroup_masks,
     derived_series_solvable,
     pairwise_generated_mask,
     pairwise_subgroup_masks,
@@ -295,6 +304,113 @@ def predicate_groups(draw):
 @settings(deadline=None, max_examples=60)
 def test_predicates_match_oracles_on_drawn_groups(g):
     assert library_predicates(g) == oracle_predicates(g)
+
+
+def lattice_disagreements(g):
+    """Where the library lattice differs from the old cyclic-join closure,
+    from normality by conjugation, or from a containment scan for maximality."""
+    t = g.cayley
+    masks = cyclic_join_subgroup_masks(t)
+    subs = all_subgroups(g)
+    wrong = []
+    if {s.members for s in subs} != masks:
+        wrong.append("masks")
+    if any(s.is_normal != conjugation_is_normal(t, s.members) for s in subs):
+        wrong.append("normal")
+    if {s.members for s in maximal_subgroups(g)} != containment_maximal_masks(masks):
+        wrong.append("maximal")
+    return wrong
+
+
+def test_lattice_matches_cyclic_join_oracle_on_corpus(corpus):
+    wrong = {name: w for name, g in corpus.items() if (w := lattice_disagreements(g))}
+    assert not wrong
+    assert max(g.order for g in corpus.values()) == 210
+
+
+@st.composite
+def lattice_groups(draw):
+    kind = draw(st.sampled_from(["cpcn", "product", "perm"]))
+    if kind == "cpcn":
+        return semidirect_cp_cn(*draw(st.sampled_from(CPCN_PARAMS)))
+    if kind == "product":
+        a = draw(st.sampled_from(FACTORS))
+        return direct_product(a, draw(st.sampled_from(
+            [f for f in FACTORS if a.order * f.order <= 120]
+        )))
+    degree = draw(st.integers(min_value=2, max_value=6))
+    perms = st.permutations(range(degree))
+    try:
+        g = from_permutation_generators(degree, [draw(perms), draw(perms)])
+    except OrderBoundExceeded:  # S6 has order 720
+        g = None
+    assume(g is not None and g.order <= 128)
+    return g
+
+
+@given(lattice_groups())
+@settings(deadline=None, max_examples=60)
+def test_lattice_matches_cyclic_join_oracle_on_drawn_groups(g):
+    assert not lattice_disagreements(g)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: symmetric(4),
+        lambda: alternating(5),
+        lambda: direct_product(dihedral(4), dihedral(4)),
+        lambda: semidirect_cp_cn(7, 6, 3),
+    ],
+)
+def test_closure_joins_one_class_representative_by_prime_steps(make, monkeypatch):
+    """Every join <S, c> has c meeting S in prime index, the subgroups S
+    joined are pairwise non-conjugate, and each coset S*c is joined once."""
+    g = make()
+    joins = []
+
+    def recording_join(table, members, mask, gens, c, cap):
+        joins.append((mask, c))
+        return join(table, members, mask, gens, c, cap)
+
+    join = lattice._join
+    monkeypatch.setattr(lattice, "_join", recording_join)
+    lattice._lattice(g)
+    assert joins
+    cyclic = {x: m for m, x in lattice._cyclic_masks(g)}
+    for s, c in joins:
+        index = cyclic[c].bit_count() // (cyclic[c] & s).bit_count()
+        assert is_prime(index), (s, c)
+    reps = {s for s, _ in joins}
+    classes = {s: conjugation_class(g.cayley, s) for s in reps}
+    assert all(r == s or r not in classes[s] for r in reps for s in reps)
+    cosets = [(s, mask_of(g.mul(m, c) for m in range(g.order) if s >> m & 1))
+              for s, c in joins]
+    assert len(set(cosets)) == len(cosets)
+
+
+def test_lambda_and_cyclic_subgroups_build_no_lattice():
+    g = direct_product(symmetric(3), cyclic(3))
+    misses = lattice._lattice.cache_info().misses
+    assert lambda_(g) == 6  # three C6 and three C3 outside them
+    cyclic_subgroups(g)
+    assert lattice._lattice.cache_info().misses == misses
+
+
+def test_maximal_subgroups_read_the_lattice_through_all_subgroups(monkeypatch):
+    """So time spent closing the lattice is charged to all_subgroups."""
+    g = symmetric(4)
+    calls = []
+    real = lattice.all_subgroups
+
+    def counted(group):
+        calls.append(lattice._lattice.cache_info().misses)
+        return real(group)
+
+    monkeypatch.setattr(lattice, "all_subgroups", counted)
+    misses = lattice._lattice.cache_info().misses
+    assert len(lattice.maximal_subgroups(g)) == 8
+    assert calls == [misses]
 
 
 class TestChiefSeries:
