@@ -2,10 +2,10 @@
 
 The answer is a short list: C_p x C_p, the quaternion group of order 8,
 and nonabelian C_p x| C_n with coprime p and n; each optionally times a
-cyclic group of coprime order.  classify() recognizes the shape
-directly from the subgroup lattice, without enumerating covers, and
-verify_classification() compares it with the cover-based answer,
-lambda == sigma.
+cyclic group of coprime order.  classify() recognizes the shape from
+element orders alone (both factors are normal Hall subgroups), without
+a subgroup lattice or enumerating covers, and verify_classification()
+compares it with the cover-based answer, lambda == sigma.
 """
 
 from groupcovers import (

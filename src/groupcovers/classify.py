@@ -1,13 +1,19 @@
 """Structural recognition of the groups whose irredundant covers all
 have one size, plus corpus-level consistency checks.
 
-The decision procedure looks for a decomposition G = H x C into normal
-subgroups with C cyclic of coprime order and H one of three recognized
-shapes: elementary abelian of rank 2, the quaternion group of order 8,
-or a nonabelian split extension of a prime-order group by a coprime
-cyclic group.  Recognition is by numeric invariants (order, exponent,
-involution count, existence of specific subgroups), never by general
-isomorphism search; at these shapes the invariants are characterizing.
+The decision procedure looks for G = H x C with C cyclic of coprime
+order and H one of three recognized shapes: elementary abelian of rank
+2, the quaternion group of order 8, or a nonabelian split extension of
+a prime-order group by a coprime cyclic group.  Both factors are normal
+Hall subgroups, and a normal Hall subgroup is the set of all elements
+whose orders divide its order, so element orders replace the lattice.
+Lemma: let d be a Hall divisor of |G| and e = |G|/d.  If e elements
+have order dividing e and one has order e, they form a cyclic subgroup
+C, normal since element orders are class invariants.  By Schur-Zassenhaus
+C has a complement of order d, inside the set H of elements of order
+dividing d; so if |H| = d, H is that complement, normal too, and
+G = H x C.  H's shape is read off numeric invariants (order, exponent,
+element counts by order, commutativity), never by isomorphism search.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from math import gcd, isqrt
 from .arith import is_prime, prime_divisors
 from .covers import _min_set_cover, lambda_, one_sized_bruteforce, sigma_exact
 from .errors import GroupIsCyclic, NotSolvable, PreconditionViolation
-from .groups import Group, is_cyclic_mask, iter_bits, per_group, quotient
+from .groups import Group, iter_bits, mask_of, per_group, quotient
 from .lattice import (
     Subgroup,
     _check_prime_divisor,
@@ -73,16 +79,13 @@ def _recognize_family(group: Group, h: Subgroup) -> FamilyTag | None:
 
     if abelian:
         return None
-    inside = [s for s in all_subgroups(group) if s.members & ~h.members == 0]
     for p in prime_divisors(m):
         n = m // p
         if n < 2 or n % p == 0:
             continue
-        # p does not divide n, so the subgroups of order p are the Sylow
-        # p-subgroups of H, and one is normal in H iff it is the only one
-        if sum(s.order == p for s in inside) != 1:
-            continue
-        if any(s.order == n and is_cyclic_mask(group, s.members) for s in inside):
+        # p does not divide n: H has a normal Sylow p-subgroup iff it has
+        # one subgroup of order p, i.e. p - 1 elements of order p
+        if orders.count(p) == p - 1 and n in orders:
             return FamilyTag("CpRtimesCn", p=p, n=n)
     return None
 
@@ -91,27 +94,24 @@ def _recognize_family(group: Group, h: Subgroup) -> FamilyTag | None:
 def classify(group: Group) -> ClassificationOutcome:
     """Decide one-sizedness structurally, returning the witnesses.
 
-    Searches normal-subgroup pairs (H, C) in canonical order for a
-    decomposition with H of recognized shape, C cyclic, trivial
-    intersection, coprime orders, and |H||C| = |G|.  C may be trivial.
+    Tries the Hall divisors d of |G| in ascending order, H and C being
+    the elements of order dividing d and |G|/d; C may be trivial.
     """
     if group.is_cyclic:
         raise GroupIsCyclic("cyclic groups admit no cover at all")
-    normals = normal_subgroups(group)
-    for h in normals:
-        family = _recognize_family(group, h)
-        if family is None:
+    orders = group.element_orders
+    for d in range(1, group.order + 1):
+        e = group.order // d
+        if group.order % d or gcd(d, e) != 1 or e not in orders:
             continue
-        for c in normals:
-            if h.members & c.members != 1:
-                continue
-            if h.order * c.order != group.order:
-                continue
-            if gcd(h.order, c.order) != 1:
-                continue
-            if not is_cyclic_mask(group, c.members):
-                continue
-            return ClassificationOutcome(True, family, h, c)
+        c = mask_of(x for x, o in enumerate(orders) if e % o == 0)
+        h = mask_of(x for x, o in enumerate(orders) if d % o == 0)
+        if c.bit_count() != e or h.bit_count() != d:
+            continue
+        witness_h = Subgroup(h, d, True)
+        family = _recognize_family(group, witness_h)
+        if family is not None:
+            return ClassificationOutcome(True, family, witness_h, Subgroup(c, e, True))
     return ClassificationOutcome(False, None, None, None)
 
 

@@ -9,13 +9,14 @@ closure joining every subgroup with every cyclic one, the
 triple-scan table check, normality by conjugating with every element,
 the cover walk with per-node privacy lists, irredundancy by the union
 of the other members, the structure predicates by derived series, Sylow
-subgroups and maximal-subgroup indices), kept as slower independent
-routes.
+subgroups and maximal-subgroup indices, the one-sized classification
+by pairs of normal subgroups), kept as slower independent routes.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from math import gcd, isqrt
 
 
 def bits(mask: int) -> list[int]:
@@ -509,3 +510,60 @@ def prime_index_supersolvable(order: int, subgroup_masks) -> bool:
     proper = [m for m in subgroup_masks if m != full]
     maximal = [m for m in proper if not any(o != m and m & ~o == 0 for o in proper)]
     return all(_is_prime(order // m.bit_count()) for m in maximal)
+
+
+# ---------------------------------------------------------------------------
+# Reference route: the one-sized classification as the library decided it
+# before it read the normal Hall factors off element orders.  It loops over
+# pairs (H, C) of normal subgroups taken from a subgroup lattice, and
+# recognizes H's split shape by scanning the subgroups inside it.
+
+
+def _is_cyclic_within(orders, mask: int) -> bool:
+    return max(orders[x] for x in bits(mask)) == mask.bit_count()
+
+
+def _pair_loop_family(table, orders, subgroup_masks, h: int):
+    """(kind, p, n) of H's recognized shape, or None."""
+    members = bits(h)
+    m = len(members)
+    abelian = all(table[a][b] == table[b][a] for a in members for b in members)
+    root = isqrt(m)
+    if abelian and root * root == m and _is_prime(root):
+        if all(orders[x] in (1, root) for x in members):
+            return ("CpTimesCp", root, None)
+    if m == 8 and not abelian and sum(orders[x] == 2 for x in members) == 1:
+        return ("Q8", None, None)
+    if abelian:
+        return None
+    inside = [s for s in subgroup_masks if s & ~h == 0]
+    for p in filter(_is_prime, range(2, m + 1)):
+        n = m // p
+        if m % p or n < 2 or n % p == 0:
+            continue
+        # a normal Sylow p-subgroup of H is the only subgroup of order p
+        if sum(s.bit_count() == p for s in inside) != 1:
+            continue
+        if any(s.bit_count() == n and _is_cyclic_within(orders, s) for s in inside):
+            return ("CpRtimesCn", p, n)
+    return None
+
+
+def pair_loop_classify(table, subgroup_masks, normal_masks):
+    """(kind, p, n, H, C) for the first pair of normal subgroups, in
+    ascending (order, mask), where H has a recognized shape, C is cyclic,
+    they meet trivially and their coprime orders multiply to |G|.  None
+    when there is no such pair."""
+    orders = [element_order(table, x) for x in range(len(table))]
+    normals = sorted(normal_masks, key=lambda m: (m.bit_count(), m))
+    for h in normals:
+        family = _pair_loop_family(table, orders, subgroup_masks, h)
+        if family is None:
+            continue
+        for c in normals:
+            hc = (h.bit_count(), c.bit_count())
+            if h & c != 1 or hc[0] * hc[1] != len(table) or gcd(*hc) != 1:
+                continue
+            if _is_cyclic_within(orders, c):
+                return (*family, h, c)
+    return None

@@ -1,12 +1,15 @@
 import importlib
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from groupcovers import (
+    ClassificationOutcome,
     FamilyTag,
     GroupIsCyclic,
     InvalidParameters,
     NotSolvable,
+    OrderBoundExceeded,
     PreconditionViolation,
     PrimeDoesNotDivideOrder,
     all_subgroups,
@@ -19,6 +22,7 @@ from groupcovers import (
     cyclic,
     dihedral,
     direct_product,
+    from_permutation_generators,
     generalized_quaternion,
     normal_subgroups,
     prime_divisors,
@@ -27,9 +31,9 @@ from groupcovers import (
     verify_classification,
 )
 from groupcovers.classify import _is_abelian_within, _recognize_family
-from groupcovers.groups import is_cyclic_mask
+from groupcovers.groups import is_cyclic_mask, iter_bits
 
-from _oracles import conjugation_is_normal_within
+from _oracles import conjugation_is_normal_within, pair_loop_classify
 
 # the package's classify is the function; the module is shadowed by it
 classify_module = importlib.import_module("groupcovers.classify")
@@ -311,6 +315,9 @@ def test_unique_sylow_matches_conjugation_within_h(corpus):
                     conjugation_is_normal_within(g.cayley, h.members, m) for m in order_p
                 )
                 assert (len(order_p) == 1) == normal, (g.name, h.members, p)
+                # what _recognize_family reads in place of the subgroups
+                elements_p = sum(g.element_orders[x] == p for x in iter_bits(h.members))
+                assert elements_p == (p - 1) * len(order_p), (g.name, h.members, p)
                 cases += 1
             tag = _recognize_family(g, h)
             if _is_abelian_within(g, h.members) or tag == FamilyTag("Q8"):
@@ -318,3 +325,73 @@ def test_unique_sylow_matches_conjugation_within_h(corpus):
             assert tag == split_tag_by_conjugation(g, h, inside), (g.name, h.members)
             recognized += tag is not None
     assert (cases, recognized) == (337, 54)
+
+
+# ---------------------------------------------------------------------------
+# classify from element orders against the pair loop over the lattice
+
+
+def pair_loop_outcome(g):
+    subgroups = all_subgroups(g)
+    found = pair_loop_classify(
+        g.cayley,
+        [s.members for s in subgroups],
+        [s.members for s in subgroups if s.is_normal],
+    )
+    if found is None:
+        return ClassificationOutcome(False, None, None, None)
+    kind, p, n, h, c = found
+    by_mask = {s.members: s for s in subgroups}
+    return ClassificationOutcome(True, FamilyTag(kind, p=p, n=n), by_mask[h], by_mask[c])
+
+
+def test_classify_matches_pair_loop_oracle_on_corpus(corpus):
+    outcomes = {n: classify(g) for n, g in corpus.items() if not g.is_cyclic}
+    assert not [n for n, o in outcomes.items() if o != pair_loop_outcome(corpus[n])]
+    assert len(outcomes) == 74
+    assert sum(o.one_sized for o in outcomes.values()) == 34
+    assert sum(o.one_sized and o.witness_c.order > 1 for o in outcomes.values()) == 16
+
+
+CPCN_PARAMS = [
+    (p, n, l)
+    for p in (2, 3, 5, 7, 11, 13)
+    for n in range(1, 200 // p + 1)
+    for l in range(1, p)
+    if pow(l, n, p) == 1
+]
+
+# coprime cyclic factors give witnesses with a nontrivial C
+PRODUCT_FACTORS = [
+    cyclic(2), cyclic(3), cyclic(4), cyclic(5), cyclic(7), v4(), e9(),
+    symmetric(3), dihedral(4), generalized_quaternion(3), alternating(4),
+    dihedral(5), semidirect_cp_cn(7, 3, 2), semidirect_cp_cn(5, 4, 2),
+]
+
+
+@st.composite
+def classify_groups(draw):
+    kind = draw(st.sampled_from(["cpcn", "product", "perm"]))
+    if kind == "cpcn":
+        g = semidirect_cp_cn(*draw(st.sampled_from(CPCN_PARAMS)))
+    elif kind == "product":
+        a = draw(st.sampled_from(PRODUCT_FACTORS))
+        g = direct_product(a, draw(st.sampled_from(
+            [f for f in PRODUCT_FACTORS if a.order * f.order <= 200]
+        )))
+    else:
+        degree = draw(st.integers(min_value=2, max_value=6))
+        perms = st.permutations(range(degree))
+        try:
+            g = from_permutation_generators(degree, [draw(perms), draw(perms)])
+        except OrderBoundExceeded:  # S6 has order 720
+            g = None
+        assume(g is not None and g.order <= 128)
+    assume(not g.is_cyclic)
+    return g
+
+
+@given(classify_groups())
+@settings(deadline=None, max_examples=150)
+def test_classify_matches_pair_loop_oracle_on_drawn_groups(g):
+    assert classify(g) == pair_loop_outcome(g)

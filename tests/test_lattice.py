@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -10,6 +12,7 @@ from groupcovers import (
     all_subgroups,
     alternating,
     chief_series,
+    classify,
     cyclic,
     cyclic_subgroups,
     dihedral,
@@ -394,6 +397,27 @@ def test_lambda_and_cyclic_subgroups_build_no_lattice():
     misses = lattice._lattice.cache_info().misses
     assert lambda_(g) == 6  # three C6 and three C3 outside them
     cyclic_subgroups(g)
+    assert lattice._lattice.cache_info().misses == misses
+
+
+def test_classify_builds_no_lattice():
+    g = direct_product(dihedral(5), cyclic(3))
+    misses = lattice._lattice.cache_info().misses
+    out = classify(g)
+    assert out.one_sized and (out.witness_h.order, out.witness_c.order) == (10, 3)
+    assert lattice._lattice.cache_info().misses == misses
+
+
+def test_classify_reads_e128_quickly_without_a_lattice():
+    # 29,212 subgroups: the pair loop over its normal ones took 22 s
+    g = cyclic(2)
+    for _ in range(6):
+        g = direct_product(g, cyclic(2))
+    misses = lattice._lattice.cache_info().misses
+    start = time.perf_counter()
+    out = classify(g)
+    assert time.perf_counter() - start < 1.0
+    assert g.order == 128 and not out.one_sized
     assert lattice._lattice.cache_info().misses == misses
 
 
