@@ -12,27 +12,31 @@ have order dividing e and one has order e, they form a cyclic subgroup
 C, normal since element orders are class invariants.  By Schur-Zassenhaus
 C has a complement of order d, inside the set H of elements of order
 dividing d; so if |H| = d, H is that complement, normal too, and
-G = H x C.  H's shape is read off numeric invariants (order, exponent,
-element counts by order, commutativity), never by isomorphism search.
+G = H x C.  H is not cyclic, as G is not, so its shape is read off
+its order and element counts by order, never by isomorphism search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import gcd, isqrt
+from operator import and_
 
 from .arith import is_prime, prime_divisors
 from .covers import _min_set_cover, lambda_, one_sized_bruteforce, sigma_exact
 from .errors import GroupIsCyclic, NotSolvable, PreconditionViolation
-from .groups import Group, iter_bits, mask_of, per_group, quotient
+from .groups import Group, iter_bits, mask_of, per_group
 from .lattice import (
     Subgroup,
     _check_prime_divisor,
     all_subgroups,
     chief_series,
+    cyclic_subgroups,
     has_normal_p_complement,
     is_solvable,
     maximal_masks,
+    maximal_subgroups,
     normal_subgroups,
 )
 
@@ -54,31 +58,20 @@ class ClassificationOutcome:
     witness_c: Subgroup | None
 
 
-def _is_abelian_within(group: Group, mask: int) -> bool:
-    t = group.cayley
-    members = list(iter_bits(mask))
-    return all(
-        t[a][b] == t[b][a]
-        for i, a in enumerate(members)
-        for b in members[i + 1 :]
-    )
-
-
 def _recognize_family(group: Group, h: Subgroup) -> FamilyTag | None:
+    """H's shape, for H not cyclic: so order 8 and one involution make
+    it Q8, and C_p x| C_n with p, n coprime is nonabelian."""
     m = h.order
     orders = [group.element_orders[x] for x in iter_bits(h.members)]
-    abelian = _is_abelian_within(group, h.members)
 
     root = isqrt(m)
-    if root * root == m and is_prime(root) and abelian:
+    if root * root == m and is_prime(root):
         if all(o in (1, root) for o in orders):
             return FamilyTag("CpTimesCp", p=root)
 
-    if m == 8 and not abelian and orders.count(2) == 1:
+    if m == 8 and orders.count(2) == 1:
         return FamilyTag("Q8")
 
-    if abelian:
-        return None
     for p in prime_divisors(m):
         n = m // p
         if n < 2 or n % p == 0:
@@ -191,18 +184,26 @@ def check_abelian_sigma_cover(group: Group) -> AbelianCoverCheck:
 
     Any abelian member extends to a maximal abelian subgroup, so the
     search runs exact set cover over those, capped at sigma.  Existence
-    must imply solvability.
+    must imply solvability.  In an abelian G those are the maximal
+    subgroups; otherwise they are the A with C_G(A) = A (A inside C_G(A)
+    is abelian, and x in C_G(A) outside A gives the abelian <A, x>).
     """
     if group.is_cyclic:
         raise GroupIsCyclic("cyclic groups have no cover by proper subgroups")
     sig = sigma_exact(group).value
     assert sig is not None
-    abelian = [
-        s.members
-        for s in all_subgroups(group)
-        if s.order < group.order and _is_abelian_within(group, s.members)
-    ]
-    found = _min_set_cover(group.full_mask, sorted(maximal_masks(abelian)), limit=sig)
+    if group.is_abelian:
+        candidates = [s.members for s in maximal_subgroups(group)]
+    else:
+        t = group.cayley
+        cent = [  # C_G(x) for each x
+            mask_of(y for y, a in enumerate(r) if a == t[y][x]) for x, r in enumerate(t)
+        ]
+        candidates = [
+            a for a in (s.members for s in all_subgroups(group))
+            if reduce(and_, [cent[x] for x in iter_bits(a)]) == a
+        ]
+    found = _min_set_cover(group.full_mask, sorted(candidates), limit=sig)
     exists = found is not None
     solvable = is_solvable(group)
     if not exists:
@@ -236,32 +237,33 @@ class QuotientInvariantsCheck:
 def check_quotient_invariants(group: Group) -> QuotientInvariantsCheck:
     """For a one-sized group, every non-cyclic quotient must again have
     minimum cover size sigma(G) and exactly sigma(G) maximal cyclic
-    subgroups."""
+    subgroups.
+
+    Lemma: the maximal subgroups of G/N are the M/N, M maximal in G above
+    N, and every maximal cyclic subgroup of G/N is the image <x>N/N of a
+    maximal cyclic <x> of G.  So sigma(G/N) is a least cover of G by those
+    M, and lambda(G/N) counts the maximal sets among the <x>N, the first
+    subgroups above N | <x> in ascending order; G/N is cyclic if G is one.
+    """
     if not one_sized_bruteforce(group):
         raise PreconditionViolation(
             "quotient invariants only apply to one-sized groups"
         )
     sig = sigma_exact(group).value
     assert sig is not None
+    masks = [s.members for s in all_subgroups(group)]
+    maximals = [s.members for s in maximal_subgroups(group)]
+    cyclics = [c.subgroup.members for c in cyclic_subgroups(group) if c.is_maximal]
     items = []
     for n in normal_subgroups(group):
-        # G/1 is G: read its sigma and lambda instead of rebuilding them
-        q = group if n.members == 1 else quotient(group, n.members)[0]
-        if q.is_cyclic:
+        images = {next(m for m in masks if (n.members | x) & ~m == 0) for x in cyclics}
+        if group.full_mask in images:
             continue
-        qsig = sigma_exact(q).value
-        assert qsig is not None
-        items.append(
-            QuotientCheckItem(
-                normal_order=n.order,
-                quotient_order=q.order,
-                sigma_quotient=qsig,
-                lambda_quotient=lambda_(q),
-            )
-        )
-    ok = all(
-        it.sigma_quotient == sig and it.lambda_quotient == sig for it in items
-    )
+        above = [m for m in maximals if n.members & ~m == 0]
+        qsig = _min_set_cover(group.full_mask, above)[0]
+        qlam = len(maximal_masks(list(images)))
+        items.append(QuotientCheckItem(n.order, group.order // n.order, qsig, qlam))
+    ok = all(it.sigma_quotient == sig == it.lambda_quotient for it in items)
     return QuotientInvariantsCheck(
         sig, tuple(items), "consistent" if ok else "violation"
     )

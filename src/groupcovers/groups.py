@@ -264,11 +264,12 @@ class Group:
         return out
 
     def conjugates(self, mask: int) -> tuple[int, ...]:
-        """Every g^-1 * mask * g, mask first: its orbit under the generators."""
+        """Every g^-1 * mask * g, mask first: the orbit under non-central generators."""
+        gens = [g for g in self.generators if not self.center >> g & 1]
         orbit = [mask]
         seen = {mask}
         for m in orbit:  # grows while it is scanned
-            for g in self.generators:
+            for g in gens:
                 image = self.conjugate_set(m, g)
                 if image not in seen:
                     seen.add(image)

@@ -10,7 +10,9 @@ triple-scan table check, normality by conjugating with every element,
 the cover walk with per-node privacy lists, irredundancy by the union
 of the other members, the structure predicates by derived series, Sylow
 subgroups and maximal-subgroup indices, the one-sized classification
-by pairs of normal subgroups), kept as slower independent routes.
+by pairs of normal subgroups, quotient invariants from quotient groups,
+maximal abelian subgroups by pairwise commutativity), kept as slower
+independent routes.
 """
 
 from __future__ import annotations
@@ -567,3 +569,38 @@ def pair_loop_classify(table, subgroup_masks, normal_masks):
             if _is_cyclic_within(orders, c):
                 return (*family, h, c)
     return None
+
+
+# ---------------------------------------------------------------------------
+# Reference routes: the two cross-checks as the library ran them before it
+# read them off G's own lattice.  The quotient route builds every G/N as a
+# group of its own and asks the library for its sigma and lambda; the
+# abelian route tests commutativity pair by pair and keeps the abelian
+# subgroups that no other one contains.
+
+
+def pairwise_is_abelian(table, mask: int) -> bool:
+    members = bits(mask)
+    return all(
+        table[a][b] == table[b][a] for i, a in enumerate(members) for b in members[i + 1 :]
+    )
+
+
+def pairwise_maximal_abelian_masks(table, subgroup_masks) -> set[int]:
+    """The proper abelian subgroups contained in no other proper abelian one."""
+    full = (1 << len(table)) - 1
+    abelian = [m for m in subgroup_masks if m != full and pairwise_is_abelian(table, m)]
+    return {m for m in abelian if not any(o != m and m & ~o == 0 for o in abelian)}
+
+
+def quotient_group_invariants(group) -> list[tuple[int, int, int, int]]:
+    """(|N|, |G/N|, sigma(G/N), lambda(G/N)) for every normal N, in lattice
+    order, whose quotient is not cyclic; G/1 is built like the others."""
+    from groupcovers import lambda_, normal_subgroups, quotient, sigma_exact
+
+    out = []
+    for n in normal_subgroups(group):
+        q, _ = quotient(group, n.members)
+        if not q.is_cyclic:
+            out.append((n.order, q.order, sigma_exact(q).value, lambda_(q)))
+    return out

@@ -30,10 +30,16 @@ from groupcovers import (
     symmetric,
     verify_classification,
 )
-from groupcovers.classify import _is_abelian_within, _recognize_family
-from groupcovers.groups import is_cyclic_mask, iter_bits
+from groupcovers.classify import _recognize_family
+from groupcovers.groups import Group, is_cyclic_mask, iter_bits
 
-from _oracles import conjugation_is_normal_within, pair_loop_classify
+from _oracles import (
+    conjugation_is_normal_within,
+    pair_loop_classify,
+    pairwise_is_abelian,
+    pairwise_maximal_abelian_masks,
+    quotient_group_invariants,
+)
 
 # the package's classify is the function; the module is shadowed by it
 classify_module = importlib.import_module("groupcovers.classify")
@@ -259,15 +265,16 @@ class TestQuotientInvariants:
     def test_trivial_normal_subgroup_reads_the_group_itself(self, monkeypatch):
         g = direct_product(symmetric(3), cyclic(5))
         built = []
-        real = classify_module.quotient
+        real = Group.__init__
 
-        def recording_quotient(group, mask):
-            built.append(mask)
-            return real(group, mask)
+        def recording_init(self, *args, **kwargs):
+            built.append(args)
+            real(self, *args, **kwargs)
 
-        monkeypatch.setattr(classify_module, "quotient", recording_quotient)
+        # no quotient is built, G/1 included: every G/N is read off G
+        monkeypatch.setattr(Group, "__init__", recording_init)
         res = check_quotient_invariants(g)
-        assert 1 not in built and len(built) == len(normal_subgroups(g)) - 1
+        assert built == []
         first = res.items[0]
         assert (first.normal_order, first.quotient_order) == (1, 30)
         assert (first.sigma_quotient, first.lambda_quotient) == (4, 4)
@@ -320,7 +327,7 @@ def test_unique_sylow_matches_conjugation_within_h(corpus):
                 assert elements_p == (p - 1) * len(order_p), (g.name, h.members, p)
                 cases += 1
             tag = _recognize_family(g, h)
-            if _is_abelian_within(g, h.members) or tag == FamilyTag("Q8"):
+            if pairwise_is_abelian(g.cayley, h.members) or tag == FamilyTag("Q8"):
                 continue
             assert tag == split_tag_by_conjugation(g, h, inside), (g.name, h.members)
             recognized += tag is not None
@@ -370,14 +377,16 @@ PRODUCT_FACTORS = [
 
 
 @st.composite
-def classify_groups(draw):
+def classify_groups(draw, max_order=200):
     kind = draw(st.sampled_from(["cpcn", "product", "perm"]))
     if kind == "cpcn":
-        g = semidirect_cp_cn(*draw(st.sampled_from(CPCN_PARAMS)))
+        g = semidirect_cp_cn(*draw(st.sampled_from(
+            [(p, n, l) for p, n, l in CPCN_PARAMS if p * n <= max_order]
+        )))
     elif kind == "product":
         a = draw(st.sampled_from(PRODUCT_FACTORS))
         g = direct_product(a, draw(st.sampled_from(
-            [f for f in PRODUCT_FACTORS if a.order * f.order <= 200]
+            [f for f in PRODUCT_FACTORS if a.order * f.order <= max_order]
         )))
     else:
         degree = draw(st.integers(min_value=2, max_value=6))
@@ -395,3 +404,60 @@ def classify_groups(draw):
 @settings(deadline=None, max_examples=150)
 def test_classify_matches_pair_loop_oracle_on_drawn_groups(g):
     assert classify(g) == pair_loop_outcome(g)
+
+
+# ---------------------------------------------------------------------------
+# The cross-checks read off G's lattice against the routes that built
+# quotient groups and tested commutativity pair by pair
+
+
+def library_quotient_items(g):
+    """check_quotient_invariants' items with the one-sized precondition
+    lifted, so groups whose quotients do differ are compared too."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classify_module, "one_sized_bruteforce", lambda group: True)
+        items = check_quotient_invariants(g).items
+    return [
+        (it.normal_order, it.quotient_order, it.sigma_quotient, it.lambda_quotient)
+        for it in items
+    ]
+
+
+def library_abelian_candidates(g):
+    """The candidate masks check_abelian_sigma_cover hands to set cover."""
+    seen = []
+    real = classify_module._min_set_cover
+
+    def recording(universe, candidates, limit=None):
+        seen.append(list(candidates))
+        return real(universe, candidates, limit)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classify_module, "_min_set_cover", recording)
+        check_abelian_sigma_cover(g)
+    [candidates] = seen
+    return candidates
+
+
+def oracle_abelian_candidates(g):
+    masks = [s.members for s in all_subgroups(g)]
+    return sorted(pairwise_maximal_abelian_masks(g.cayley, masks))
+
+
+def test_cross_checks_match_quotient_group_oracles_on_corpus(corpus):
+    groups = [g for _, g in sorted(corpus.items()) if not g.is_cyclic]
+    assert len(groups) == 74
+    assert not [
+        g.name for g in groups if library_quotient_items(g) != quotient_group_invariants(g)
+    ]
+    assert not [
+        g.name for g in groups
+        if library_abelian_candidates(g) != oracle_abelian_candidates(g)
+    ]
+
+
+@given(classify_groups(max_order=128))
+@settings(deadline=None, max_examples=80)
+def test_cross_checks_match_quotient_group_oracles_on_drawn_groups(g):
+    assert library_quotient_items(g) == quotient_group_invariants(g)
+    assert library_abelian_candidates(g) == oracle_abelian_candidates(g)

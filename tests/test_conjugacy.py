@@ -125,6 +125,13 @@ def test_subgroup_classes_from_generators_on_corpus(corpus):
             assert (len(orbit) == 1) == s.is_normal
 
 
+def test_conjugates_skips_central_generators(monkeypatch):
+    g = direct_product(direct_product(cyclic(2), cyclic(2)), cyclic(2))
+    monkeypatch.setattr(g, "conjugate_set", lambda mask, x: pytest.fail("conjugated"))
+    for s in all_subgroups(g):
+        assert g.conjugates(s.members) == (s.members,)
+
+
 def test_central_section_on_every_nested_normal_pair(corpus):
     checked = 0
     for g in small_corpus(corpus):

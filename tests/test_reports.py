@@ -7,6 +7,7 @@ from groupcovers import (
     InvalidParameters,
     VerificationReport,
     alternating,
+    build_catalog,
     cyclic,
     dihedral,
     direct_product,
@@ -20,6 +21,7 @@ from groupcovers import (
     serialize_report,
     symmetric,
 )
+from groupcovers.lattice import _lattice
 
 
 def v4():
@@ -88,6 +90,18 @@ class TestRunAnalyze:
     def test_checks_subset(self):
         r = run_analyze(v4(), AnalyzeOptions(checks=("bryce-serena",)))
         assert [c["id"] for c in r.lemma_checks] == ["bryce-serena"]
+
+    def test_one_lattice_per_corpus_group(self, corpus_entries):
+        # built afresh, so no other test has filled their memos
+        corpus = build_catalog(corpus_entries)
+        opts = AnalyzeOptions(max_order=512)
+        built = {}
+        for name, g in sorted(corpus.items()):
+            misses = _lattice.cache_info().misses
+            run_analyze(g, opts)
+            built[name] = _lattice.cache_info().misses - misses
+        assert len(built) == 98
+        assert {n: k for n, k in built.items() if k != 1} == {}
 
 
 class TestSerialization:
