@@ -169,12 +169,7 @@ def maximal_cyclic_family(group: Group) -> Cover:
         raise GroupIsCyclic(
             "a cyclic group has a single maximal cyclic subgroup: itself"
         )
-    members = tuple(
-        sorted(
-            (c.subgroup for c in cyclic_subgroups(group) if c.is_maximal),
-            key=Subgroup.key,
-        )
-    )
+    members = tuple(c.subgroup for c in cyclic_subgroups(group) if c.is_maximal)
     return Cover(members, group.order)
 
 
@@ -335,9 +330,7 @@ class _SearchSpace:
 
 @per_group
 def _search_space(group: Group) -> _SearchSpace:
-    family = [c for c in cyclic_subgroups(group) if c.is_maximal]
-    family.sort(key=lambda c: c.subgroup.key())
-    gens = tuple(c.generator for c in family)
+    gens = tuple(c.generator for c in cyclic_subgroups(group) if c.is_maximal)
     buckets: dict[int, list[int]] = {}
     for sub in all_subgroups(group):
         if sub.order == group.order:

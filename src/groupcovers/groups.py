@@ -8,6 +8,10 @@ which keeps the combinatorial layers allocation-free.
 Construction routes: an explicit table (validated against all four
 axioms), closure of permutation generators, one of the named preset
 families, direct products, and quotients by a normal subgroup.
+Permutations and the dihedral, quaternion and C_p x| C_n presets share
+one builder, `_cayley_table`, which closes the generators under left
+multiplication and composes each row from two earlier ones along the
+closure's edges, with no further products.
 
 Associativity is checked by Light's test (Clifford & Preston, The
 Algebraic Theory of Semigroups I, 1961, section 1.2).  The good y, with
@@ -331,6 +335,40 @@ def is_normal_mask(group: Group, mask: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Tables from generators
+
+
+def _cayley_table(identity, gens, mul) -> list[tuple[int, ...]]:
+    """The table of the group that gens generate under mul, on sorted keys.
+
+    Closing identity under left multiplication by gens takes n * k calls
+    to mul and records, for each new key b, an edge b = g * p.  Element i
+    is the i-th smallest key.  The closure gives the generators' rows, and
+    row b follows from row p as (g * p) * x = g * (p * x): one lookup per
+    entry in the row of g, with no further products.
+    """
+    keys, index, edges = [identity], {identity: 0}, []
+    steps: list[list[int]] = [[] for _ in gens]
+    for i, p in enumerate(keys):  # grows while it is scanned
+        for k, g in enumerate(gens):
+            b = mul(g, p)
+            if b not in index:
+                if len(keys) >= ORDER_BOUND:
+                    raise OrderBoundExceeded(ORDER_BOUND)
+                index[b] = len(keys)
+                keys.append(b)
+                edges.append((i, k))
+            steps[k].append(index[b])
+    rank = sorted(range(len(keys)), key=keys.__getitem__)
+    label = {i: r for r, i in enumerate(rank)}
+    gen_rows = [[label[step[i]] for i in rank] for step in steps]
+    rows = [tuple(range(len(keys)))]
+    for p, k in edges:  # n >= 2 here, so itemgetter returns a tuple
+        rows.append(operator.itemgetter(*rows[p])(gen_rows[k]))
+    return [rows[i] for i in rank]
+
+
+# ---------------------------------------------------------------------------
 # Permutations
 
 
@@ -391,27 +429,9 @@ def from_permutation_generators(
                 raise MalformedCycle(f"{g!r} is not a permutation of 0..{degree - 1}")
             gens.append(perm)
 
-    identity = tuple(range(degree))
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt: list[tuple[int, ...]] = []
-        for p in frontier:
-            for g in gens:
-                q = tuple(g[x] for x in p)
-                if q not in seen:
-                    if len(seen) >= ORDER_BOUND:
-                        raise OrderBoundExceeded(ORDER_BOUND)
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-
-    perms = sorted(seen)
-    index = {p: i for i, p in enumerate(perms)}
-    table = [
-        [index[tuple(q[x] for x in p)] for q in perms]
-        for p in perms
-    ]
+    table = _cayley_table(
+        tuple(range(degree)), gens, lambda p, q: tuple(map(q.__getitem__, p))
+    )
     return Group(table, name, _trusted=True)
 
 
@@ -434,13 +454,11 @@ def dihedral(n: int, name: str | None = None) -> Group:
         raise InvalidParameters("dihedral parameter must be at least 1")
     if 2 * n > ORDER_BOUND:
         raise OrderBoundExceeded(ORDER_BOUND)
-    table = [[0] * (2 * n) for _ in range(2 * n)]
-    for f1 in (0, 1):
-        for i1 in range(n):
-            for f2 in (0, 1):
-                for i2 in range(n):
-                    i = (i2 + i1) % n if f2 == 0 else (i2 - i1) % n
-                    table[f1 * n + i1][f2 * n + i2] = (f1 ^ f2) * n + i
+    table = _cayley_table(  # r^i s = s r^-i
+        (0, 0),
+        [(0, 1 % n), (1, 0)],
+        lambda a, b: (a[0] ^ b[0], (b[1] - a[1] if b[0] else b[1] + a[1]) % n),
+    )
     return Group(table, name or f"D{2 * n}", _trusted=True)
 
 
@@ -456,18 +474,13 @@ def generalized_quaternion(k: int, name: str | None = None) -> Group:
         raise OrderBoundExceeded(ORDER_BOUND)
     m = 2 ** (k - 1)
     h = m // 2
-    table = [[0] * (2 * m) for _ in range(2 * m)]
-    for j1 in (0, 1):
-        for i1 in range(m):
-            for j2 in (0, 1):
-                for i2 in range(m):
-                    if j1 == 0:
-                        j, i = j2, (i1 + i2) % m
-                    elif j2 == 0:
-                        j, i = 1, (i1 - i2) % m
-                    else:
-                        j, i = 0, (i1 - i2 + h) % m
-                    table[j1 * m + i1][j2 * m + i2] = j * m + i
+    table = _cayley_table(  # y x^i = x^-i y and y^2 = x^h
+        (0, 0),
+        [(0, 1), (1, 0)],
+        lambda a, b: (
+            a[0] ^ b[0], (a[1] - b[1] + h * b[0] if a[0] else a[1] + b[1]) % m
+        ),
+    )
     return Group(table, name or f"Q{2 * m}", _trusted=True)
 
 
@@ -520,15 +533,11 @@ def semidirect_cp_cn(p: int, n: int, l: int, name: str | None = None) -> Group:
         raise InvalidParameters(f"twist l = {l} must lie in 1..{p - 1}")
     if pow(l, n, p) != 1:
         raise InvalidParameters(f"l^n = {l}^{n} is not 1 mod {p}")
-    lpow = [pow(l, j, p) for j in range(n)]
-    table = [[0] * (p * n) for _ in range(p * n)]
-    for j1 in range(n):
-        for i1 in range(p):
-            row = table[j1 * p + i1]
-            for j2 in range(n):
-                shift = i1 * lpow[j2]
-                for i2 in range(p):
-                    row[j2 * p + i2] = ((j1 + j2) % n) * p + (shift + i2) % p
+    table = _cayley_table(  # x^i a^j = a^j x^(i l^j)
+        (0, 0),
+        [(0, 1), (1 % n, 0)],
+        lambda a, b: ((a[0] + b[0]) % n, (a[1] * pow(l, b[0], p) + b[1]) % p),
+    )
     return Group(table, name or f"C{p}:C{n}[{l}]", _trusted=True)
 
 

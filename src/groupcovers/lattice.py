@@ -162,7 +162,7 @@ def generated_mask(group: Group, seed_mask: int) -> int:
 
 @per_group
 def _cyclic_masks(group: Group) -> tuple[tuple[int, int], ...]:
-    """(mask, least generator) for every cyclic subgroup, ascending scan."""
+    """(mask, least generator) for every cyclic subgroup, by (order, mask)."""
     t = group.cayley
     seen: dict[int, int] = {}
     for x in range(group.order):
@@ -233,6 +233,7 @@ def minimal_masks(masks: Sequence[int]) -> list[int]:
 
 @per_group
 def cyclic_subgroups(group: Group) -> tuple[CyclicSubgroup, ...]:
+    """Every cyclic subgroup in `Subgroup.key` order, which covers.py relies on."""
     pairs = _cyclic_masks(group)
     maximal = set(maximal_masks([mask for mask, _ in pairs]))
     out = []

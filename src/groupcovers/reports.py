@@ -27,7 +27,6 @@ from .covers import DEFAULT_ENUM_BOUND, SigmaValue
 from .errors import (
     GroupCoversError,
     InvalidParameters,
-    NoFactorWithMultipleComplements,
     PreconditionViolation,
 )
 from .groups import Group
@@ -212,10 +211,7 @@ def run_analyze(
     lam = stage("lambda", lambda: covers.lambda_(group))
     sig_tom = None
     if is_solv:
-        try:
-            sig_tom = _sigma_json(covers.sigma_tomkinson(group))
-        except NoFactorWithMultipleComplements as exc:
-            errors.append(f"tomkinson: {exc}")
+        sig_tom = stage("tomkinson", lambda: _sigma_json(covers.sigma_tomkinson(group)))
 
     sizes = None
     if group.order <= opts.enum_bound:

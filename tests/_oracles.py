@@ -11,8 +11,9 @@ the cover walk with per-node privacy lists, irredundancy by the union
 of the other members, the structure predicates by derived series, Sylow
 subgroups and maximal-subgroup indices, the one-sized classification
 by pairs of normal subgroups, quotient invariants from quotient groups,
-maximal abelian subgroups by pairwise commutativity), kept as slower
-independent routes.
+maximal abelian subgroups by pairwise commutativity, the preset tables
+filled cell by cell and permutation tables by composing every pair),
+kept as slower independent routes.
 """
 
 from __future__ import annotations
@@ -604,3 +605,71 @@ def quotient_group_invariants(group) -> list[tuple[int, int, int, int]]:
         if not q.is_cyclic:
             out.append((n.order, q.order, sigma_exact(q).value, lambda_(q)))
     return out
+
+
+def loop_dihedral_table(n: int) -> list[list[int]]:
+    """Dihedral group with n rotations; element f*n + i is s^f r^i."""
+    table = [[0] * (2 * n) for _ in range(2 * n)]
+    for f1 in (0, 1):
+        for i1 in range(n):
+            for f2 in (0, 1):
+                for i2 in range(n):
+                    i = (i2 + i1) % n if f2 == 0 else (i2 - i1) % n
+                    table[f1 * n + i1][f2 * n + i2] = (f1 ^ f2) * n + i
+    return table
+
+
+def loop_quaternion_table(k: int) -> list[list[int]]:
+    """Generalized quaternion group of order 2^k; element j*m + i is x^i y^j."""
+    m = 2 ** (k - 1)
+    h = m // 2
+    table = [[0] * (2 * m) for _ in range(2 * m)]
+    for j1 in (0, 1):
+        for i1 in range(m):
+            for j2 in (0, 1):
+                for i2 in range(m):
+                    if j1 == 0:
+                        j, i = j2, (i1 + i2) % m
+                    elif j2 == 0:
+                        j, i = 1, (i1 - i2) % m
+                    else:
+                        j, i = 0, (i1 - i2 + h) % m
+                    table[j1 * m + i1][j2 * m + i2] = j * m + i
+    return table
+
+
+def loop_cpcn_table(p: int, n: int, l: int) -> list[list[int]]:
+    """<x, a | x^p, a^n, a^-1 x a = x^l>; element j*p + i is a^j x^i."""
+    lpow = [pow(l, j, p) for j in range(n)]
+    table = [[0] * (p * n) for _ in range(p * n)]
+    for j1 in range(n):
+        for i1 in range(p):
+            row = table[j1 * p + i1]
+            for j2 in range(n):
+                shift = i1 * lpow[j2]
+                for i2 in range(p):
+                    row[j2 * p + i2] = ((j1 + j2) % n) * p + (shift + i2) % p
+    return table
+
+
+def pairwise_permutation_table(degree: int, gens, bound: int = 512):
+    """Close image tuples under left-to-right composition, order the
+    elements by image tuple and compose every pair; None once the closure
+    would pass bound elements."""
+    identity = tuple(range(degree))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                q = tuple(g[x] for x in p)
+                if q not in seen:
+                    if len(seen) >= bound:
+                        return None
+                    seen.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    perms = sorted(seen)
+    index = {p: i for i, p in enumerate(perms)}
+    return [[index[tuple(q[x] for x in p)] for q in perms] for p in perms]

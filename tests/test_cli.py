@@ -263,6 +263,14 @@ class TestErrors:
         assert code == 1
         assert "error:" in err
 
+    def test_catalog_not_utf8(self, capsys, tmp_path):
+        binary = tmp_path / "binary.cat"
+        binary.write_bytes(b"group C2\npreset cyclic 2\n\xff\xfe\n")
+        code, out, err = run(capsys, "sigma", str(binary))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "utf-8" in err
+
     def test_parse_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.cat"
         bad.write_text("preset cyclic 4\n", encoding="utf-8")

@@ -162,14 +162,17 @@ def test_maximal_subgroups_scan_once_per_group():
     assert maximal_subgroups.cache_info().misses == misses + 1
 
 
-def test_cyclic_subgroups_cover_elements():
+def test_cyclic_subgroups_cover_elements(corpus):
     g = dihedral(6)
     union = 0
     for c in cyclic_subgroups(g):
         union |= c.subgroup.members
     assert union == g.full_mask
-    keys = [(c.subgroup.order, c.subgroup.members) for c in cyclic_subgroups(g)]
-    assert keys == sorted(keys)
+    # maximal_cyclic_family and the cover walk take this order as given
+    for h in [g, *corpus.values()]:
+        keys = [c.subgroup.key() for c in cyclic_subgroups(h)]
+        assert keys == sorted(set(keys)), h.name
+
     def span(x):
         mask, y = 1, x
         while y != 0:

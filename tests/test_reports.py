@@ -5,6 +5,8 @@ from groupcovers import (
     COMPLEMENT_COUNT_ASSUMPTION,
     AnalyzeOptions,
     InvalidParameters,
+    InvariantViolation,
+    NoFactorWithMultipleComplements,
     VerificationReport,
     alternating,
     build_catalog,
@@ -21,6 +23,7 @@ from groupcovers import (
     serialize_report,
     symmetric,
 )
+from groupcovers import covers
 from groupcovers.lattice import _lattice
 
 
@@ -204,6 +207,25 @@ class TestVerifyCorpus:
         # but C2 itself and everything before still analyze fine
         assert by_name["C2"]["isCyclic"] is True
         assert by_name["S3"]["agreement"] is True
+        assert env["summary"]["errors"] == 2
+
+    @pytest.mark.parametrize(
+        "error", [InvariantViolation, NoFactorWithMultipleComplements]
+    )
+    def test_tomkinson_failure_is_embedded_and_run_continues(self, monkeypatch, error):
+        def fail(group):
+            raise error(f"no formula for {group.name}")
+
+        monkeypatch.setattr(covers, "sigma_tomkinson", fail)
+        env = run_verify_corpus(parse_catalog(CATALOG))
+        by_name = {r["groupName"]: r for r in env["reports"]}
+        assert sorted(by_name) == ["C6", "D8", "S3"]
+        for name in ("S3", "D8"):
+            assert by_name[name]["errors"] == [f"tomkinson: no formula for {name}"]
+            assert by_name[name]["sigmaTomkinson"] is None
+            assert by_name[name]["sigmaExact"] is not None
+            assert by_name[name]["agreement"] is True
+        assert by_name["C6"]["errors"] == []
         assert env["summary"]["errors"] == 2
 
     def test_skips_count_as_errors_not_disagreements(self):
