@@ -38,7 +38,6 @@ is the reference route for the size walk.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -54,7 +53,8 @@ from .errors import (
     PreconditionViolation,
 )
 from .groups import (
-    Group, is_cyclic_mask, is_normal_mask, is_subgroup_mask, iter_bits, per_group
+    Group, _element_mask, is_cyclic_mask, is_normal_mask, is_subgroup_mask, iter_bits,
+    per_group,
 )
 from .lattice import (
     Subgroup,
@@ -108,15 +108,7 @@ def _subgroup_by_mask(group: Group) -> dict[int, Subgroup]:
 
 def _as_mask(group: Group, m: Subgroup | int) -> int:
     """m, or its member mask, as a set of elements of group."""
-    try:
-        mask = m.members if isinstance(m, Subgroup) else operator.index(m)
-    except TypeError:
-        raise InvalidParameters(f"subgroup mask {m!r} is not an integer") from None
-    if mask < 0 or mask >> group.order:
-        raise InvalidParameters(
-            f"subgroup mask {mask:#x} is not a set of elements 0..{group.order - 1}"
-        )
-    return mask
+    return _element_mask(group, m.members if isinstance(m, Subgroup) else m)
 
 
 def make_cover(group: Group, family: Iterable[Subgroup | int]) -> Cover:

@@ -7,11 +7,11 @@ which keeps the combinatorial layers allocation-free.
 
 Construction routes: an explicit table (validated against all four
 axioms), closure of permutation generators, one of the named preset
-families, direct products, and quotients by a normal subgroup.
-Permutations and the dihedral, quaternion and C_p x| C_n presets share
-one builder, `_cayley_table`, which closes the generators under left
-multiplication and composes each row from two earlier ones along the
-closure's edges, with no further products.
+families, direct products, and quotients by a normal subgroup.  All
+but the explicit table share one builder, `_generated_group`, which
+closes the generators under left multiplication and composes each row
+from two earlier ones along the closure's edges, with no further
+products; its tables are groups by construction and skip the axiom checks.
 
 Associativity is checked by Light's test (Clifford & Preston, The
 Algebraic Theory of Semigroups I, 1961, section 1.2).  The good y, with
@@ -166,7 +166,7 @@ class Group:
         *,
         _trusted: bool = False,
     ) -> None:
-        rows = _table_rows(cayley)
+        rows = tuple(cayley) if _trusted else _table_rows(cayley)
         self.order: int = len(rows)
         self.cayley: tuple[tuple[int, ...], ...] = rows
         self.inverse: tuple[int, ...] = (
@@ -228,7 +228,7 @@ class Group:
 
     @cached_property
     def is_abelian(self) -> bool:
-        return tuple(zip(*self.cayley)) == self.cayley
+        return self.center == self.full_mask
 
     @cached_property
     def is_cyclic(self) -> bool:
@@ -314,6 +314,19 @@ def validate_group(
     return Group(cayley, name)
 
 
+def _element_mask(group: Group, mask) -> int:
+    """mask as an int set of elements of group, else InvalidParameters."""
+    try:
+        mask = operator.index(mask)
+    except TypeError:
+        raise InvalidParameters(f"subgroup mask {mask!r} is not an integer") from None
+    if mask < 0 or mask >> group.order:
+        raise InvalidParameters(
+            f"subgroup mask {mask:#x} is not a set of elements 0..{group.order - 1}"
+        )
+    return mask
+
+
 def is_subgroup_mask(group: Group, mask: int) -> bool:
     """True iff mask is nonempty, contains the identity, and is closed."""
     if not mask & 1:
@@ -338,14 +351,14 @@ def is_normal_mask(group: Group, mask: int) -> bool:
 # Tables from generators
 
 
-def _cayley_table(identity, gens, mul) -> list[tuple[int, ...]]:
-    """The table of the group that gens generate under mul, on sorted keys.
+def _generated_group(identity, gens, mul, name: str | None) -> Group:
+    """The group that gens generate under mul, element i its i-th smallest key.
 
-    Closing identity under left multiplication by gens takes n * k calls
-    to mul and records, for each new key b, an edge b = g * p.  Element i
-    is the i-th smallest key.  The closure gives the generators' rows, and
-    row b follows from row p as (g * p) * x = g * (p * x): one lookup per
-    entry in the row of g, with no further products.
+    Every trusted table comes from here.  Closing identity under left
+    multiplication by gens takes n * k calls to mul and records, for each
+    new key b, an edge b = g * p.  The closure gives the generators' rows,
+    and row b follows from row p as (g * p) * x = g * (p * x): one lookup
+    per entry in the row of g, with no further products.
     """
     keys, index, edges = [identity], {identity: 0}, []
     steps: list[list[int]] = [[] for _ in gens]
@@ -365,7 +378,15 @@ def _cayley_table(identity, gens, mul) -> list[tuple[int, ...]]:
     rows = [tuple(range(len(keys)))]
     for p, k in edges:  # n >= 2 here, so itemgetter returns a tuple
         rows.append(operator.itemgetter(*rows[p])(gen_rows[k]))
-    return [rows[i] for i in rank]
+    return Group([rows[i] for i in rank], name, _trusted=True)
+
+
+def _integer(value, what: str) -> int:
+    """A constructor parameter as an int, else InvalidParameters."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidParameters(f"{what} must be an integer, not {value!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +435,7 @@ def from_permutation_generators(
     ordered lexicographically by image tuple, which puts the identity
     first automatically.
     """
+    degree = _integer(degree, "permutation degree")
     if not 1 <= degree <= ORDER_BOUND:
         raise InvalidParameters(f"permutation degree must lie in 1..{ORDER_BOUND}")
     gens: list[tuple[int, ...]] = []
@@ -429,10 +451,9 @@ def from_permutation_generators(
                 raise MalformedCycle(f"{g!r} is not a permutation of 0..{degree - 1}")
             gens.append(perm)
 
-    table = _cayley_table(
-        tuple(range(degree)), gens, lambda p, q: tuple(map(q.__getitem__, p))
+    return _generated_group(
+        tuple(range(degree)), gens, lambda p, q: tuple(map(q.__getitem__, p)), name
     )
-    return Group(table, name, _trusted=True)
 
 
 # ---------------------------------------------------------------------------
@@ -440,26 +461,27 @@ def from_permutation_generators(
 
 
 def cyclic(n: int, name: str | None = None) -> Group:
+    n = _integer(n, "cyclic group order")
     if n < 1:
         raise InvalidParameters("cyclic group order must be at least 1")
     if n > ORDER_BOUND:
         raise OrderBoundExceeded(ORDER_BOUND)
-    table = [[(a + b) % n for b in range(n)] for a in range(n)]
-    return Group(table, name or f"C{n}", _trusted=True)
+    return _generated_group(0, [1 % n], lambda a, b: (a + b) % n, name or f"C{n}")
 
 
 def dihedral(n: int, name: str | None = None) -> Group:
     """Dihedral group with n rotations (order 2n); element f*n + i is s^f r^i."""
+    n = _integer(n, "dihedral parameter")
     if n < 1:
         raise InvalidParameters("dihedral parameter must be at least 1")
     if 2 * n > ORDER_BOUND:
         raise OrderBoundExceeded(ORDER_BOUND)
-    table = _cayley_table(  # r^i s = s r^-i
+    return _generated_group(  # r^i s = s r^-i
         (0, 0),
         [(0, 1 % n), (1, 0)],
         lambda a, b: (a[0] ^ b[0], (b[1] - a[1] if b[0] else b[1] + a[1]) % n),
+        name or f"D{2 * n}",
     )
-    return Group(table, name or f"D{2 * n}", _trusted=True)
 
 
 def generalized_quaternion(k: int, name: str | None = None) -> Group:
@@ -468,23 +490,25 @@ def generalized_quaternion(k: int, name: str | None = None) -> Group:
     Element j*m + i is x^i y^j with m = 2^(k-1), y^2 = x^(m/2),
     y^-1 x y = x^-1.
     """
+    k = _integer(k, "generalized quaternion parameter")
     if k < 3:
         raise InvalidParameters("generalized quaternion needs order at least 8")
     if k > ORDER_BOUND.bit_length() - 1:
         raise OrderBoundExceeded(ORDER_BOUND)
     m = 2 ** (k - 1)
     h = m // 2
-    table = _cayley_table(  # y x^i = x^-i y and y^2 = x^h
+    return _generated_group(  # y x^i = x^-i y and y^2 = x^h
         (0, 0),
         [(0, 1), (1, 0)],
         lambda a, b: (
             a[0] ^ b[0], (a[1] - b[1] + h * b[0] if a[0] else a[1] + b[1]) % m
         ),
+        name or f"Q{2 * m}",
     )
-    return Group(table, name or f"Q{2 * m}", _trusted=True)
 
 
 def symmetric(n: int, name: str | None = None) -> Group:
+    n = _integer(n, "symmetric degree")
     if not 1 <= n <= ORDER_BOUND:
         raise InvalidParameters(f"symmetric degree must lie in 1..{ORDER_BOUND}")
     gens = [] if n == 1 else ["(1 2)", "(" + " ".join(map(str, range(1, n + 1))) + ")"]
@@ -492,6 +516,7 @@ def symmetric(n: int, name: str | None = None) -> Group:
 
 
 def alternating(n: int, name: str | None = None) -> Group:
+    n = _integer(n, "alternating degree")
     if not 1 <= n <= ORDER_BOUND:
         raise InvalidParameters(f"alternating degree must lie in 1..{ORDER_BOUND}")
     label = name or f"A{n}"
@@ -508,13 +533,14 @@ def alternating(n: int, name: str | None = None) -> Group:
 
 def direct_product(a: Group, b: Group, name: str | None = None) -> Group:
     """Componentwise product; element (x, y) gets index x * |b| + y."""
-    n1, n2 = a.order, b.order
-    if n1 * n2 > ORDER_BOUND:
+    if a.order * b.order > ORDER_BOUND:
         raise OrderBoundExceeded(ORDER_BOUND)
-    table = [
-        [p * n2 + q for p in r1 for q in r2] for r1 in a.cayley for r2 in b.cayley
-    ]
-    return Group(table, name or f"{a.name} x {b.name}", _trusted=True)
+    return _generated_group(  # sorted (x, y) keys: label x * |b| + y
+        (0, 0),
+        [(g, 0) for g in a.generators] + [(0, h) for h in b.generators],
+        lambda x, y: (a.cayley[x[0]][y[0]], b.cayley[x[1]][y[1]]),
+        name or f"{a.name} x {b.name}",
+    )
 
 
 def semidirect_cp_cn(p: int, n: int, l: int, name: str | None = None) -> Group:
@@ -523,6 +549,7 @@ def semidirect_cp_cn(p: int, n: int, l: int, name: str | None = None) -> Group:
     Requires p prime, 1 <= l < p, and l^n = 1 mod p so the action is
     well defined.  Element j*p + i is a^j x^i.
     """
+    p, n, l = _integer(p, "p"), _integer(n, "n"), _integer(l, "twist l")
     if n < 1:
         raise InvalidParameters("n must be at least 1")
     if p * n > ORDER_BOUND:
@@ -533,12 +560,12 @@ def semidirect_cp_cn(p: int, n: int, l: int, name: str | None = None) -> Group:
         raise InvalidParameters(f"twist l = {l} must lie in 1..{p - 1}")
     if pow(l, n, p) != 1:
         raise InvalidParameters(f"l^n = {l}^{n} is not 1 mod {p}")
-    table = _cayley_table(  # x^i a^j = a^j x^(i l^j)
+    return _generated_group(  # x^i a^j = a^j x^(i l^j)
         (0, 0),
         [(0, 1), (1 % n, 0)],
         lambda a, b: ((a[0] + b[0]) % n, (a[1] * pow(l, b[0], p) + b[1]) % p),
+        name or f"C{p}:C{n}[{l}]",
     )
-    return Group(table, name or f"C{p}:C{n}[{l}]", _trusted=True)
 
 
 # ---------------------------------------------------------------------------
@@ -563,6 +590,7 @@ def quotient(group: Group, normal_mask: int) -> tuple[Group, Homomorphism]:
     Coset indices follow the smallest element in each coset, so the
     result is canonical for a given (group, subgroup) pair.
     """
+    normal_mask = _element_mask(group, normal_mask)
     if not is_subgroup_mask(group, normal_mask):
         raise NotSubgroup("quotient requires a subgroup")
     if not is_normal_mask(group, normal_mask):
@@ -577,10 +605,10 @@ def quotient(group: Group, normal_mask: int) -> tuple[Group, Homomorphism]:
             reps.append(a)
             for x in members:
                 coset_of[group.cayley[a][x]] = k
-    m = len(reps)
-    table = [
-        [coset_of[group.cayley[reps[i]][reps[j]]] for j in range(m)]
-        for i in range(m)
-    ]
-    q = Group(table, f"{group.name}/N{len(members)}", _trusted=True)
+    q = _generated_group(  # the cosets of G's generators generate G/N
+        0,
+        [coset_of[g] for g in group.generators],
+        lambda i, j: coset_of[group.cayley[reps[i]][reps[j]]],
+        f"{group.name}/N{len(members)}",
+    )
     return q, Homomorphism(group, q, tuple(coset_of))
