@@ -196,10 +196,22 @@ def _min_set_cover(
     Candidates must be in a fixed canonical order; ties everywhere break
     toward the earlier candidate so results are reproducible.  With a
     limit, returns None when no cover of size <= limit exists.
+
+    holders[e] is the bitmask of the candidates containing element e, as
+    Algorithm X keeps each item's options (Knuth, "Dancing links",
+    arXiv cs/0011047).  Each node branches, in ascending candidate order,
+    over the unbanned holders of the first uncovered element with the
+    fewest of them; no node rescans the candidates.
     """
     cands = list(candidates)
-    if not cands:
-        return None if universe else (0, ())
+    if not universe:
+        return 0, ()
+    holders = [0] * universe.bit_length()
+    for i, m in enumerate(cands):
+        for e in iter_bits(m & universe):
+            holders[e] |= 1 << i
+    if not all(holders[e] for e in iter_bits(universe)):
+        return None
     max_gain = max(m.bit_count() for m in cands)
 
     unc = universe
@@ -229,19 +241,15 @@ def _min_set_cover(
         need = -(-unc.bit_count() // max_gain)
         if len(chosen) + need >= best_size:
             return
-        options: list[int] | None = None
+        options, fewest = 0, len(cands) + 1
         for e in iter_bits(unc):
-            opts = [
-                i
-                for i in range(len(cands))
-                if not banned >> i & 1 and cands[i] >> e & 1
-            ]
-            if options is None or len(opts) < len(options):
-                options = opts
-                if not opts:
+            opts = holders[e] & ~banned
+            k = opts.bit_count()
+            if k < fewest:
+                options, fewest = opts, k
+                if not k:
                     return
-        assert options is not None
-        for i in options:
+        for i in iter_bits(options):
             chosen.append(cands[i])
             rec(unc & ~cands[i], chosen, banned)
             chosen.pop()

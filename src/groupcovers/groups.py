@@ -164,13 +164,13 @@ class Group:
         cayley: Sequence[Sequence[int]],
         name: str | None = None,
         *,
-        _trusted: bool = False,
+        _inverse: tuple[int, ...] | None = None,
     ) -> None:
-        rows = tuple(cayley) if _trusted else _table_rows(cayley)
+        rows = _table_rows(cayley) if _inverse is None else tuple(cayley)
         self.order: int = len(rows)
         self.cayley: tuple[tuple[int, ...], ...] = rows
         self.inverse: tuple[int, ...] = (
-            tuple(row.index(0) for row in rows) if _trusted else _check_axioms(rows)
+            _check_axioms(rows) if _inverse is None else _inverse
         )
         self.name: str = name if name is not None else f"G{self.order}"
         self._memo: dict = {}
@@ -358,7 +358,8 @@ def _generated_group(identity, gens, mul, name: str | None) -> Group:
     multiplication by gens takes n * k calls to mul and records, for each
     new key b, an edge b = g * p.  The closure gives the generators' rows,
     and row b follows from row p as (g * p) * x = g * (p * x): one lookup
-    per entry in the row of g, with no further products.
+    per entry in the row of g, with no further products.  Likewise
+    b^-1 = p^-1 * g^-1 needs only the inverses of the generators.
     """
     keys, index, edges = [identity], {identity: 0}, []
     steps: list[list[int]] = [[] for _ in gens]
@@ -378,7 +379,12 @@ def _generated_group(identity, gens, mul, name: str | None) -> Group:
     rows = [tuple(range(len(keys)))]
     for p, k in edges:  # n >= 2 here, so itemgetter returns a tuple
         rows.append(operator.itemgetter(*rows[p])(gen_rows[k]))
-    return Group([rows[i] for i in rank], name, _trusted=True)
+    table = [rows[i] for i in rank]
+    gen_inv = [row.index(0) for row in gen_rows]
+    inv = [0]
+    for p, k in edges:
+        inv.append(table[inv[p]][gen_inv[k]])
+    return Group(table, name, _inverse=tuple(inv[i] for i in rank))
 
 
 def _integer(value, what: str) -> int:

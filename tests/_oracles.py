@@ -12,12 +12,14 @@ of the other members, the structure predicates by derived series, Sylow
 subgroups and maximal-subgroup indices, the one-sized classification
 by pairs of normal subgroups, quotient invariants from quotient groups,
 maximal abelian subgroups by pairwise commutativity, the preset, direct
-product and quotient tables filled cell by cell and permutation tables
-by composing every pair), kept as slower independent routes.
+product and quotient tables filled cell by cell, permutation tables
+by composing every pair, and the set cover that rebuilds each element's
+option list at every node), kept as slower independent routes.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import combinations
 from math import gcd, isqrt
 
@@ -700,3 +702,70 @@ def pairwise_permutation_table(degree: int, gens, bound: int = 512):
     perms = sorted(seen)
     index = {p: i for i, p in enumerate(perms)}
     return [[index[tuple(q[x] for x in p)] for q in perms] for p in perms]
+
+
+def listcomp_min_set_cover(
+    universe: int, candidates: Sequence[int], limit: int | None = None
+) -> tuple[int, tuple[int, ...]] | None:
+    """Minimum-cardinality subfamily of candidates covering the universe.
+
+    Candidates must be in a fixed canonical order; ties everywhere break
+    toward the earlier candidate so results are reproducible.  With a
+    limit, returns None when no cover of size <= limit exists.  Each node
+    rebuilds every uncovered element's option list by testing every
+    candidate against it.
+    """
+    cands = list(candidates)
+    if not cands:
+        return None if universe else (0, ())
+    max_gain = max(m.bit_count() for m in cands)
+
+    unc = universe
+    greedy: list[int] = []
+    while unc:
+        gain, pick = 0, -1
+        for i, m in enumerate(cands):
+            g = (m & unc).bit_count()
+            if g > gain:
+                gain, pick = g, i
+        if pick < 0:
+            break
+        greedy.append(cands[pick])
+        unc &= ~cands[pick]
+
+    best_size = len(greedy) if unc == 0 else len(cands) + 1
+    best_sel: tuple[int, ...] | None = tuple(greedy) if unc == 0 else None
+    if limit is not None and limit + 1 < best_size:
+        best_size, best_sel = limit + 1, None
+
+    def rec(unc: int, chosen: list[int], banned: int) -> None:
+        nonlocal best_size, best_sel
+        if unc == 0:
+            if len(chosen) < best_size:
+                best_size, best_sel = len(chosen), tuple(chosen)
+            return
+        need = -(-unc.bit_count() // max_gain)
+        if len(chosen) + need >= best_size:
+            return
+        options: list[int] | None = None
+        for e in bits(unc):
+            opts = [
+                i
+                for i in range(len(cands))
+                if not banned >> i & 1 and cands[i] >> e & 1
+            ]
+            if options is None or len(opts) < len(options):
+                options = opts
+                if not opts:
+                    return
+        assert options is not None
+        for i in options:
+            chosen.append(cands[i])
+            rec(unc & ~cands[i], chosen, banned)
+            chosen.pop()
+            banned |= 1 << i
+
+    rec(universe, [], 0)
+    if best_sel is None or (limit is not None and best_size > limit):
+        return None
+    return best_size, best_sel

@@ -25,6 +25,7 @@ from groupcovers import (
     InvalidParameters,
     OrderBoundExceeded,
     alternating,
+    build_catalog,
     bundled_catalog_text,
     cyclic,
     dihedral,
@@ -272,3 +273,25 @@ def test_quotient_rejects_masks_that_are_not_element_sets(mask):
     g = symmetric(3)
     with time_limit(2.0), pytest.raises(InvalidParameters):
         quotient(g, mask)
+
+
+def test_builder_inverses_match_row_scan(corpus):
+    # The builder derives b^-1 = p^-1 * g^-1 along its closure edges
+    # instead of searching each row for the identity.
+    groups = list(corpus.values())
+    groups += build_catalog(parse_catalog(ladder_catalog_text())).values()
+    groups += [cyclic(n) for n in range(1, ORDER_BOUND + 1, 7)]
+    groups += [dihedral(n) for n in range(1, 257, 5)]
+    groups += [generalized_quaternion(k) for k in range(3, 10)]
+    groups += [semidirect_cp_cn(*params) for params in CPCN_SMALL[::5]]
+    groups += [symmetric(n) for n in range(1, 6)]
+    groups += [alternating(n) for n in range(1, 7)]
+    groups += [direct_product(dihedral(16), generalized_quaternion(4))]
+    groups += [
+        quotient(g, n.members)[0]
+        for g in corpus.values()
+        if g.order <= 64
+        for n in normal_subgroups(g)
+    ]
+    for g in groups:
+        assert g.inverse == tuple(row.index(0) for row in g.cayley), g.name

@@ -1,7 +1,10 @@
+import importlib
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from groupcovers import (
+    AnalyzeOptions,
     Cover,
     GroupIsCyclic,
     INFINITE,
@@ -13,12 +16,14 @@ from groupcovers import (
     PreconditionViolation,
     all_subgroups,
     alternating,
+    bundled_catalog_text,
     cover_enumeration_stats,
     cyclic,
     dihedral,
     direct_product,
     enumerate_irredundant_covers,
     frobenius_style_cover,
+    from_permutation_generators,
     generalized_quaternion,
     irredundant_cover_sizes,
     is_cover,
@@ -29,6 +34,9 @@ from groupcovers import (
     maximal_cyclic_pairs_generate,
     minimal_cover,
     one_sized_bruteforce,
+    parse_catalog,
+    run_analyze,
+    run_verify_corpus,
     semidirect_cp_cn,
     sigma_exact,
     sigma_tomkinson,
@@ -41,6 +49,7 @@ from _oracles import (
     brute_irredundant_covers,
     brute_maximal_cyclic_masks,
     brute_min_cover_size,
+    listcomp_min_set_cover,
 )
 
 
@@ -462,3 +471,142 @@ def test_cover_len_and_masks():
     for m in fam.member_masks():
         union |= m
     assert union == g.full_mask
+
+
+# ---------------------------------------------------------------------------
+# The set-cover kernel against the route that rebuilt every element's
+# option list at each node.  Both must return the same witness, not just
+# the same size: the search order is part of the contract, since the
+# witness of sigma_exact is minimal_cover's answer.
+
+classify_module = importlib.import_module("groupcovers.classify")
+
+
+def test_set_cover_matches_listcomp_oracle_on_corpus_and_large_groups():
+    calls = []
+    real = covers._min_set_cover
+
+    def recording(universe, candidates, limit=None):
+        result = real(universe, candidates, limit)
+        calls.append(((universe, list(candidates), limit), result))
+        return result
+
+    d8xd8 = from_permutation_generators(8, ["(1 2 3 4)", "(1 3)", "(5 6 7 8)", "(5 7)"])
+    options = AnalyzeOptions(max_order=512)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(covers, "_min_set_cover", recording)
+        mp.setattr(classify_module, "_min_set_cover", recording)
+        # verify-corpus builds its groups afresh, so no sigma is memoized
+        run_verify_corpus(parse_catalog(bundled_catalog_text()), options)
+        for g in (symmetric(5), direct_product(alternating(5), cyclic(2)), d8xd8):
+            run_analyze(g, options)
+
+    assert len(calls) > 200
+    assert any(limit is not None for (_, _, limit), _ in calls)
+    assert not [
+        args for args, result in calls if listcomp_min_set_cover(*args) != result
+    ]
+
+
+@st.composite
+def set_cover_instances(draw):
+    """Up to 12 candidates over a universe of up to 24 bits.
+
+    Witnesses can differ only where the search beats the greedy start.
+    So each draw plants three covers of k members, the classes of three
+    labellings of the elements, among random masks that can lure greedy
+    away from them.  Some draws cut the list short, repeat a candidate
+    or keep only part of the elements in the universe.
+    """
+    n = draw(st.integers(0, 24))
+    full = (1 << n) - 1
+    universe = draw(st.integers(0, full)) if draw(st.booleans()) else full
+    k = draw(st.integers(2, 4))
+    labellings = st.lists(st.integers(0, k - 1), min_size=n, max_size=n)
+    cands = []
+    for labels in (draw(labellings), draw(labellings), draw(labellings)):
+        cands += [sum(1 << e for e, b in enumerate(labels) if b == j) for j in range(k)]
+    cands += draw(st.lists(st.integers(0, full), max_size=12 - 3 * k))
+    cands = draw(st.permutations(cands))
+    if draw(st.integers(0, 4)) == 0:
+        cands = cands[: draw(st.integers(0, len(cands)))]
+    if len(cands) > 1 and draw(st.integers(0, 4)) == 0:
+        cands[draw(st.integers(1, len(cands) - 1))] = cands[0]
+    limit = draw(st.none() | st.integers(0, 6))
+    return universe, cands, limit
+
+
+@given(set_cover_instances())
+@settings(max_examples=300, deadline=None)
+def test_set_cover_matches_listcomp_oracle_on_drawn_instances(instance):
+    universe, cands, limit = instance
+    got = covers._min_set_cover(universe, cands, limit)
+    if universe and not any(cands):
+        # the oracle divides by a zero largest candidate here
+        assert got is None
+    else:
+        assert got == listcomp_min_set_cover(universe, cands, limit)
+    if universe == 0:
+        size = 0
+    else:
+        size = brute_min_cover_size({m & universe for m in cands}, universe)
+    if limit is not None and size is not None and size > limit:
+        size = None
+    assert (got and got[0]) == size
+    if got is not None:
+        union = 0
+        for m in got[1]:
+            union |= m
+        assert union & universe == universe and len(got[1]) == got[0]
+
+
+class Tagged(int):
+    """An int that remembers which candidate it is; equal ones stay apart."""
+
+    def __new__(cls, value, tag):
+        self = super().__new__(cls, value)
+        self.tag = tag
+        return self
+
+
+class TestSetCoverEdgeCases:
+    def test_no_candidates(self):
+        assert covers._min_set_cover(0, []) == (0, ())
+        assert covers._min_set_cover(0b1, []) is None
+        assert covers._min_set_cover(0b1, [], limit=3) is None
+        assert covers._min_set_cover(0b1, [0, 0]) is None
+
+    def test_empty_universe_with_candidates(self):
+        assert covers._min_set_cover(0, [0b11, 0b1]) == (0, ())
+        assert covers._min_set_cover(0, [0b11], limit=0) == (0, ())
+
+    def test_element_that_no_candidate_holds(self):
+        assert covers._min_set_cover(0b111, [0b011, 0b001]) is None
+        assert covers._min_set_cover(0b1000, [0b111]) is None
+
+    def test_candidate_bits_outside_the_universe(self):
+        # the witness keeps the candidates as given, outside bits and all;
+        # greedy counts only the universe's bits, so 0b10110 comes first
+        assert covers._min_set_cover(0b0111, [0b1001, 0b10110]) == (2, (0b10110, 0b1001))
+        assert covers._min_set_cover(0b0110, [0b1001, 0b1110]) == (1, (0b1110,))
+        assert covers._min_set_cover(0b0110, [0b11000, 0b1000]) is None
+
+    def test_limit(self):
+        cands = [0b0011, 0b1100, 0b0110]
+        assert covers._min_set_cover(0b1111, cands, limit=1) is None
+        assert covers._min_set_cover(0b1111, cands, limit=2) == (2, (0b0011, 0b1100))
+
+    def test_duplicate_candidates_earlier_one_wins(self):
+        # Greedy takes C first and needs three members, so the optimum
+        # {A, B} comes from the search: element 5 has one holder (B), then
+        # element 0 has the holders A and its duplicate, tried in order.
+        c = Tagged(0b011110, "C")
+        a = Tagged(0b000111, "A")
+        b = Tagged(0b111000, "B")
+        dup = Tagged(0b000111, "A2")
+        for found in (
+            covers._min_set_cover(0b111111, [c, a, b, dup]),
+            listcomp_min_set_cover(0b111111, [c, a, b, dup]),
+        ):
+            assert found == (2, (b, a))
+            assert [m.tag for m in found[1]] == ["B", "A"]
