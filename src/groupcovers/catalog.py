@@ -51,22 +51,37 @@ class CatalogEntry:
     line: int  # 1-based line of the `group` header, for diagnostics
 
 
-_PRESET_ARITY = {
-    "cyclic": 1,
-    "dihedral": 1,
-    "quaternion": 1,
-    "sym": 1,
-    "alt": 1,
-    "product": 2,
-    "cpcn": 3,
-}
-
-
 def _parse_int(token: str, what: str, line: int) -> int:
     try:
         return int(token)
     except ValueError:
         raise ParseError(f"{what} must be an integer, got {token!r}", line) from None
+
+
+def _ints(entry: CatalogEntry, built: dict[str, Group]) -> list[int]:
+    return [_parse_int(a, "preset argument", entry.line) for a in entry.source.args]
+
+
+def _groups(entry: CatalogEntry, built: dict[str, Group]) -> list[Group]:
+    src = entry.source
+    for a in src.args:
+        if a not in built:
+            raise ParseError(f"{src.kind} refers to unknown group {a!r}", entry.line)
+    return [built[a] for a in src.args]
+
+
+# Preset kind -> (arity, reader of its arguments from the entry and the
+# groups built so far, constructor).  The lambdas look each constructor up
+# when called, so a rebound module attribute is the one that runs.
+_PRESETS = {
+    "cyclic": (1, _ints, lambda *a, name: cyclic(*a, name=name)),
+    "dihedral": (1, _ints, lambda *a, name: dihedral(*a, name=name)),
+    "quaternion": (1, _ints, lambda *a, name: generalized_quaternion(*a, name=name)),
+    "sym": (1, _ints, lambda *a, name: symmetric(*a, name=name)),
+    "alt": (1, _ints, lambda *a, name: alternating(*a, name=name)),
+    "product": (2, _groups, lambda *a, name: direct_product(*a, name=name)),
+    "cpcn": (3, _ints, lambda *a, name: semidirect_cp_cn(*a, name=name)),
+}
 
 
 def _parse_record(lines: list[tuple[int, str]]) -> CatalogEntry:
@@ -79,25 +94,25 @@ def _parse_record(lines: list[tuple[int, str]]) -> CatalogEntry:
         raise ParseError(f"group {name!r} has no construction line", lineno)
 
     src_lineno, src_line = lines[1]
+    tokens = src_line.split()
     source: PermSource | PresetSource
-    if src_line.startswith("perm"):
+    if tokens[0] == "perm":
         chunks = [c.strip() for c in src_line.split(";")]
         head = chunks[0].split()
-        if len(head) != 2 or head[0] != "perm":
+        if len(head) != 2:
             raise ParseError("expected 'perm <degree>; ...'", src_lineno)
         degree = _parse_int(head[1], "degree", src_lineno)
         if degree < 1:
             raise ParseError("degree must be positive", src_lineno)
         gens = tuple(c for c in chunks[1:] if c)
         source = PermSource(degree, gens)
-    elif src_line.startswith("preset"):
-        tokens = src_line.split()
+    elif tokens[0] == "preset":
         if len(tokens) < 2:
             raise ParseError("expected 'preset <kind> <args>'", src_lineno)
         kind = tokens[1]
-        arity = _PRESET_ARITY.get(kind)
-        if arity is None:
+        if kind not in _PRESETS:
             raise ParseError(f"unknown preset kind {kind!r}", src_lineno)
+        arity = _PRESETS[kind][0]
         args = tuple(tokens[2:])
         if len(args) != arity:
             raise ParseError(
@@ -156,25 +171,8 @@ def build_entry(entry: CatalogEntry, built: dict[str, Group]) -> Group:
     if isinstance(src, PermSource):
         group = from_permutation_generators(src.degree, src.generators, entry.name)
     else:
-        kind, args = src.kind, src.args
-        if kind == "product":
-            missing = [a for a in args if a not in built]
-            if missing:
-                raise ParseError(
-                    f"product refers to unknown group {missing[0]!r}", entry.line
-                )
-            group = direct_product(built[args[0]], built[args[1]], entry.name)
-        else:
-            nums = [_parse_int(a, "preset argument", entry.line) for a in args]
-            maker = {
-                "cyclic": cyclic,
-                "dihedral": dihedral,
-                "quaternion": generalized_quaternion,
-                "sym": symmetric,
-                "alt": alternating,
-                "cpcn": semidirect_cp_cn,
-            }[kind]
-            group = maker(*nums, name=entry.name)
+        _, arguments, make = _PRESETS[src.kind]
+        group = make(*arguments(entry, built), name=entry.name)
     if entry.expected_order is not None and group.order != entry.expected_order:
         raise OrderMismatch(entry.name, entry.expected_order, group.order)
     return group

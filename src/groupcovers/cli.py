@@ -12,7 +12,6 @@ Subcommands operate on a catalog file (bundled corpus when omitted):
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections.abc import Callable, Sequence
 from pathlib import Path
@@ -33,7 +32,6 @@ from .reports import (
     run_analyze,
     run_verify_corpus,
     serialize_envelope,
-    serialize_report,
 )
 
 
@@ -144,7 +142,7 @@ def _per_group(
         rows.append(row)
         text.append(f"{g.name}: {line}")
     if args.json:
-        print(json.dumps(rows, sort_keys=True, indent=2))
+        sys.stdout.write(serialize_envelope(rows))
     else:
         for line in text:
             print(line)
@@ -157,12 +155,8 @@ _CYCLIC_NOTE = "cyclic, no cover by proper subgroups"
 def _cmd_analyze(args: argparse.Namespace, opts: AnalyzeOptions) -> int:
     reports = [run_analyze(g, opts) for g in _select(args)]
     if args.json:
-        if len(reports) == 1:
-            sys.stdout.write(serialize_report(reports[0]))
-        else:
-            print(
-                json.dumps([r.to_dict() for r in reports], sort_keys=True, indent=2)
-            )
+        docs = [r.to_dict() for r in reports]
+        sys.stdout.write(serialize_envelope(docs[0] if len(docs) == 1 else docs))
         return 0
     for r in reports:
         for line in _render_report(r):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Any
 
 from . import covers, lattice
@@ -31,7 +31,32 @@ from .errors import (
 )
 from .groups import Group
 
-CHECK_IDS = ("lemma-pnilp", "bryce-serena", "osclemma-quotients")
+
+def _pnilp_status(group: Group) -> str:
+    primes = prime_divisors(group.order) if lattice.is_solvable(group) else ()
+    statuses = {check_p_nilpotence(group, p).status for p in primes}
+    for status in ("violation", "consistent"):
+        if status in statuses:
+            return status
+    return "vacuous"
+
+
+def _quotients_status(group: Group) -> str:
+    try:
+        return check_quotient_invariants(group).status
+    except PreconditionViolation:
+        return "vacuous"
+
+
+# Check id -> status on a non-cyclic group.  The entries read the check_*
+# functions from the module globals when called, not at import.
+_CHECKS = {
+    "lemma-pnilp": _pnilp_status,
+    "bryce-serena": lambda group: check_abelian_sigma_cover(group).status,
+    "osclemma-quotients": _quotients_status,
+}
+
+CHECK_IDS = tuple(_CHECKS)
 
 DEFAULT_MAX_ORDER = 64
 
@@ -58,73 +83,63 @@ class AnalyzeOptions:
             raise InvalidParameters(f"unknown check id {unknown[0]!r}")
 
 
+def _json_field(key: str, default: Any = MISSING) -> Any:
+    """A VerificationReport field that the report's JSON holds under key."""
+    return field(default=default, metadata={"json": key})
+
+
+def _converted(value: Any, sequence: type) -> Any:
+    """A tuple or list as the given sequence type, its dicts copied."""
+    if isinstance(value, (tuple, list)):
+        return sequence(dict(v) if isinstance(v, dict) else v for v in value)
+    return value
+
+
 @dataclass(frozen=True)
 class VerificationReport:
-    group_name: str
-    order: int
-    is_cyclic: bool | None = None
-    is_solvable: bool | None = None
-    is_nilpotent: bool | None = None
-    is_supersolvable: bool | None = None
-    lambda_value: int | None = None
-    sigma_exact: int | str | None = None
-    sigma_tomkinson: int | str | None = None
-    irredundant_sizes: tuple[int, ...] | None = None
-    one_sized_bruteforce: bool | None = None
-    classify_outcome: dict[str, Any] | None = None
-    agreement: bool | None = None
-    lemma_checks: tuple[dict[str, Any], ...] = ()
-    errors: tuple[str, ...] = ()
+    group_name: str = _json_field("groupName")
+    order: int = _json_field("order")
+    is_cyclic: bool | None = _json_field("isCyclic", None)
+    is_solvable: bool | None = _json_field("isSolvable", None)
+    is_nilpotent: bool | None = _json_field("isNilpotent", None)
+    is_supersolvable: bool | None = _json_field("isSupersolvable", None)
+    lambda_value: int | None = _json_field("lambda", None)
+    sigma_exact: int | str | None = _json_field("sigmaExact", None)
+    sigma_tomkinson: int | str | None = _json_field("sigmaTomkinson", None)
+    irredundant_sizes: tuple[int, ...] | None = _json_field("irredundantSizes", None)
+    one_sized_bruteforce: bool | None = _json_field("oneSizedBruteforce", None)
+    classify_outcome: dict[str, Any] | None = _json_field("classifyOutcome", None)
+    agreement: bool | None = _json_field("agreement", None)
+    lemma_checks: tuple[dict[str, Any], ...] = _json_field("lemmaChecks", ())
+    errors: tuple[str, ...] = _json_field("errors", ())
 
     def to_dict(self) -> dict[str, Any]:
         return {
-            "groupName": self.group_name,
-            "order": self.order,
-            "isCyclic": self.is_cyclic,
-            "isSolvable": self.is_solvable,
-            "isNilpotent": self.is_nilpotent,
-            "isSupersolvable": self.is_supersolvable,
-            "lambda": self.lambda_value,
-            "sigmaExact": self.sigma_exact,
-            "sigmaTomkinson": self.sigma_tomkinson,
-            "irredundantSizes": None
-            if self.irredundant_sizes is None
-            else list(self.irredundant_sizes),
-            "oneSizedBruteforce": self.one_sized_bruteforce,
-            "classifyOutcome": self.classify_outcome,
-            "agreement": self.agreement,
-            "lemmaChecks": [dict(c) for c in self.lemma_checks],
-            "errors": list(self.errors),
+            f.metadata["json"]: _converted(getattr(self, f.name), list)
+            for f in fields(self)
         }
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "VerificationReport":
-        sizes = d["irredundantSizes"]
-        return cls(
-            group_name=d["groupName"],
-            order=d["order"],
-            is_cyclic=d["isCyclic"],
-            is_solvable=d["isSolvable"],
-            is_nilpotent=d["isNilpotent"],
-            is_supersolvable=d["isSupersolvable"],
-            lambda_value=d["lambda"],
-            sigma_exact=d["sigmaExact"],
-            sigma_tomkinson=d["sigmaTomkinson"],
-            irredundant_sizes=None if sizes is None else tuple(sizes),
-            one_sized_bruteforce=d["oneSizedBruteforce"],
-            classify_outcome=d["classifyOutcome"],
-            agreement=d["agreement"],
-            lemma_checks=tuple(dict(c) for c in d["lemmaChecks"]),
-            errors=tuple(d["errors"]),
-        )
+        keys = {f.name: f.metadata["json"] for f in fields(cls)}
+        missing = [key for key in keys.values() if key not in d]
+        if missing:
+            raise InvalidParameters(f"report has no key {missing[0]!r}")
+        return cls(**{name: _converted(d[key], tuple) for name, key in keys.items()})
 
 
 def serialize_report(report: VerificationReport) -> str:
-    return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+    return serialize_envelope(report.to_dict())
 
 
 def parse_report(text: str) -> VerificationReport:
-    return VerificationReport.from_dict(json.loads(text))
+    try:
+        d = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise InvalidParameters(f"report is not decodable JSON: {exc}") from None
+    if not isinstance(d, dict):
+        raise InvalidParameters("report is not a JSON object")
+    return VerificationReport.from_dict(d)
 
 
 def _sigma_json(value: SigmaValue) -> int | str:
@@ -132,16 +147,9 @@ def _sigma_json(value: SigmaValue) -> int | str:
 
 
 def outcome_json(outcome: Any) -> dict[str, Any]:
-    family = None
-    if outcome.family is not None:
-        family = {
-            "kind": outcome.family.kind,
-            "p": outcome.family.p,
-            "n": outcome.family.n,
-        }
     return {
         "oneSized": outcome.one_sized,
-        "family": family,
+        "family": None if outcome.family is None else asdict(outcome.family),
         "witnessHOrder": None if outcome.witness_h is None else outcome.witness_h.order,
         "witnessCOrder": None if outcome.witness_c is None else outcome.witness_c.order,
     }
@@ -149,25 +157,10 @@ def outcome_json(outcome: Any) -> dict[str, Any]:
 
 def run_check(group: Group, check_id: str) -> str:
     """Status of one named cross-check on a non-cyclic group."""
-    if check_id == "lemma-pnilp":
-        if not lattice.is_solvable(group):
-            return "vacuous"
-        statuses = [
-            check_p_nilpotence(group, p).status for p in prime_divisors(group.order)
-        ]
-        if "violation" in statuses:
-            return "violation"
-        if "consistent" in statuses:
-            return "consistent"
-        return "vacuous"
-    if check_id == "bryce-serena":
-        return check_abelian_sigma_cover(group).status
-    if check_id == "osclemma-quotients":
-        try:
-            return check_quotient_invariants(group).status
-        except PreconditionViolation:
-            return "vacuous"
-    raise InvalidParameters(f"unknown check id {check_id!r}")
+    status = _CHECKS.get(check_id)
+    if status is None:
+        raise InvalidParameters(f"unknown check id {check_id!r}")
+    return status(group)
 
 
 def run_analyze(
@@ -194,51 +187,43 @@ def run_analyze(
     is_sup = stage("supersolvability", lambda: lattice.is_supersolvable(group))
     sig = stage("sigma", lambda: _sigma_json(covers.sigma_exact(group)))
 
+    lam = sig_tom = sizes = one_sized = outcome = agreement = None
+    lemma_checks: tuple[dict[str, Any], ...] = ()
     if group.is_cyclic:
         # No cover by proper subgroups exists; nothing further applies.
-        return VerificationReport(
-            group.name,
-            group.order,
-            is_cyclic=True,
-            is_solvable=is_solv,
-            is_nilpotent=is_nilp,
-            is_supersolvable=is_sup,
-            sigma_exact=sig,
-            sigma_tomkinson=sig,
-            errors=tuple(errors),
+        sig_tom = sig
+    else:
+        lam = stage("lambda", lambda: covers.lambda_(group))
+        if is_solv:
+            sig_tom = stage(
+                "tomkinson", lambda: _sigma_json(covers.sigma_tomkinson(group))
+            )
+
+        if group.order <= opts.enum_bound:
+            sizes = stage(
+                "enumeration",
+                lambda: covers.irredundant_cover_sizes(
+                    group, enum_bound=opts.enum_bound
+                ),
+            )
+
+        one_sized = stage("one-sized", lambda: covers.one_sized_bruteforce(group))
+        outcome = stage("classify", lambda: classify(group))
+        if outcome is not None and one_sized is not None:
+            agreement = outcome.one_sized == one_sized
+
+        lemma_checks = tuple(
+            {
+                "id": cid,
+                "status": stage(cid, lambda cid=cid: run_check(group, cid)),
+            }
+            for cid in opts.checks
         )
-
-    lam = stage("lambda", lambda: covers.lambda_(group))
-    sig_tom = None
-    if is_solv:
-        sig_tom = stage("tomkinson", lambda: _sigma_json(covers.sigma_tomkinson(group)))
-
-    sizes = None
-    if group.order <= opts.enum_bound:
-        sizes = stage(
-            "enumeration",
-            lambda: covers.irredundant_cover_sizes(group, enum_bound=opts.enum_bound),
-        )
-
-    one_sized = stage("one-sized", lambda: covers.one_sized_bruteforce(group))
-    outcome = stage("classify", lambda: classify(group))
-
-    agreement = None
-    if outcome is not None and one_sized is not None:
-        agreement = outcome.one_sized == one_sized
-
-    lemma_checks = tuple(
-        {
-            "id": cid,
-            "status": stage(cid, lambda cid=cid: run_check(group, cid)),
-        }
-        for cid in opts.checks
-    )
 
     return VerificationReport(
         group_name=group.name,
         order=group.order,
-        is_cyclic=False,
+        is_cyclic=group.is_cyclic,
         is_solvable=is_solv,
         is_nilpotent=is_nilp,
         is_supersolvable=is_sup,
@@ -296,4 +281,5 @@ def run_verify_corpus(
 
 
 def serialize_envelope(envelope: dict[str, Any]) -> str:
+    """The JSON text of reports, envelopes and command-line rows alike."""
     return json.dumps(envelope, sort_keys=True, indent=2) + "\n"

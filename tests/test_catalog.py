@@ -97,6 +97,11 @@ class TestParseErrors:
     def test_unknown_preset(self):
         self.check("group X\npreset wreath 2 2\n", 2)
 
+    def test_construction_keyword_matches_exactly(self):
+        self.check("group X\npresetx cyclic 3\n", 2, "expected 'perm' or 'preset'")
+        self.check("group X\npreset_foo dihedral 3\n", 2)
+        self.check("group X\npermx 3; (1 2 3)\n", 2)
+
     def test_wrong_preset_arity(self):
         self.check("group X\npreset cyclic 4 5\n", 2)
         self.check("group X\npreset product C2\n", 2)

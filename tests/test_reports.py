@@ -4,12 +4,14 @@ from groupcovers import (
     CHECK_IDS,
     COMPLEMENT_COUNT_ASSUMPTION,
     AnalyzeOptions,
+    Group,
     InvalidParameters,
     InvariantViolation,
     NoFactorWithMultipleComplements,
     VerificationReport,
     alternating,
     build_catalog,
+    bundled_catalog_text,
     cyclic,
     dihedral,
     direct_product,
@@ -29,6 +31,21 @@ from groupcovers.lattice import _lattice
 
 def v4():
     return direct_product(cyclic(2), cyclic(2), name="V4")
+
+
+def bundled_corpus_512():
+    """The text of every report of the bundled catalog at max order 512."""
+    entries = parse_catalog(bundled_catalog_text())
+    envelope = run_verify_corpus(entries, AnalyzeOptions(max_order=512))
+    return [serialize_envelope(d) for d in envelope["reports"]]
+
+
+def build_error():
+    """The text of a report that carries only a build error."""
+    envelope = run_verify_corpus(parse_catalog("group C4\npreset cyclic 4\norder 5\n"))
+    [d] = envelope["reports"]
+    assert d["errors"][0].startswith("build: ")
+    return [serialize_envelope(d)]
 
 
 class TestRunAnalyze:
@@ -111,11 +128,17 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "make",
         [v4, lambda: cyclic(6), lambda: symmetric(3), lambda: alternating(5),
-         lambda: generalized_quaternion(3)],
+         lambda: generalized_quaternion(3), bundled_corpus_512, build_error],
     )
     def test_round_trip(self, make):
-        r = run_analyze(make(), AnalyzeOptions(max_order=64))
-        assert parse_report(serialize_report(r)) == r
+        # make gives a group to analyze or the texts of finished reports
+        texts = made = make()
+        if isinstance(made, Group):
+            r = run_analyze(made, AnalyzeOptions(max_order=64))
+            assert parse_report(serialize_report(r)) == r
+            texts = [serialize_report(r)]
+        for s in texts:
+            assert serialize_report(parse_report(s)) == s
 
     def test_skipped_report_round_trips(self):
         r = run_analyze(alternating(5), AnalyzeOptions(max_order=10))
@@ -135,6 +158,24 @@ class TestSerialization:
             "agreement", "lemmaChecks", "errors",
         }
         assert VerificationReport.from_dict(d) == run_analyze(v4())
+
+    def test_missing_key_is_named(self):
+        with pytest.raises(InvalidParameters, match="'groupName'"):
+            parse_report("{}")
+        d = run_analyze(v4()).to_dict()
+        del d["irredundantSizes"]
+        with pytest.raises(InvalidParameters, match="'irredundantSizes'"):
+            VerificationReport.from_dict(d)
+
+    def test_non_object_is_rejected(self):
+        with pytest.raises(InvalidParameters, match="not a JSON object"):
+            parse_report("[]")
+
+    @pytest.mark.parametrize("text", ["groupName: V4", "[" * 100_000])
+    def test_non_json_is_rejected(self, text):
+        # the second nests past the interpreter's recursion limit
+        with pytest.raises(InvalidParameters, match="not decodable JSON"):
+            parse_report(text)
 
 
 class TestRunCheck:
