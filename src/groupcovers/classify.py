@@ -138,6 +138,13 @@ def verify_classification(group: Group) -> ClassificationAgreement:
 # Chief-factor centrality versus normal p-complements
 
 
+def _verdict(hypothesis: bool, conclusion: bool) -> str:
+    """Vacuous if the hypothesis fails, else consistent iff the conclusion holds."""
+    if not hypothesis:
+        return "vacuous"
+    return "consistent" if conclusion else "violation"
+
+
 @dataclass(frozen=True)
 class PNilpotenceCheck:
     prime: int
@@ -158,13 +165,7 @@ def check_p_nilpotence(group: Group, p: int) -> PNilpotenceCheck:
         if f.is_complemented and f.prime == p
     )
     conclusion = has_normal_p_complement(group, p)
-    if not hypothesis:
-        status = "vacuous"
-    elif conclusion:
-        status = "consistent"
-    else:
-        status = "violation"
-    return PNilpotenceCheck(p, hypothesis, conclusion, status)
+    return PNilpotenceCheck(p, hypothesis, conclusion, _verdict(hypothesis, conclusion))
 
 
 # ---------------------------------------------------------------------------
@@ -206,13 +207,7 @@ def check_abelian_sigma_cover(group: Group) -> AbelianCoverCheck:
     found = _min_set_cover(group.full_mask, sorted(candidates), limit=sig)
     exists = found is not None
     solvable = is_solvable(group)
-    if not exists:
-        status = "vacuous"
-    elif solvable:
-        status = "consistent"
-    else:
-        status = "violation"
-    return AbelianCoverCheck(sig, exists, solvable, status)
+    return AbelianCoverCheck(sig, exists, solvable, _verdict(exists, solvable))
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +259,25 @@ def check_quotient_invariants(group: Group) -> QuotientInvariantsCheck:
         qlam = len(maximal_masks(list(images)))
         items.append(QuotientCheckItem(n.order, group.order // n.order, qsig, qlam))
     ok = all(it.sigma_quotient == sig == it.lambda_quotient for it in items)
-    return QuotientInvariantsCheck(
-        sig, tuple(items), "consistent" if ok else "violation"
-    )
+    return QuotientInvariantsCheck(sig, tuple(items), _verdict(True, ok))
+
+
+def _pnilp_status(group: Group) -> str:
+    """Hypothesis: some prime's holds; conclusion: each such prime's holds."""
+    primes = prime_divisors(group.order) if is_solvable(group) else ()
+    checks = [check_p_nilpotence(group, p) for p in primes]
+    held = [c for c in checks if c.hypothesis_holds]
+    return _verdict(bool(held), all(c.conclusion_holds for c in held))
+
+
+# Check id -> status on a non-cyclic group.  The entries read the check_*
+# functions from the module globals when called, not at import.
+_CHECKS = {
+    "lemma-pnilp": _pnilp_status,
+    "bryce-serena": lambda group: check_abelian_sigma_cover(group).status,
+    "osclemma-quotients": lambda group: (
+        check_quotient_invariants(group).status
+        if one_sized_bruteforce(group)
+        else _verdict(False, True)  # the lemma is about one-sized groups
+    ),
+}

@@ -27,6 +27,7 @@ from .reports import (
     CHECK_IDS,
     DEFAULT_MAX_ORDER,
     AnalyzeOptions,
+    VerificationReport,
     _sigma_json,
     outcome_json,
     run_analyze,
@@ -125,11 +126,13 @@ def _per_group(
     args: argparse.Namespace,
     opts: AnalyzeOptions,
     describe: Callable[[Group, dict[str, Any]], str],
+    cyclic: tuple[str, str] | None = None,
 ) -> int:
     """One JSON row and one text line per selected group.
 
     describe(g, row) adds its fields to the row and returns the text
-    after "name: "; groups above --max-order get a skip row instead.
+    after "name: "; groups above --max-order get a skip row instead, and
+    with cyclic = (key, text) a cyclic group gets key null and that text.
     """
     rows, text = [], []
     for g in _select(args):
@@ -137,6 +140,9 @@ def _per_group(
         if g.order > opts.max_order:
             row["skipped"] = True
             line = f"skipped (order {g.order} exceeds --max-order {opts.max_order})"
+        elif cyclic is not None and g.is_cyclic:
+            key, line = cyclic
+            row[key] = None
         else:
             line = describe(g, row)
         rows.append(row)
@@ -149,7 +155,8 @@ def _per_group(
     return 0
 
 
-_CYCLIC_NOTE = "cyclic, no cover by proper subgroups"
+_CYCLIC_LAMBDA = ("lambda", "cyclic, no cover by proper subgroups")
+_CYCLIC_CLASSIFY = ("classifyOutcome", "cyclic, not applicable")
 
 
 def _cmd_analyze(args: argparse.Namespace, opts: AnalyzeOptions) -> int:
@@ -215,13 +222,10 @@ def _cmd_sigma(args: argparse.Namespace, opts: AnalyzeOptions) -> int:
 
 def _cmd_lambda(args: argparse.Namespace, opts: AnalyzeOptions) -> int:
     def describe(g: Group, row: dict[str, Any]) -> str:
-        if g.is_cyclic:
-            row["lambda"] = None
-            return _CYCLIC_NOTE
         row["lambda"] = lam = covers.lambda_(g)
         return f"lambda={lam}"
 
-    return _per_group(args, opts, describe)
+    return _per_group(args, opts, describe, _CYCLIC_LAMBDA)
 
 
 def _cmd_covers(args: argparse.Namespace, opts: AnalyzeOptions) -> int:
@@ -229,9 +233,6 @@ def _cmd_covers(args: argparse.Namespace, opts: AnalyzeOptions) -> int:
         raise InvalidParameters(f"size cap {args.cap} is negative")
 
     def describe(g: Group, row: dict[str, Any]) -> str:
-        if g.is_cyclic:
-            row["lambda"] = None
-            return _CYCLIC_NOTE
         family = covers.maximal_cyclic_family(g)
         orders = [m.order for m in family.members]
         row["lambda"] = len(family)
@@ -251,18 +252,15 @@ def _cmd_covers(args: argparse.Namespace, opts: AnalyzeOptions) -> int:
             line += f"\n  covers={stats.cover_count}{cap_note} by size: {pairs}"
         return line
 
-    return _per_group(args, opts, describe)
+    return _per_group(args, opts, describe, _CYCLIC_LAMBDA)
 
 
 def _cmd_classify(args: argparse.Namespace, opts: AnalyzeOptions) -> int:
     def describe(g: Group, row: dict[str, Any]) -> str:
-        if g.is_cyclic:
-            row["classifyOutcome"] = None
-            return "cyclic, not applicable"
         row["classifyOutcome"] = out = outcome_json(classify(g))
         return f"oneSized={_yn(out['oneSized'])} family={_family_text(out['family'])}"
 
-    return _per_group(args, opts, describe)
+    return _per_group(args, opts, describe, _CYCLIC_CLASSIFY)
 
 
 def _cmd_verify(args: argparse.Namespace, opts: AnalyzeOptions) -> int:
@@ -271,15 +269,15 @@ def _cmd_verify(args: argparse.Namespace, opts: AnalyzeOptions) -> int:
     if args.json:
         sys.stdout.write(serialize_envelope(envelope))
     else:
-        for r in envelope["reports"]:
-            status = "agree" if r["agreement"] else (
-                "cyclic" if r["isCyclic"] else
-                "DISAGREE" if r["agreement"] is False else "-"
+        for r in map(VerificationReport.from_dict, envelope["reports"]):
+            status = "agree" if r.agreement else (
+                "cyclic" if r.is_cyclic else
+                "DISAGREE" if r.agreement is False else "-"
             )
-            extra = f" ! {'; '.join(r['errors'])}" if r["errors"] else ""
+            extra = f" ! {'; '.join(r.errors)}" if r.errors else ""
             print(
-                f"{r['groupName']}: order={r['order']}"
-                f" sigma={r['sigmaExact']} {status}{extra}"
+                f"{r.group_name}: order={r.order}"
+                f" sigma={r.sigma_exact} {status}{extra}"
             )
         print(
             "summary: groups={groups} nonCyclic={nonCyclic}"

@@ -12,49 +12,21 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable
 from dataclasses import MISSING, asdict, dataclass, field, fields
-from typing import Any
+from typing import Any, get_args, get_origin
 
 from . import covers, lattice
-from .arith import prime_divisors
 from .catalog import CatalogEntry, build_entry
 from .classify import (
-    check_abelian_sigma_cover,
-    check_p_nilpotence,
-    check_quotient_invariants,
-    classify,
+    _CHECKS,
+    verify_classification,
 )
 from .covers import DEFAULT_ENUM_BOUND, SigmaValue
 from .errors import (
     GroupCoversError,
     InvalidParameters,
-    PreconditionViolation,
 )
-from .groups import Group
+from .groups import Group, _integer
 
-
-def _pnilp_status(group: Group) -> str:
-    primes = prime_divisors(group.order) if lattice.is_solvable(group) else ()
-    statuses = {check_p_nilpotence(group, p).status for p in primes}
-    for status in ("violation", "consistent"):
-        if status in statuses:
-            return status
-    return "vacuous"
-
-
-def _quotients_status(group: Group) -> str:
-    try:
-        return check_quotient_invariants(group).status
-    except PreconditionViolation:
-        return "vacuous"
-
-
-# Check id -> status on a non-cyclic group.  The entries read the check_*
-# functions from the module globals when called, not at import.
-_CHECKS = {
-    "lemma-pnilp": _pnilp_status,
-    "bryce-serena": lambda group: check_abelian_sigma_cover(group).status,
-    "osclemma-quotients": _quotients_status,
-}
 
 CHECK_IDS = tuple(_CHECKS)
 
@@ -74,18 +46,28 @@ class AnalyzeOptions:
     checks: tuple[str, ...] = CHECK_IDS
 
     def __post_init__(self) -> None:
-        if self.max_order < 0:
+        if _integer(self.max_order, "max order") < 0:
             raise InvalidParameters(f"max order {self.max_order} is negative")
-        if self.enum_bound < 0:
+        if _integer(self.enum_bound, "enumeration bound") < 0:
             raise InvalidParameters(f"enumeration bound {self.enum_bound} is negative")
         unknown = [c for c in self.checks if c not in CHECK_IDS]
         if unknown:
             raise InvalidParameters(f"unknown check id {unknown[0]!r}")
 
 
-def _json_field(key: str, default: Any = MISSING) -> Any:
-    """A VerificationReport field that the report's JSON holds under key."""
-    return field(default=default, metadata={"json": key})
+def _is_json(value: Any, kind: Any) -> bool:
+    """Whether a decoded JSON value is of kind: a type, list[t] or a union."""
+    if get_origin(kind) is list:
+        return type(value) is list and all(_is_json(v, *get_args(kind)) for v in value)
+    members = get_args(kind)  # a union's; a plain type has none
+    return any(_is_json(value, k) for k in members) or type(value) is kind
+
+
+def _json_field(key: str, kind: Any) -> Any:
+    """A VerificationReport field that the report's JSON holds under key as
+    a value of the given kind; it defaults to None if nullable, () if an array."""
+    default = None if _is_json(None, kind) else () if _is_json([], kind) else MISSING
+    return field(default=default, metadata={"json": key, "kind": kind})
 
 
 def _converted(value: Any, sequence: type) -> Any:
@@ -97,21 +79,23 @@ def _converted(value: Any, sequence: type) -> Any:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    group_name: str = _json_field("groupName")
-    order: int = _json_field("order")
-    is_cyclic: bool | None = _json_field("isCyclic", None)
-    is_solvable: bool | None = _json_field("isSolvable", None)
-    is_nilpotent: bool | None = _json_field("isNilpotent", None)
-    is_supersolvable: bool | None = _json_field("isSupersolvable", None)
-    lambda_value: int | None = _json_field("lambda", None)
-    sigma_exact: int | str | None = _json_field("sigmaExact", None)
-    sigma_tomkinson: int | str | None = _json_field("sigmaTomkinson", None)
-    irredundant_sizes: tuple[int, ...] | None = _json_field("irredundantSizes", None)
-    one_sized_bruteforce: bool | None = _json_field("oneSizedBruteforce", None)
-    classify_outcome: dict[str, Any] | None = _json_field("classifyOutcome", None)
-    agreement: bool | None = _json_field("agreement", None)
-    lemma_checks: tuple[dict[str, Any], ...] = _json_field("lemmaChecks", ())
-    errors: tuple[str, ...] = _json_field("errors", ())
+    group_name: str = _json_field("groupName", str)
+    order: int = _json_field("order", int)
+    is_cyclic: bool | None = _json_field("isCyclic", bool | None)
+    is_solvable: bool | None = _json_field("isSolvable", bool | None)
+    is_nilpotent: bool | None = _json_field("isNilpotent", bool | None)
+    is_supersolvable: bool | None = _json_field("isSupersolvable", bool | None)
+    lambda_value: int | None = _json_field("lambda", int | None)
+    sigma_exact: int | str | None = _json_field("sigmaExact", int | str | None)
+    sigma_tomkinson: int | str | None = _json_field("sigmaTomkinson", int | str | None)
+    irredundant_sizes: tuple[int, ...] | None = _json_field(
+        "irredundantSizes", list[int] | None
+    )
+    one_sized_bruteforce: bool | None = _json_field("oneSizedBruteforce", bool | None)
+    classify_outcome: dict[str, Any] | None = _json_field("classifyOutcome", dict | None)
+    agreement: bool | None = _json_field("agreement", bool | None)
+    lemma_checks: tuple[dict[str, Any], ...] = _json_field("lemmaChecks", list[dict])
+    errors: tuple[str, ...] = _json_field("errors", list[str])
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -122,9 +106,11 @@ class VerificationReport:
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "VerificationReport":
         keys = {f.name: f.metadata["json"] for f in fields(cls)}
-        missing = [key for key in keys.values() if key not in d]
-        if missing:
-            raise InvalidParameters(f"report has no key {missing[0]!r}")
+        for f in fields(cls):
+            key, kind = f.metadata["json"], f.metadata["kind"]
+            if not _is_json(d.get(key, MISSING), kind):
+                name = kind.__name__ if type(kind) is type else kind
+                raise InvalidParameters(f"report key {key!r} must hold {name}")
         return cls(**{name: _converted(d[key], tuple) for name, key in keys.items()})
 
 
@@ -207,10 +193,11 @@ def run_analyze(
                 ),
             )
 
-        one_sized = stage("one-sized", lambda: covers.one_sized_bruteforce(group))
-        outcome = stage("classify", lambda: classify(group))
-        if outcome is not None and one_sized is not None:
-            agreement = outcome.one_sized == one_sized
+        verified = stage("classify", lambda: verify_classification(group))
+        if verified is not None:
+            one_sized = verified.bruteforce
+            outcome = outcome_json(verified.structural)
+            agreement = verified.agreement
 
         lemma_checks = tuple(
             {
@@ -232,7 +219,7 @@ def run_analyze(
         sigma_tomkinson=sig_tom,
         irredundant_sizes=sizes,
         one_sized_bruteforce=one_sized,
-        classify_outcome=None if outcome is None else outcome_json(outcome),
+        classify_outcome=outcome,
         agreement=agreement,
         lemma_checks=lemma_checks,
         errors=tuple(errors),

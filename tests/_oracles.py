@@ -13,8 +13,10 @@ subgroups and maximal-subgroup indices, the one-sized classification
 by pairs of normal subgroups, quotient invariants from quotient groups,
 maximal abelian subgroups by pairwise commutativity, the preset, direct
 product and quotient tables filled cell by cell, permutation tables
-by composing every pair, and the set cover that rebuilds each element's
-option list at every node), kept as slower independent routes.
+by composing every pair, the set cover that rebuilds each element's
+option list at every node, and the lemma-check statuses decided by an
+if/elif chain per check and a ranking of per-prime statuses), kept as
+slower independent routes.
 """
 
 from __future__ import annotations
@@ -769,3 +771,63 @@ def listcomp_min_set_cover(
     if best_sel is None or (limit is not None and best_size > limit):
         return None
     return best_size, best_sel
+
+
+# ---------------------------------------------------------------------------
+# Lemma-check statuses as each check and the report module decided them
+# before one rule in classify.py replaced the three chains
+
+
+def if_chain_status(hypothesis: bool, conclusion: bool) -> str:
+    if not hypothesis:
+        status = "vacuous"
+    elif conclusion:
+        status = "consistent"
+    else:
+        status = "violation"
+    return status
+
+
+def ranked_status(statuses) -> str:
+    """A violation at any prime, else consistent at any, else vacuous."""
+    for status in ("violation", "consistent"):
+        if status in statuses:
+            return status
+    return "vacuous"
+
+
+def ranked_pnilp_status(group) -> str:
+    from groupcovers import check_p_nilpotence, is_solvable, prime_divisors
+
+    primes = prime_divisors(group.order) if is_solvable(group) else ()
+    return ranked_status({
+        if_chain_status(c.hypothesis_holds, c.conclusion_holds)
+        for c in (check_p_nilpotence(group, p) for p in primes)
+    })
+
+
+def abelian_cover_status(group) -> str:
+    from groupcovers import check_abelian_sigma_cover
+
+    res = check_abelian_sigma_cover(group)
+    return if_chain_status(res.abelian_cover_exists, res.solvable)
+
+
+def precondition_quotients_status(group) -> str:
+    """Vacuous when check_quotient_invariants refuses a multi-sized group."""
+    from groupcovers import PreconditionViolation, check_quotient_invariants
+
+    try:
+        res = check_quotient_invariants(group)
+    except PreconditionViolation:
+        return "vacuous"
+    ok = all(it.sigma_quotient == res.sigma == it.lambda_quotient for it in res.items)
+    return "consistent" if ok else "violation"
+
+
+# check id -> oracle status on a non-cyclic group
+CHECK_STATUS_ORACLES = {
+    "lemma-pnilp": ranked_pnilp_status,
+    "bryce-serena": abelian_cover_status,
+    "osclemma-quotients": precondition_quotients_status,
+}

@@ -263,3 +263,27 @@ def test_criterion_10_determinism(capsys):
         assert cli.main(["--json", "verify-corpus", *flags]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest, flags
+
+
+# sha256 of the stdout of `groupcovers <argv>`: the verify-corpus text,
+# whose agree/DISAGREE column reads the verdicts classify.py decides, and
+# analyze's per-group reports with their lemma-check statuses.
+CLI_OUTPUT_SHA256 = {
+    ("verify-corpus",):
+        "296499e80d84c19017c865c2b7a67118a0ee069bd05caeba4da81e78abbde4e3",
+    ("--max-order", "512", "verify-corpus"):
+        "1c9c9b4bb18f9fe6067febd77dff3baf7c776306c1bed18bb60e29ad2e212d58",
+    ("analyze",):
+        "51d3cd1bb794dff31ee6c03643909d74d3afc91c3e79d8ea2c3c84850a688d4e",
+    ("--max-order", "512", "analyze"):
+        "cb1adf8c3c35909f5655f4e9a3f3ab461cc3ed041212be1b866bd93c8e8352f5",
+    ("--json", "--max-order", "512", "analyze"):
+        "97b04b50330f216d221b12fe97d52be70709eff957baf1a0b884b41907630d1f",
+}
+
+
+@pytest.mark.parametrize("argv", CLI_OUTPUT_SHA256, ids=" ".join)
+def test_cli_output_matches_pin(capsys, argv):
+    assert cli.main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CLI_OUTPUT_SHA256[argv]

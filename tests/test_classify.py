@@ -1,15 +1,19 @@
+import collections
 import importlib
+import itertools
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from groupcovers import (
+    CHECK_IDS,
     ClassificationOutcome,
     FamilyTag,
     GroupIsCyclic,
     InvalidParameters,
     NotSolvable,
     OrderBoundExceeded,
+    PNilpotenceCheck,
     PreconditionViolation,
     PrimeDoesNotDivideOrder,
     all_subgroups,
@@ -24,8 +28,10 @@ from groupcovers import (
     direct_product,
     from_permutation_generators,
     generalized_quaternion,
+    is_solvable,
     normal_subgroups,
     prime_divisors,
+    run_check,
     semidirect_cp_cn,
     symmetric,
     verify_classification,
@@ -34,11 +40,14 @@ from groupcovers.classify import _recognize_family
 from groupcovers.groups import Group, is_cyclic_mask, iter_bits
 
 from _oracles import (
+    CHECK_STATUS_ORACLES,
     conjugation_is_normal_within,
+    if_chain_status,
     pair_loop_classify,
     pairwise_is_abelian,
     pairwise_maximal_abelian_masks,
     quotient_group_invariants,
+    ranked_status,
 )
 
 # the package's classify is the function; the module is shadowed by it
@@ -461,3 +470,72 @@ def test_cross_checks_match_quotient_group_oracles_on_corpus(corpus):
 def test_cross_checks_match_quotient_group_oracles_on_drawn_groups(g):
     assert library_quotient_items(g) == quotient_group_invariants(g)
     assert library_abelian_candidates(g) == oracle_abelian_candidates(g)
+
+
+# ---------------------------------------------------------------------------
+# Lemma-check statuses from classify.py's one rule against the if/elif
+# chains and the per-prime ranking it replaced
+
+
+def test_verdict_truth_table():
+    table = {
+        (False, False): "vacuous",
+        (False, True): "vacuous",
+        (True, True): "consistent",
+        (True, False): "violation",
+    }
+    for (hypothesis, conclusion), status in table.items():
+        assert classify_module._verdict(hypothesis, conclusion) == status
+        assert if_chain_status(hypothesis, conclusion) == status
+
+
+def assert_statuses_match_oracles(g):
+    for p in prime_divisors(g.order) if is_solvable(g) else ():
+        c = check_p_nilpotence(g, p)
+        assert c.status == if_chain_status(c.hypothesis_holds, c.conclusion_holds), p
+    got = {cid: run_check(g, cid) for cid in CHECK_IDS}
+    assert got == {cid: oracle(g) for cid, oracle in CHECK_STATUS_ORACLES.items()}
+    return got
+
+
+def test_check_statuses_match_oracles_on_corpus(corpus):
+    groups = [g for _, g in sorted(corpus.items()) if not g.is_cyclic and g.order <= 512]
+    assert len(groups) == 74
+    splits = collections.Counter()
+    for g in groups:
+        got = assert_statuses_match_oracles(g)
+        splits[got["lemma-pnilp"], got["osclemma-quotients"]] += 1
+    # no corpus group violates a lemma, so the patched test below covers that
+    assert splits == {
+        ("consistent", "consistent"): 34,
+        ("consistent", "vacuous"): 38,
+        ("vacuous", "vacuous"): 2,
+    }
+
+
+@given(classify_groups(max_order=128))
+@settings(deadline=None, max_examples=80)
+def test_check_statuses_match_oracles_on_drawn_groups(g):
+    assert_statuses_match_oracles(g)
+
+
+def test_pnilp_status_over_patched_primes(monkeypatch):
+    g = direct_product(symmetric(3), cyclic(5))  # solvable, primes 2, 3 and 5
+    truths = {}
+
+    def patched(group, p):
+        return PNilpotenceCheck(p, *truths[p], if_chain_status(*truths[p]))
+
+    # the check table reads check_p_nilpotence from the module when called
+    monkeypatch.setattr(classify_module, "check_p_nilpotence", patched)
+    statuses = {}
+    pairs = list(itertools.product([False, True], repeat=2))  # (hypothesis, conclusion)
+    for pattern in itertools.product(pairs, repeat=3):
+        truths.update(zip((2, 3, 5), pattern))
+        statuses[pattern] = run_check(g, "lemma-pnilp")
+        assert statuses[pattern] == ranked_status({if_chain_status(*t) for t in pattern})
+    # a violation at one prime outranks consistent and vacuous ones
+    assert statuses[(True, False), (True, True), (True, True)] == "violation"
+    assert statuses[(True, True), (False, True), (True, False)] == "violation"
+    assert statuses[(False, False), (True, True), (False, True)] == "consistent"
+    assert statuses[(False, True), (False, False), (False, True)] == "vacuous"

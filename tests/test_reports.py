@@ -167,6 +167,29 @@ class TestSerialization:
         with pytest.raises(InvalidParameters, match="'irredundantSizes'"):
             VerificationReport.from_dict(d)
 
+    def test_all_null_object_is_rejected(self):
+        keys = run_analyze(v4()).to_dict()
+        with pytest.raises(InvalidParameters, match="'groupName'"):
+            VerificationReport.from_dict(dict.fromkeys(keys))
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("errors", "ab"), ("errors", [1]), ("order", True), ("order", 4.0),
+         ("lambda", False), ("irredundantSizes", [3, None]), ("lemmaChecks", ["x"])],
+    )
+    def test_wrong_type_is_named(self, key, value):
+        d = run_analyze(v4()).to_dict()
+        d[key] = value
+        with pytest.raises(InvalidParameters, match=f"'{key}'"):
+            parse_report(serialize_envelope(d))
+
+    def test_first_bad_key_in_field_order_is_named(self):
+        d = run_analyze(v4()).to_dict()
+        d["errors"], d["isCyclic"] = "ab", "no"
+        del d["agreement"]
+        with pytest.raises(InvalidParameters, match="'isCyclic'"):
+            VerificationReport.from_dict(d)
+
     def test_non_object_is_rejected(self):
         with pytest.raises(InvalidParameters, match="not a JSON object"):
             parse_report("[]")
@@ -197,6 +220,20 @@ class TestRunCheck:
             run_check(v4(), "bogus")
         with pytest.raises(InvalidParameters):
             AnalyzeOptions(checks=("bogus",))
+
+
+class TestAnalyzeOptions:
+    @pytest.mark.parametrize("field", ["max_order", "enum_bound"])
+    @pytest.mark.parametrize("value", ["5", 5.0, None])
+    def test_non_integer_bound_is_rejected(self, field, value):
+        with pytest.raises(InvalidParameters, match="must be an integer"):
+            AnalyzeOptions(**{field: value})
+
+    def test_negative_bound_is_rejected(self):
+        with pytest.raises(InvalidParameters, match="max order -1 is negative"):
+            AnalyzeOptions(max_order=-1)
+        with pytest.raises(InvalidParameters, match="enumeration bound -1 is negative"):
+            AnalyzeOptions(enum_bound=-1)
 
 
 CATALOG = """\
