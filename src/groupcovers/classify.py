@@ -19,9 +19,7 @@ its order and element counts by order, never by isomorphism search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from math import gcd, isqrt
-from operator import and_
 
 from .arith import is_prime, prime_divisors
 from .covers import _min_set_cover, lambda_, one_sized_bruteforce, sigma_exact
@@ -180,6 +178,28 @@ class AbelianCoverCheck:
     status: str
 
 
+def _centralizer(group: Group, a: int, cent: dict[int, int]) -> int:
+    """C_G(A), or a mask missing part of A once A is seen to be non-abelian.
+
+    C_G(A) is the intersection of the C_G(x) over x in A, and C_G(x) lies
+    in C_G(x^k), so one x per cyclic subgroup, over the part of A outside
+    the center, suffices.  cent maps x to C_G(x); each is built the first
+    time it is read.
+    """
+    t = group.cayley
+    cur, rest = group.full_mask, a & ~group.center
+    while rest and cur & a == a:
+        x = (rest & -rest).bit_length() - 1
+        if x not in cent:
+            cent[x] = mask_of(y for y, b in enumerate(t[x]) if b == t[y][x])
+        cur &= cent[x]
+        y = x
+        while y:  # <x> is centralized by now
+            rest &= ~(1 << y)
+            y = t[y][x]
+    return cur
+
+
 def check_abelian_sigma_cover(group: Group) -> AbelianCoverCheck:
     """Does some cover of minimum size consist of abelian subgroups?
 
@@ -196,13 +216,10 @@ def check_abelian_sigma_cover(group: Group) -> AbelianCoverCheck:
     if group.is_abelian:
         candidates = [s.members for s in maximal_subgroups(group)]
     else:
-        t = group.cayley
-        cent = [  # C_G(x) for each x
-            mask_of(y for y, a in enumerate(r) if a == t[y][x]) for x, r in enumerate(t)
-        ]
+        cent: dict[int, int] = {}
         candidates = [
             a for a in (s.members for s in all_subgroups(group))
-            if reduce(and_, [cent[x] for x in iter_bits(a)]) == a
+            if _centralizer(group, a, cent) == a
         ]
     found = _min_set_cover(group.full_mask, sorted(candidates), limit=sig)
     exists = found is not None

@@ -12,7 +12,9 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable
 from dataclasses import MISSING, asdict, dataclass, field, fields
-from typing import Any, get_args, get_origin
+from functools import cache
+from types import NoneType, UnionType
+from typing import Any, TypedDict, Union, get_args, get_origin, get_type_hints, is_typeddict
 
 from . import covers, lattice
 from .catalog import CatalogEntry, build_entry
@@ -55,18 +57,65 @@ class AnalyzeOptions:
             raise InvalidParameters(f"unknown check id {unknown[0]!r}")
 
 
-def _is_json(value: Any, kind: Any) -> bool:
-    """Whether a decoded JSON value is of kind: a type, list[t] or a union."""
+class _FamilyJson(TypedDict):
+    kind: str
+    p: int | None
+    n: int | None
+
+
+class _OutcomeJson(TypedDict):
+    oneSized: bool
+    family: _FamilyJson | None
+    witnessHOrder: int | None
+    witnessCOrder: int | None
+
+
+class _LemmaCheckJson(TypedDict):
+    id: str
+    status: str | None
+
+
+# A TypedDict's keys and their kinds, resolved once: each resolution
+# evaluates the annotation strings again.
+_declared_keys = cache(get_type_hints)
+
+
+def _kinds(kind: Any) -> tuple[Any, ...]:
+    """The members of a union, or kind alone."""
+    return get_args(kind) if get_origin(kind) in (Union, UnionType) else (kind,)
+
+
+def _kind_name(kind: Any) -> str:
     if get_origin(kind) is list:
-        return type(value) is list and all(_is_json(v, *get_args(kind)) for v in value)
-    members = get_args(kind)  # a union's; a plain type has none
-    return any(_is_json(value, k) for k in members) or type(value) is kind
+        return f"list[{_kind_name(*get_args(kind))}]"
+    if len(_kinds(kind)) > 1:
+        return " | ".join(map(_kind_name, _kinds(kind)))
+    return "object" if is_typeddict(kind) else "None" if kind is NoneType else kind.__name__
+
+
+def _check_json(value: Any, kind: Any, where: str) -> None:
+    """Raise InvalidParameters naming where, or its first bad entry, unless a
+    decoded JSON value is of kind: a type, list[t], a TypedDict (an object
+    holding each declared key) or a union of these."""
+    for k in _kinds(kind):
+        if get_origin(k) is list and type(value) is list:
+            for i, v in enumerate(value):
+                _check_json(v, *get_args(k), f"{where}[{i}]")
+            return
+        if is_typeddict(k) and type(value) is dict:
+            for key, v_kind in _declared_keys(k).items():
+                _check_json(value.get(key, MISSING), v_kind, f"{where}[{key!r}]")
+            return
+        if type(value) is k:
+            return
+    raise InvalidParameters(f"report key {where} must hold {_kind_name(kind)}")
 
 
 def _json_field(key: str, kind: Any) -> Any:
     """A VerificationReport field that the report's JSON holds under key as
     a value of the given kind; it defaults to None if nullable, () if an array."""
-    default = None if _is_json(None, kind) else () if _is_json([], kind) else MISSING
+    nullable = NoneType in _kinds(kind)
+    default = None if nullable else () if get_origin(kind) is list else MISSING
     return field(default=default, metadata={"json": key, "kind": kind})
 
 
@@ -92,9 +141,13 @@ class VerificationReport:
         "irredundantSizes", list[int] | None
     )
     one_sized_bruteforce: bool | None = _json_field("oneSizedBruteforce", bool | None)
-    classify_outcome: dict[str, Any] | None = _json_field("classifyOutcome", dict | None)
+    classify_outcome: dict[str, Any] | None = _json_field(
+        "classifyOutcome", _OutcomeJson | None
+    )
     agreement: bool | None = _json_field("agreement", bool | None)
-    lemma_checks: tuple[dict[str, Any], ...] = _json_field("lemmaChecks", list[dict])
+    lemma_checks: tuple[dict[str, Any], ...] = _json_field(
+        "lemmaChecks", list[_LemmaCheckJson]
+    )
     errors: tuple[str, ...] = _json_field("errors", list[str])
 
     def to_dict(self) -> dict[str, Any]:
@@ -107,10 +160,8 @@ class VerificationReport:
     def from_dict(cls, d: dict[str, Any]) -> "VerificationReport":
         keys = {f.name: f.metadata["json"] for f in fields(cls)}
         for f in fields(cls):
-            key, kind = f.metadata["json"], f.metadata["kind"]
-            if not _is_json(d.get(key, MISSING), kind):
-                name = kind.__name__ if type(kind) is type else kind
-                raise InvalidParameters(f"report key {key!r} must hold {name}")
+            key = f.metadata["json"]
+            _check_json(d.get(key, MISSING), f.metadata["kind"], repr(key))
         return cls(**{name: _converted(d[key], tuple) for name, key in keys.items()})
 
 

@@ -7,11 +7,13 @@ exception is the reference routes at the end: algorithms the library
 used before newer ones replaced them (pairwise subgroup closure, the
 closure joining every subgroup with every cyclic one, the
 triple-scan table check, normality by conjugating with every element,
-the cover walk with per-node privacy lists, irredundancy by the union
+the cover walk with per-node privacy lists, the size walk branching on
+the least uncovered generator, irredundancy by the union
 of the other members, the structure predicates by derived series, Sylow
 subgroups and maximal-subgroup indices, the one-sized classification
 by pairs of normal subgroups, quotient invariants from quotient groups,
-maximal abelian subgroups by pairwise commutativity, the preset, direct
+maximal abelian subgroups by pairwise commutativity, the self-centralizing
+subgroups from a centralizer table of every element, the preset, direct
 product and quotient tables filled cell by cell, permutation tables
 by composing every pair, the set cover that rebuilds each element's
 option list at every node, and the lemma-check statuses decided by an
@@ -446,6 +448,50 @@ def privacy_list_trace_walk(traces, k: int, size_cap: int | None = None):
     return found
 
 
+def least_generator_size_walk(traces, k: int) -> tuple[int, ...]:
+    """Every size of an irredundant family of distinct traces, ascending.
+
+    The size walk as the library ran it before it branched on the fewest
+    live traces: branch on the least uncovered generator, try its traces
+    narrowest first in the given order, and skip a node at depth d with u
+    uncovered generators once every size in d+1 .. d+u is known.
+    """
+    by_gen = [[] for _ in range(k)]
+    for tid, t in enumerate(traces):
+        for g in bits(t):
+            by_gen[g].append(tid)
+    full = (1 << k) - 1
+    known = set()
+    chosen = []
+
+    def rec(union, once, banned):
+        uncovered = full & ~union
+        d = len(chosen)
+        if known.issuperset(range(d + 1, d + uncovered.bit_count() + 1)):
+            return
+        g = (uncovered & -uncovered).bit_length() - 1
+        for tid in by_gen[g]:
+            if banned >> tid & 1:
+                continue
+            banned |= 1 << tid
+            t = traces[tid]
+            fresh = t & ~union
+            if fresh == 0:
+                continue
+            left = (once & ~t) | fresh
+            if any(c & left == 0 for c in chosen):
+                continue
+            chosen.append(t)
+            if fresh == uncovered:
+                known.add(len(chosen))
+            else:
+                rec(union | t, left, banned)
+            chosen.pop()
+
+    rec(0, 0, 0)
+    return tuple(sorted(known))
+
+
 def pairwise_is_irredundant(masks, full_mask: int) -> bool:
     """True iff the masks cover full_mask and each has an element outside
     the union of the others (a repeated mask has none)."""
@@ -596,6 +642,23 @@ def pairwise_maximal_abelian_masks(table, subgroup_masks) -> set[int]:
     full = (1 << len(table)) - 1
     abelian = [m for m in subgroup_masks if m != full and pairwise_is_abelian(table, m)]
     return {m for m in abelian if not any(o != m and m & ~o == 0 for o in abelian)}
+
+
+def centralizer_table_abelian_masks(table, subgroup_masks) -> list[int]:
+    """The subgroup masks A with C_G(A) = A, in input order, from C_G(x)
+    built for every element x first and intersected over all of A."""
+    cent = [
+        sum(1 << y for y, a in enumerate(row) if a == table[y][x])
+        for x, row in enumerate(table)
+    ]
+    out = []
+    for m in subgroup_masks:
+        c = (1 << len(table)) - 1
+        for x in bits(m):
+            c &= cent[x]
+        if c == m:
+            out.append(m)
+    return out
 
 
 def quotient_group_invariants(group) -> list[tuple[int, int, int, int]]:

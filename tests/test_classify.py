@@ -29,6 +29,7 @@ from groupcovers import (
     from_permutation_generators,
     generalized_quaternion,
     is_solvable,
+    maximal_subgroups,
     normal_subgroups,
     prime_divisors,
     run_check,
@@ -42,6 +43,7 @@ from groupcovers.groups import Group, is_cyclic_mask, iter_bits
 from _oracles import (
     CHECK_STATUS_ORACLES,
     conjugation_is_normal_within,
+    centralizer_table_abelian_masks,
     if_chain_status,
     pair_loop_classify,
     pairwise_is_abelian,
@@ -417,7 +419,8 @@ def test_classify_matches_pair_loop_oracle_on_drawn_groups(g):
 
 # ---------------------------------------------------------------------------
 # The cross-checks read off G's lattice against the routes that built
-# quotient groups and tested commutativity pair by pair
+# quotient groups, tested commutativity pair by pair and tabled C_G(x) for
+# every element
 
 
 def library_quotient_items(g):
@@ -453,6 +456,15 @@ def oracle_abelian_candidates(g):
     return sorted(pairwise_maximal_abelian_masks(g.cayley, masks))
 
 
+def table_abelian_candidates(g):
+    """The candidates as check_abelian_sigma_cover chose them from a
+    centralizer table of every element."""
+    masks = [s.members for s in all_subgroups(g)]
+    if g.is_abelian:
+        return sorted(s.members for s in maximal_subgroups(g))
+    return sorted(centralizer_table_abelian_masks(g.cayley, masks))
+
+
 def test_cross_checks_match_quotient_group_oracles_on_corpus(corpus):
     groups = [g for _, g in sorted(corpus.items()) if not g.is_cyclic]
     assert len(groups) == 74
@@ -463,6 +475,10 @@ def test_cross_checks_match_quotient_group_oracles_on_corpus(corpus):
         g.name for g in groups
         if library_abelian_candidates(g) != oracle_abelian_candidates(g)
     ]
+    assert not [
+        g.name for g in groups
+        if library_abelian_candidates(g) != table_abelian_candidates(g)
+    ]
 
 
 @given(classify_groups(max_order=128))
@@ -470,6 +486,7 @@ def test_cross_checks_match_quotient_group_oracles_on_corpus(corpus):
 def test_cross_checks_match_quotient_group_oracles_on_drawn_groups(g):
     assert library_quotient_items(g) == quotient_group_invariants(g)
     assert library_abelian_candidates(g) == oracle_abelian_candidates(g)
+    assert library_abelian_candidates(g) == table_abelian_candidates(g)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from groupcovers import (
@@ -181,6 +183,23 @@ class TestSerialization:
         d = run_analyze(v4()).to_dict()
         d[key] = value
         with pytest.raises(InvalidParameters, match=f"'{key}'"):
+            parse_report(serialize_envelope(d))
+
+    @pytest.mark.parametrize(
+        "key,value,named",
+        [("lemmaChecks", [{}], "'lemmaChecks'[0]['id']"),
+         ("lemmaChecks", [{"id": "bryce-serena", "status": 1}], "'lemmaChecks'[0]['status']"),
+         ("classifyOutcome", {}, "'classifyOutcome'['oneSized']"),
+         ("classifyOutcome", {"oneSized": True, "family": {"kind": "Q8"},
+                              "witnessHOrder": 8, "witnessCOrder": 1},
+          "'classifyOutcome'['family']['p']")],
+    )
+    def test_nested_missing_key_is_named(self, key, value, named):
+        # the CLI renderer reads these keys, so a report lacking one must
+        # not parse
+        d = run_analyze(symmetric(3)).to_dict()
+        d[key] = value
+        with pytest.raises(InvalidParameters, match=re.escape(named)):
             parse_report(serialize_envelope(d))
 
     def test_first_bad_key_in_field_order_is_named(self):

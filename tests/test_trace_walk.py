@@ -6,10 +6,13 @@ oracles keep each chosen trace's private generators in a per-node list
 and test each member against the union of the others.  The counting
 walk, the size walk and enumerate_irredundant_covers must agree with the
 oracle walk on synthetic trace families and on the corpus, and the walk
-must visit the same families in the same order.
+must visit the same families in the same order.  The size walk branches
+in its own order and must find the same sizes as the size walk that
+branched on the least uncovered generator.
 """
 
 import functools
+import time
 from collections import Counter
 from types import SimpleNamespace
 from unittest import mock
@@ -23,7 +26,9 @@ from groupcovers import (
     all_subgroups,
     alternating,
     cover_enumeration_stats,
+    cyclic,
     dihedral,
+    direct_product,
     enumerate_irredundant_covers,
     frobenius_style_cover,
     irredundant_cover_sizes,
@@ -44,13 +49,21 @@ from groupcovers.covers import (
 )
 from groupcovers.lattice import Subgroup
 
-from _oracles import pairwise_is_irredundant, privacy_list_trace_walk
+from _oracles import (
+    least_generator_size_walk,
+    pairwise_is_irredundant,
+    privacy_list_trace_walk,
+)
 
 CAPS = (None, 3, 5)
 WALK_ORDER = 32
 # Materializing covers costs far more than counting them; past this many
 # the enumeration comparison is left to the counting one.
 ENUMERATED_COVERS = 5000
+
+
+def old_order_sizes(space):
+    return least_generator_size_walk(space.traces, len(space.generators))
 
 
 def oracle_families(space, size_cap):
@@ -123,6 +136,7 @@ def test_walk_visits_the_oracle_families_in_order(space, size_cap):
     assert stats.cover_count == sum(n for _, n in size_counts)
     if size_cap is None:
         assert _trace_cover_sizes(space) == tuple(s for s, _ in size_counts)
+        assert _trace_cover_sizes(space) == old_order_sizes(space)
 
 
 @settings(max_examples=150, deadline=None)
@@ -186,6 +200,49 @@ def test_corpus_walks_match_oracle(corpus):
             enumerated += 1
     # E16 at cap 5 and D12xC2 uncapped have more covers than the bound
     assert enumerated == len(cases) - 2
+
+
+# ---------------------------------------------------------------------------
+# The size walk against its old branching order
+
+
+def test_size_walk_matches_least_generator_oracle_on_corpus(corpus):
+    # every order: the oracle is slowest on A5, a few seconds
+    groups = [g for _, g in sorted(corpus.items()) if not g.is_cyclic]
+    assert len(groups) == 74
+    for g in groups:
+        space = _search_space(g)
+        assert _trace_cover_sizes(space) == old_order_sizes(space), g.name
+
+
+# Sizes from sigma to lambda that no irredundant cover attains; every other
+# non-cyclic corpus group attains its whole range.
+SPECTRUM_GAPS = {
+    "E8": (6,), "A4": (6,), "C4sC4": (6,), "C2xC2xC6": (6,), "SL23": (6,),
+    "A4xC2": (6,), "E16": (14,), "D18": (5, 7, 9), "S3xC3": (5,),
+    "Dic3xC3": (5,), "E9sC2": (5, 9, 11, 12), "D20": (4, 5), "A5": (30,),
+    "S3xC6": (9,), "F20xC2": (5, 13, 15),
+}
+
+
+def test_corpus_spectra_gaps(corpus):
+    gaps = {}
+    groups = {name: g for name, g in corpus.items() if not g.is_cyclic}
+    assert len(groups) == 74
+    for name, g in sorted(groups.items()):
+        sizes = irredundant_cover_sizes(g, enum_bound=512)
+        missing = tuple(sorted(set(range(sizes[0], sizes[-1] + 1)) - set(sizes)))
+        if missing:
+            gaps[name] = missing
+    assert gaps == SPECTRUM_GAPS
+
+
+def test_size_walk_on_s4xc4_is_fast():
+    g = direct_product(symmetric(4), cyclic(4))
+    start = time.perf_counter()
+    sizes = irredundant_cover_sizes(g, enum_bound=96)
+    assert time.perf_counter() - start < 2.0
+    assert sizes == tuple(range(3, 38))
 
 
 # ---------------------------------------------------------------------------
