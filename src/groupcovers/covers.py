@@ -34,18 +34,18 @@ in that window has been seen, the subtree has nothing new to report.
 The counting walk (cover_enumeration_stats) never prunes this way and
 is the reference route for the size walk.
 
-The two walks branch differently.  The counting walk visits every
-family anyway, so it branches on the least uncovered generator and tries
-its traces in (popcount, mask) order, narrowest first.  The size walk
-branches on the uncovered generator held by the fewest traces not yet
-banned, Knuth's "fewest options" rule ("Dancing links", arXiv
-cs/0011047), and tries that generator's traces widest first, so small
-covers, and with them the small sizes, turn up early and the window
-prune fires sooner.  Both orders are sound: a node's branches split its
-families by which of the chosen generator's traces they hold first
-among those tried, because every tried trace is banned in the later
-branches; any generator and any option order partition the families
-the same way, and the window d+1 .. d+u does not depend on either.
+Both walks branch the same way: on the uncovered generator held by the
+fewest traces not yet banned, Knuth's "fewest options" rule ("Dancing
+links", arXiv cs/0011047), trying that generator's traces widest first.
+Few options make a narrow tree with few dead ends, and wide traces
+first bring the small covers, and with them the small sizes, early, so
+the window prune fires sooner.  The rule is sound for any walk: a node's
+branches split its families by which of the chosen generator's traces
+they hold first among those tried, because every tried trace is banned
+in the later branches; any generator and any option order partition the
+families the same way, so counts, sizes and the set of covers do not
+depend on either, and neither does the window d+1 .. d+u.  Only the
+visit order does.
 """
 
 from __future__ import annotations
@@ -373,14 +373,12 @@ def _walk_trace_covers(
     partitions the cover space.  A node is (union, once, banned), with
     once as in the module docstring.
 
-    Without known (the counting walk) each node branches on the least
-    uncovered generator and tries its traces narrowest first, the visit
-    order the tests pin.  With a set of known sizes (which on_cover is
-    expected to grow) it branches on the uncovered generator with the
-    fewest unbanned traces, counted from held[g], the bitmask of the
-    traces holding g, and ending the node when that is none; ties go to
-    the least generator, whose traces are tried widest first.  A node at
-    depth d with u uncovered generators is then skipped when every size
+    Each node branches on the uncovered generator with the fewest
+    unbanned traces, counted from held[g], the bitmask of the traces
+    holding g, ties to the least generator, and tries its traces widest
+    first; a generator with none ends the node, which has no completion.
+    With a set of known sizes (which on_cover is expected to grow) a node
+    at depth d with u uncovered generators is also skipped when every size
     in d+1 .. d+|u| is already known: each further member covers at least
     one of the u, so no completion has a size outside that window.  Only
     the sizes are then exact; the families visited are a subset.
@@ -391,9 +389,8 @@ def _walk_trace_covers(
     for tid, t in enumerate(traces):
         for g in iter_bits(t):
             by_gen[g].append(tid)
-    if known is not None:
-        held = [sum(1 << tid for tid in tids) for tids in by_gen]
-        widest_first = [tids[::-1] for tids in by_gen]
+    held = [sum(1 << tid for tid in tids) for tids in by_gen]
+    widest_first = [tids[::-1] for tids in by_gen]
 
     chosen: list[int] = []
 
@@ -402,29 +399,25 @@ def _walk_trace_covers(
         d = len(chosen)
         if size_cap is not None and d >= size_cap:
             return
-        if known is None:
-            options = by_gen[(uncovered & -uncovered).bit_length() - 1]
-        else:
-            if known.issuperset(range(d + 1, d + uncovered.bit_count() + 1)):
-                return
-            free, g, live, rest = ~banned, -1, len(traces) + 1, uncovered
-            while rest:
-                h = (rest & -rest).bit_length() - 1
-                n = (held[h] & free).bit_count()
-                if n < live:
-                    if not n:
-                        return
-                    g, live = h, n
-                rest &= rest - 1
-            options = widest_first[g]
-        for tid in options:
+        if known is not None and known.issuperset(
+            range(d + 1, d + uncovered.bit_count() + 1)
+        ):
+            return
+        free, g, live, rest = ~banned, -1, len(traces) + 1, uncovered
+        while rest:
+            h = (rest & -rest).bit_length() - 1
+            n = (held[h] & free).bit_count()
+            if n < live:
+                if not n:
+                    return
+                g, live = h, n
+            rest &= rest - 1
+        for tid in widest_first[g]:
             if banned >> tid & 1:
                 continue
             banned |= 1 << tid
             t = traces[tid]
-            fresh = t & ~union
-            if fresh == 0:
-                continue
+            fresh = t & ~union  # holds g, which is uncovered
             left = (once & ~t) | fresh
             for c in chosen:
                 if c & left == 0:

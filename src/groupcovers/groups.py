@@ -104,13 +104,15 @@ def _greedy_generators(t: tuple[tuple[int, ...], ...]) -> Iterator[int]:
                 members.extend(new)
 
 
-def _check_axioms(t: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+def _check_axioms(
+    t: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Validate identity, Latin property, inverses, associativity.
 
-    Returns the inverse map.  Checks run in that fixed order so the
-    reported error names the first broken axiom, not a downstream
-    symptom of it.  Entries are range-checked first, since a negative
-    one would index from the end of a row.
+    Returns the inverse map and the generators Light's test read.  Checks
+    run in that fixed order so the reported error names the first broken
+    axiom, not a downstream symptom of it.  Entries are range-checked
+    first, since a negative one would index from the end of a row.
     """
     n = len(t)
     idx = tuple(range(n))
@@ -137,14 +139,15 @@ def _check_axioms(t: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
             raise MissingInverse(a)
 
     # Light's test over a generating set (see the module docstring).
-    for y in _greedy_generators(t):
+    gens = tuple(_greedy_generators(t))
+    for y in gens:
         times_y = operator.itemgetter(*t[y])
         for x, row in enumerate(t):
             if times_y(row) != t[row[y]]:
                 z = next(z for z in idx if t[row[y]][z] != row[t[y][z]])
                 raise NotAssociative(x, y, z)
 
-    return right_inv
+    return right_inv, gens
 
 
 # ---------------------------------------------------------------------------
@@ -169,9 +172,9 @@ class Group:
         rows = _table_rows(cayley) if _inverse is None else tuple(cayley)
         self.order: int = len(rows)
         self.cayley: tuple[tuple[int, ...], ...] = rows
-        self.inverse: tuple[int, ...] = (
-            _check_axioms(rows) if _inverse is None else _inverse
-        )
+        if _inverse is None:
+            _inverse, self.generators = _check_axioms(rows)
+        self.inverse: tuple[int, ...] = _inverse
         self.name: str = name if name is not None else f"G{self.order}"
         self._memo: dict = {}
 
@@ -253,28 +256,38 @@ class Group:
 
     @cached_property
     def generators(self) -> tuple[int, ...]:
-        """At most log2(n) elements generating the group (see _greedy_generators)."""
+        """At most log2(n) elements generating the group (see _greedy_generators).
+
+        A validated table is handed the ones its associativity check read.
+        """
         return tuple(_greedy_generators(self.cayley))
 
     # -- element-set operations
 
-    def conjugate_set(self, mask: int, g: int) -> int:
-        """g^-1 * mask * g."""
-        t = self.cayley
-        row = t[self.inverse[g]]
-        out = 0
-        for x in iter_bits(mask):
-            out |= 1 << t[row[x]][g]
-        return out
+    @cached_property
+    def _conjugations(self) -> tuple[tuple[int, ...], ...]:
+        """x -> g^-1 * x * g as a tuple, for each non-central generator g."""
+        t, inv = self.cayley, self.inverse
+        return tuple(
+            tuple(t[y][g] for y in t[inv[g]])
+            for g in self.generators
+            if not self.center >> g & 1
+        )
 
     def conjugates(self, mask: int) -> tuple[int, ...]:
         """Every g^-1 * mask * g, mask first: the orbit under non-central generators."""
-        gens = [g for g in self.generators if not self.center >> g & 1]
+        if is_normal_mask(self, mask):
+            return (mask,)
+        perms = self._conjugations
         orbit = [mask]
         seen = {mask}
         for m in orbit:  # grows while it is scanned
-            for g in gens:
-                image = self.conjugate_set(m, g)
+            for perm in perms:
+                image, rest = 0, m
+                while rest:
+                    low = rest & -rest
+                    image |= 1 << perm[low.bit_length() - 1]
+                    rest ^= low
                 if image not in seen:
                     seen.add(image)
                     orbit.append(image)

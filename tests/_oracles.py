@@ -7,8 +7,9 @@ exception is the reference routes at the end: algorithms the library
 used before newer ones replaced them (pairwise subgroup closure, the
 closure joining every subgroup with every cyclic one, the
 triple-scan table check, normality by conjugating with every element,
-the cover walk with per-node privacy lists, the size walk branching on
-the least uncovered generator, irredundancy by the union
+the cover walk with per-node privacy lists (branching on the least
+uncovered generator or by the library's fewest-live rule), the size walk
+branching on the least uncovered generator, irredundancy by the union
 of the other members, the structure predicates by derived series, Sylow
 subgroups and maximal-subgroup indices, the one-sized classification
 by pairs of normal subgroups, quotient invariants from quotient groups,
@@ -401,15 +402,21 @@ def commutator_central_section(table, upper: int, lower: int) -> bool:
 # the other members.  Quadratic in the family size per node or per test.
 
 
-def privacy_list_trace_walk(traces, k: int, size_cap: int | None = None):
+def privacy_list_trace_walk(
+    traces, k: int, size_cap: int | None = None, *, fewest_live: bool = False
+):
     """Every irredundant family of distinct traces over k generators.
 
-    traces: distinct nonzero masks below 1 << k, in the order the walk
-    tries them.  Returns (family, singles) pairs in visit order: the
-    chosen traces in choice order, and whether each is one generator.
-    Branches on the least uncovered generator and bans the traces tried
-    at a node in its later branches; a branch ends when a chosen trace
-    has no private generator left.
+    traces: distinct nonzero masks below 1 << k, narrowest first.
+    Returns (family, singles) pairs in visit order: the chosen traces in
+    choice order, and whether each is one generator.  Bans the traces
+    tried at a node in its later branches; a branch ends when a chosen
+    trace has no private generator left.  By default each node branches
+    on the least uncovered generator and tries its traces in the given
+    order, as the library's counting walk once did; with fewest_live it
+    branches on the uncovered generator held by the fewest unbanned
+    traces, ties to the least, tries its traces in reverse order, and
+    ends the node when that generator has none.
     """
     by_gen = [[] for _ in range(k)]
     for tid, t in enumerate(traces):
@@ -418,14 +425,23 @@ def privacy_list_trace_walk(traces, k: int, size_cap: int | None = None):
     found = []
     chosen = []
 
+    def options(uncovered, banned):
+        """The traces to try at a node, in order; none ends the node."""
+        if not fewest_live:
+            return by_gen[bits(uncovered)[0]]
+        live = {
+            g: [tid for tid in by_gen[g] if not banned >> tid & 1]
+            for g in bits(uncovered)
+        }
+        return live[min(live, key=lambda g: (len(live[g]), g))][::-1]
+
     def rec(uncovered, banned, union, priv, singles):
         if uncovered == 0:
             found.append((tuple(traces[tid] for tid in chosen), singles))
             return
         if size_cap is not None and len(chosen) >= size_cap:
             return
-        g = (uncovered & -uncovered).bit_length() - 1
-        for tid in by_gen[g]:
+        for tid in options(uncovered, banned):
             if banned >> tid & 1:
                 continue
             t = traces[tid]

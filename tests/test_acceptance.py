@@ -266,8 +266,11 @@ def test_criterion_10_determinism(capsys):
 
 
 # sha256 of the stdout of `groupcovers <argv>`: the verify-corpus text,
-# whose agree/DISAGREE column reads the verdicts classify.py decides, and
-# analyze's per-group reports with their lemma-check statuses.
+# whose agree/DISAGREE column reads the verdicts classify.py decides,
+# analyze's per-group reports with their lemma-check statuses, and the
+# counting walk's statistics (covers by size up to 5) for every corpus group
+# of order at most 32, which must not depend on the walk's visit order.
+# The uncapped statistics, whose E16 walk takes seconds, are pinned in CI.
 CLI_OUTPUT_SHA256 = {
     ("verify-corpus",):
         "296499e80d84c19017c865c2b7a67118a0ee069bd05caeba4da81e78abbde4e3",
@@ -279,6 +282,8 @@ CLI_OUTPUT_SHA256 = {
         "cb1adf8c3c35909f5655f4e9a3f3ab461cc3ed041212be1b866bd93c8e8352f5",
     ("--json", "--max-order", "512", "analyze"):
         "97b04b50330f216d221b12fe97d52be70709eff957baf1a0b884b41907630d1f",
+    ("--json", "--max-order", "32", "covers", "--enumerate", "--cap", "5"):
+        "bf478255548ec629de65666d9375846a7565d7d5becd56985e275324a6e626c4",
 }
 
 

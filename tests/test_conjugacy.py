@@ -125,11 +125,29 @@ def test_subgroup_classes_from_generators_on_corpus(corpus):
             assert (len(orbit) == 1) == s.is_normal
 
 
-def test_conjugates_skips_central_generators(monkeypatch):
+def test_conjugates_of_element_sets_on_corpus(corpus):
+    """Group.conjugates on sets that are not subgroups: every singleton,
+    and every subgroup without the identity."""
+    for g in small_corpus(corpus):
+        if g.order > 64:
+            continue
+        masks = [1 << x for x in range(g.order)]
+        masks += [s.members & ~1 for s in all_subgroups(g) if s.order > 1]
+        for mask in masks:
+            orbit = g.conjugates(mask)
+            assert orbit[0] == mask and len(set(orbit)) == len(orbit)
+            assert set(orbit) == conjugation_class(g.cayley, mask), (g.name, mask)
+
+
+def test_conjugates_skips_central_generators():
     g = direct_product(direct_product(cyclic(2), cyclic(2)), cyclic(2))
-    monkeypatch.setattr(g, "conjugate_set", lambda mask, x: pytest.fail("conjugated"))
     for s in all_subgroups(g):
         assert g.conjugates(s.members) == (s.members,)
+    assert g._conjugations == ()
+    h = direct_product(symmetric(3), cyclic(2))
+    moving = [x for x in h.generators if not h.center >> x & 1]
+    assert 0 < len(moving) < len(h.generators)
+    assert len(h._conjugations) == len(moving)
 
 
 def test_central_section_on_every_nested_normal_pair(corpus):
@@ -180,8 +198,8 @@ def test_random_masks_agree(which, raw, bit):
     t, n = g.cayley, g.order
     seed = raw & g.full_mask
     closure = 0
-    for h in range(n):
-        closure |= g.conjugate_set(seed, h)
+    for c in conjugation_class(t, seed):
+        closure |= c
     core = conjugation_normal_core(t, seed)
     # Random masks are almost never invariant; their core and normal
     # closure always are, and one flipped bit usually breaks that.

@@ -5,10 +5,12 @@ The library tracks irredundancy with one "covered exactly once" mask; the
 oracles keep each chosen trace's private generators in a per-node list
 and test each member against the union of the others.  The counting
 walk, the size walk and enumerate_irredundant_covers must agree with the
-oracle walk on synthetic trace families and on the corpus, and the walk
-must visit the same families in the same order.  The size walk branches
-in its own order and must find the same sizes as the size walk that
-branched on the least uncovered generator.
+oracle walk on synthetic trace families and on the corpus.  The walk
+must visit the families of the oracle that branches by the same rule
+(fewest live traces, widest first) in the same order, and the same
+families, each as a set, as the oracle that branches on the least
+uncovered generator, narrowest first.  The size walk must find the same
+sizes as the size walk that branched on the least uncovered generator.
 """
 
 import functools
@@ -66,8 +68,15 @@ def old_order_sizes(space):
     return least_generator_size_walk(space.traces, len(space.generators))
 
 
-def oracle_families(space, size_cap):
-    return privacy_list_trace_walk(space.traces, len(space.generators), size_cap)
+def oracle_families(space, size_cap, fewest_live=True):
+    return privacy_list_trace_walk(
+        space.traces, len(space.generators), size_cap, fewest_live=fewest_live
+    )
+
+
+def as_sets(families):
+    """The families as a multiset, each family sorted."""
+    return Counter(tuple(sorted(f)) for f in families)
 
 
 def visited(space, size_cap):
@@ -109,9 +118,31 @@ def oracle_covers(space, families):
 
 @st.composite
 def search_spaces(draw):
-    """A trace family over k generators with classes of 1 to 3 fake masks."""
-    k = draw(st.integers(1, 7))
-    extra = draw(st.frozensets(st.integers(1, (1 << k) - 1), max_size=20))
+    """A trace family over k generators with classes of 1 to 3 fake masks.
+
+    About half the families are built around generator 0, among 6 or 7,
+    from wide traces: W, every generator but 0; a trace A through 0
+    holding 3 to k - 3 generators; A with one other member swapped for a
+    non-member, B; and A's complement, which nests in W.
+    No generator is held by fewer traces than 0, so the walk branches on
+    it first, and when A is the larger mask it tries A before B.  A's
+    branch then finds sizes 2 and k - |A| + 1 but none between, while
+    B's branch has the same window and holds a size in its middle, so a
+    window check that reads only the window's ends loses that size.
+    Uniform draws almost never build such a family.
+    """
+    if draw(st.booleans()):
+        k = draw(st.integers(6, 7))
+        full = (1 << k) - 1
+        others = draw(st.permutations(range(1, k)))
+        w = draw(st.integers(2, k - 4))
+        a = sum(1 << g for g in others[:w]) | 1
+        out = others[draw(st.integers(0, w - 1))]
+        into = others[draw(st.integers(w, k - 2))]
+        extra = {full & ~1, a, a ^ (1 << out) ^ (1 << into), full & ~a}
+    else:
+        k = draw(st.integers(1, 7))
+        extra = draw(st.frozensets(st.integers(1, (1 << k) - 1), max_size=20))
     traces = sorted(
         {1 << i for i in range(k)} | extra, key=lambda t: (t.bit_count(), t)
     )
@@ -128,7 +159,10 @@ def search_spaces(draw):
 @given(search_spaces(), st.sampled_from(CAPS))
 def test_walk_visits_the_oracle_families_in_order(space, size_cap):
     families = oracle_families(space, size_cap)
-    assert visited(space, size_cap) == [f for f, _ in families]
+    got = visited(space, size_cap)
+    assert got == [f for f, _ in families]
+    least = oracle_families(space, size_cap, fewest_live=False)
+    assert as_sets(got) == as_sets(f for f, _ in least)
     size_counts, multi = oracle_stats(space, families)
     stats = _count_trace_covers(space, size_cap)
     assert stats.size_counts == size_counts
@@ -185,7 +219,10 @@ def test_corpus_walks_match_oracle(corpus):
     for g, cap in cases:
         space = _search_space(g)
         families = oracle_families(space, cap)
-        assert visited(space, cap) == [f for f, _ in families], (g.name, cap)
+        got = visited(space, cap)
+        assert got == [f for f, _ in families], (g.name, cap)
+        least = oracle_families(space, cap, fewest_live=False)
+        assert as_sets(got) == as_sets(f for f, _ in least), (g.name, cap)
         size_counts, multi = oracle_stats(space, families)
         stats = cover_enumeration_stats(g, cap, enum_bound=WALK_ORDER)
         assert stats.size_counts == size_counts, (g.name, cap)

@@ -28,6 +28,7 @@ from groupcovers import (
     symmetric,
     validate_group,
 )
+from groupcovers import groups
 from groupcovers.groups import _greedy_generators
 
 from _oracles import pairwise_generated_mask, table_axiom_error
@@ -206,6 +207,19 @@ class TestGreedyGenerators:
             gens = list(_greedy_generators(g.cayley))
             assert len(gens) <= math.log2(g.order)
             assert pairwise_generated_mask(g.cayley, sum(1 << y for y in gens)) == g.full_mask
+
+    def test_validated_group_keeps_the_checked_generators(self, corpus, monkeypatch):
+        # Light's test already finds the generators; the group must not
+        # run the greedy closure again to get them.
+        rng = random.Random(7)
+        tables = [relabelled(g.cayley, rng)[0] for g in corpus.values() if g.order <= 64]
+        assert len(tables) > 80
+        for table in tables:
+            h = validate_group(table)
+            with monkeypatch.context() as m:
+                m.setattr(groups, "_greedy_generators", lambda t: pytest.fail("recomputed"))
+                gens = h.generators
+            assert gens == tuple(_greedy_generators(h.cayley))
 
     def test_large_relabelled_tables(self):
         rng = random.Random(512)
