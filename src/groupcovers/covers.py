@@ -34,18 +34,15 @@ in that window has been seen, the subtree has nothing new to report.
 The counting walk (cover_enumeration_stats) never prunes this way and
 is the reference route for the size walk.
 
-Both walks branch the same way: on the uncovered generator held by the
-fewest traces not yet banned, Knuth's "fewest options" rule ("Dancing
-links", arXiv cs/0011047), trying that generator's traces widest first.
-Few options make a narrow tree with few dead ends, and wide traces
-first bring the small covers, and with them the small sizes, early, so
-the window prune fires sooner.  The rule is sound for any walk: a node's
-branches split its families by which of the chosen generator's traces
-they hold first among those tried, because every tried trace is banned
-in the later branches; any generator and any option order partition the
-families the same way, so counts, sizes and the set of covers do not
-depend on either, and neither does the window d+1 .. d+u.  Only the
-visit order does.
+Both walks branch the same way, on the options _fewest_options picks
+among the uncovered generators, widest trace first.  Few options make a
+narrow tree with few dead ends, and wide traces first bring the small
+covers, and with them the small sizes, early, so the window prune fires
+sooner.  Any rule is sound: a node's branches split its families by
+which of the chosen generator's traces they hold first among those
+tried, because every tried trace is banned in the later branches; so
+counts, sizes, the set of covers and the window d+1 .. d+u do not depend
+on the generator or the option order.  Only the visit order does.
 """
 
 from __future__ import annotations
@@ -201,6 +198,36 @@ def maximal_cyclic_pairs_generate(group: Group) -> bool:
 # Exact minimum cover size via branch and bound
 
 
+def _fewest_options(items: int, holders: Sequence[int], banned: int) -> int:
+    """The unbanned holders of the first item in items with the fewest.
+
+    This is Knuth's "fewest options" rule ("Dancing links", arXiv
+    cs/0011047), on which both exact searches branch.  items is a bitmask
+    of uncovered items, holders[i] the bitmask of the options holding
+    item i, and banned the options already tried.
+
+    The scan stops at the first item with at most one option.  That is
+    the item a full scan would pick, ties to the least item included, as
+    long as no item has none.  And none has below the root if none has at
+    the root: a node that branches on r options enters its j-th branch
+    with j - 1 < r of them newly banned (rejected options among them),
+    every other uncovered item had at least r, and the option taken
+    holds no item left uncovered.
+    """
+    options = fewest = 0
+    free = ~banned
+    while items:
+        low = items & -items
+        opts = holders[low.bit_length() - 1] & free
+        k = opts.bit_count()
+        if k <= 1:
+            return opts
+        if k < fewest or not options:
+            options, fewest = opts, k
+        items ^= low
+    return options
+
+
 def _min_set_cover(
     universe: int, candidates: Sequence[int], limit: int | None = None
 ) -> tuple[int, tuple[int, ...]] | None:
@@ -210,11 +237,9 @@ def _min_set_cover(
     toward the earlier candidate so results are reproducible.  With a
     limit, returns None when no cover of size <= limit exists.
 
-    holders[e] is the bitmask of the candidates containing element e, as
-    Algorithm X keeps each item's options (Knuth, "Dancing links",
-    arXiv cs/0011047).  Each node branches, in ascending candidate order,
-    over the unbanned holders of the first uncovered element with the
-    fewest of them; no node rescans the candidates.
+    holders[e] is the bitmask of the candidates containing element e, and
+    each node branches, in ascending candidate order, over the options
+    _fewest_options picks among the uncovered elements.
     """
     cands = list(candidates)
     if not universe:
@@ -227,21 +252,14 @@ def _min_set_cover(
         return None
     max_gain = max(m.bit_count() for m in cands)
 
+    # Every element has a holder, so greedy always finds a cover.
+    best_sel: tuple[int, ...] | None = ()
     unc = universe
-    greedy: list[int] = []
     while unc:
-        gain, pick = 0, -1
-        for i, m in enumerate(cands):
-            g = (m & unc).bit_count()
-            if g > gain:
-                gain, pick = g, i
-        if pick < 0:
-            break
-        greedy.append(cands[pick])
-        unc &= ~cands[pick]
-
-    best_size = len(greedy) if unc == 0 else len(cands) + 1
-    best_sel: tuple[int, ...] | None = tuple(greedy) if unc == 0 else None
+        pick = max(cands, key=lambda m: (m & unc).bit_count())
+        best_sel += (pick,)
+        unc &= ~pick
+    best_size = len(best_sel)
     if limit is not None and limit + 1 < best_size:
         best_size, best_sel = limit + 1, None
 
@@ -254,15 +272,7 @@ def _min_set_cover(
         need = -(-unc.bit_count() // max_gain)
         if len(chosen) + need >= best_size:
             return
-        options, fewest = 0, len(cands) + 1
-        for e in iter_bits(unc):
-            opts = holders[e] & ~banned
-            k = opts.bit_count()
-            if k < fewest:
-                options, fewest = opts, k
-                if not k:
-                    return
-        for i in iter_bits(options):
+        for i in iter_bits(_fewest_options(unc, holders, banned)):
             chosen.append(cands[i])
             rec(unc & ~cands[i], chosen, banned)
             chosen.pop()
@@ -373,24 +383,22 @@ def _walk_trace_covers(
     partitions the cover space.  A node is (union, once, banned), with
     once as in the module docstring.
 
-    Each node branches on the uncovered generator with the fewest
-    unbanned traces, counted from held[g], the bitmask of the traces
-    holding g, ties to the least generator, and tries its traces widest
-    first; a generator with none ends the node, which has no completion.
-    With a set of known sizes (which on_cover is expected to grow) a node
-    at depth d with u uncovered generators is also skipped when every size
-    in d+1 .. d+|u| is already known: each further member covers at least
-    one of the u, so no completion has a size outside that window.  Only
-    the sizes are then exact; the families visited are a subset.
+    Each node branches on the traces _fewest_options picks among the
+    uncovered generators, from held[g], the bitmask of the traces holding
+    g, and tries them from the top bit down, which is widest first since
+    traces are sorted by (width, mask).  With a set of known sizes (which
+    on_cover is expected to grow) a node at depth d with u uncovered
+    generators is also skipped when every size in d+1 .. d+|u| is already
+    known: each further member covers at least one of the u, so no
+    completion has a size outside that window.  Only the sizes are then
+    exact; the families visited are a subset.
     """
     traces = space.traces
     full = (1 << len(space.generators)) - 1
-    by_gen: list[list[int]] = [[] for _ in space.generators]
+    held = [0] * len(space.generators)
     for tid, t in enumerate(traces):
         for g in iter_bits(t):
-            by_gen[g].append(tid)
-    held = [sum(1 << tid for tid in tids) for tids in by_gen]
-    widest_first = [tids[::-1] for tids in by_gen]
+            held[g] |= 1 << tid
 
     chosen: list[int] = []
 
@@ -403,21 +411,14 @@ def _walk_trace_covers(
             range(d + 1, d + uncovered.bit_count() + 1)
         ):
             return
-        free, g, live, rest = ~banned, -1, len(traces) + 1, uncovered
-        while rest:
-            h = (rest & -rest).bit_length() - 1
-            n = (held[h] & free).bit_count()
-            if n < live:
-                if not n:
-                    return
-                g, live = h, n
-            rest &= rest - 1
-        for tid in widest_first[g]:
-            if banned >> tid & 1:
-                continue
-            banned |= 1 << tid
+        options = _fewest_options(uncovered, held, banned)
+        while options:
+            tid = options.bit_length() - 1
+            bit = 1 << tid
+            options ^= bit
+            banned |= bit
             t = traces[tid]
-            fresh = t & ~union  # holds g, which is uncovered
+            fresh = t & ~union  # holds the generator branched on
             left = (once & ~t) | fresh
             for c in chosen:
                 if c & left == 0:

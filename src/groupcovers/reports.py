@@ -12,9 +12,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable
 from dataclasses import MISSING, asdict, dataclass, field, fields
-from functools import cache
-from types import NoneType, UnionType
-from typing import Any, TypedDict, Union, get_args, get_origin, get_type_hints, is_typeddict
+from typing import Any
 
 from . import covers, lattice
 from .catalog import CatalogEntry, build_entry
@@ -57,56 +55,44 @@ class AnalyzeOptions:
             raise InvalidParameters(f"unknown check id {unknown[0]!r}")
 
 
-class _FamilyJson(TypedDict):
-    kind: str
-    p: int | None
-    n: int | None
+# The report's JSON schema as plain data.  A kind is a type, None, a tuple
+# of alternatives, [kind] for an array of kind values, or {key: kind} for
+# an object holding each key.
+_FAMILY = {"kind": str, "p": (int, None), "n": (int, None)}
+_OUTCOME = {
+    "oneSized": bool,
+    "family": (_FAMILY, None),
+    "witnessHOrder": (int, None),
+    "witnessCOrder": (int, None),
+}
+_LEMMA_CHECK = {"id": str, "status": (str, None)}
 
 
-class _OutcomeJson(TypedDict):
-    oneSized: bool
-    family: _FamilyJson | None
-    witnessHOrder: int | None
-    witnessCOrder: int | None
-
-
-class _LemmaCheckJson(TypedDict):
-    id: str
-    status: str | None
-
-
-# A TypedDict's keys and their kinds, resolved once: each resolution
-# evaluates the annotation strings again.
-_declared_keys = cache(get_type_hints)
-
-
-def _kinds(kind: Any) -> tuple[Any, ...]:
-    """The members of a union, or kind alone."""
-    return get_args(kind) if get_origin(kind) in (Union, UnionType) else (kind,)
+def _alternatives(kind: Any) -> tuple[Any, ...]:
+    return kind if type(kind) is tuple else (kind,)
 
 
 def _kind_name(kind: Any) -> str:
-    if get_origin(kind) is list:
-        return f"list[{_kind_name(*get_args(kind))}]"
-    if len(_kinds(kind)) > 1:
-        return " | ".join(map(_kind_name, _kinds(kind)))
-    return "object" if is_typeddict(kind) else "None" if kind is NoneType else kind.__name__
+    if type(kind) is tuple:
+        return " | ".join(map(_kind_name, kind))
+    if type(kind) is list:
+        return f"list[{_kind_name(*kind)}]"
+    return "object" if type(kind) is dict else "None" if kind is None else kind.__name__
 
 
 def _check_json(value: Any, kind: Any, where: str) -> None:
     """Raise InvalidParameters naming where, or its first bad entry, unless a
-    decoded JSON value is of kind: a type, list[t], a TypedDict (an object
-    holding each declared key) or a union of these."""
-    for k in _kinds(kind):
-        if get_origin(k) is list and type(value) is list:
+    decoded JSON value is of kind."""
+    for k in _alternatives(kind):
+        if type(k) is list and type(value) is list:
             for i, v in enumerate(value):
-                _check_json(v, *get_args(k), f"{where}[{i}]")
+                _check_json(v, *k, f"{where}[{i}]")
             return
-        if is_typeddict(k) and type(value) is dict:
-            for key, v_kind in _declared_keys(k).items():
+        if type(k) is dict and type(value) is dict:
+            for key, v_kind in k.items():
                 _check_json(value.get(key, MISSING), v_kind, f"{where}[{key!r}]")
             return
-        if type(value) is k:
+        if (value is None) if k is None else (type(value) is k):
             return
     raise InvalidParameters(f"report key {where} must hold {_kind_name(kind)}")
 
@@ -114,8 +100,8 @@ def _check_json(value: Any, kind: Any, where: str) -> None:
 def _json_field(key: str, kind: Any) -> Any:
     """A VerificationReport field that the report's JSON holds under key as
     a value of the given kind; it defaults to None if nullable, () if an array."""
-    nullable = NoneType in _kinds(kind)
-    default = None if nullable else () if get_origin(kind) is list else MISSING
+    nullable = None in _alternatives(kind)
+    default = None if nullable else () if type(kind) is list else MISSING
     return field(default=default, metadata={"json": key, "kind": kind})
 
 
@@ -130,25 +116,25 @@ def _converted(value: Any, sequence: type) -> Any:
 class VerificationReport:
     group_name: str = _json_field("groupName", str)
     order: int = _json_field("order", int)
-    is_cyclic: bool | None = _json_field("isCyclic", bool | None)
-    is_solvable: bool | None = _json_field("isSolvable", bool | None)
-    is_nilpotent: bool | None = _json_field("isNilpotent", bool | None)
-    is_supersolvable: bool | None = _json_field("isSupersolvable", bool | None)
-    lambda_value: int | None = _json_field("lambda", int | None)
-    sigma_exact: int | str | None = _json_field("sigmaExact", int | str | None)
-    sigma_tomkinson: int | str | None = _json_field("sigmaTomkinson", int | str | None)
+    is_cyclic: bool | None = _json_field("isCyclic", (bool, None))
+    is_solvable: bool | None = _json_field("isSolvable", (bool, None))
+    is_nilpotent: bool | None = _json_field("isNilpotent", (bool, None))
+    is_supersolvable: bool | None = _json_field("isSupersolvable", (bool, None))
+    lambda_value: int | None = _json_field("lambda", (int, None))
+    sigma_exact: int | str | None = _json_field("sigmaExact", (int, str, None))
+    sigma_tomkinson: int | str | None = _json_field("sigmaTomkinson", (int, str, None))
     irredundant_sizes: tuple[int, ...] | None = _json_field(
-        "irredundantSizes", list[int] | None
+        "irredundantSizes", ([int], None)
     )
-    one_sized_bruteforce: bool | None = _json_field("oneSizedBruteforce", bool | None)
+    one_sized_bruteforce: bool | None = _json_field("oneSizedBruteforce", (bool, None))
     classify_outcome: dict[str, Any] | None = _json_field(
-        "classifyOutcome", _OutcomeJson | None
+        "classifyOutcome", (_OUTCOME, None)
     )
-    agreement: bool | None = _json_field("agreement", bool | None)
+    agreement: bool | None = _json_field("agreement", (bool, None))
     lemma_checks: tuple[dict[str, Any], ...] = _json_field(
-        "lemmaChecks", list[_LemmaCheckJson]
+        "lemmaChecks", [_LEMMA_CHECK]
     )
-    errors: tuple[str, ...] = _json_field("errors", list[str])
+    errors: tuple[str, ...] = _json_field("errors", [str])
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -158,11 +144,12 @@ class VerificationReport:
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "VerificationReport":
-        keys = {f.name: f.metadata["json"] for f in fields(cls)}
+        values = {}
         for f in fields(cls):
             key = f.metadata["json"]
             _check_json(d.get(key, MISSING), f.metadata["kind"], repr(key))
-        return cls(**{name: _converted(d[key], tuple) for name, key in keys.items()})
+            values[f.name] = _converted(d[key], tuple)
+        return cls(**values)
 
 
 def serialize_report(report: VerificationReport) -> str:

@@ -115,6 +115,14 @@ class TestParseErrors:
 
     def test_bad_perm_degree(self):
         self.check("group X\nperm zero; (1 2)\n", 2)
+        self.check("group X\nperm 3 4; (1 2)\n", 2, "expected 'perm <degree>; ...'")
+        self.check("group X\nperm 0; (1)\n", 2, "degree must be positive")
+
+    def test_bare_preset(self):
+        self.check("group X\npreset\n", 2, "expected 'preset <kind> <args>'")
+
+    def test_order_must_be_positive(self):
+        self.check("group C4\npreset cyclic 4\norder 0\n", 3, "order must be positive")
 
     def test_line_numbers_skip_comments(self):
         text = "# one\n# two\ngroup X\npreset nope 1\n"

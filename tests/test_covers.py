@@ -177,11 +177,23 @@ class TestCoverPredicates:
         with pytest.raises(NotProperSubgroup):
             make_cover(g, [g.full_mask])
 
+    def test_make_cover_of_a_cover_is_that_cover(self):
+        g = symmetric(3)
+        cov = maximal_cyclic_family(g)
+        assert make_cover(g, cov) == cov
+
     def test_is_cover(self):
         g = v4()
         c2s = [s for s in all_subgroups(g) if s.order == 2]
         assert is_cover(g, c2s)
         assert not is_cover(g, c2s[:2])
+
+    def test_is_cover_rejects_a_raw_cover_holding_the_group(self):
+        # a Cover built directly skips make_cover's check
+        g = v4()
+        whole = next(s for s in all_subgroups(g) if s.order == g.order)
+        with pytest.raises(NotProperSubgroup):
+            is_cover(g, Cover((whole,), g.order))
 
     def test_is_irredundant(self):
         g = dihedral(4)
@@ -270,6 +282,10 @@ class TestEnumeration:
         st = cover_enumeration_stats(dihedral(4), 2)
         assert st.cover_count == 0
         assert st.size_counts == ()
+
+    def test_cyclic_group_has_no_covers_to_count(self):
+        with pytest.raises(GroupIsCyclic):
+            cover_enumeration_stats(cyclic(4))
 
     def test_enum_bound_enforced(self):
         big = dihedral(20)
@@ -614,3 +630,40 @@ class TestSetCoverEdgeCases:
         ):
             assert found == (2, (b, a))
             assert [m.tag for m in found[1]] == ["B", "A"]
+
+
+class Reads(list):
+    """A list that records which indices were read."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.read = []
+
+    def __getitem__(self, i):
+        self.read.append(i)
+        return super().__getitem__(i)
+
+
+class TestFewestOptions:
+    def test_ties_go_to_the_first_item(self):
+        holders = [0b0011, 0b0110, 0b1100]
+        assert covers._fewest_options(0b111, holders, 0) == 0b0011
+        assert covers._fewest_options(0b110, holders, 0) == 0b0110
+
+    def test_banned_holders_are_excluded(self):
+        holders = [0b00111, 0b11100]
+        assert covers._fewest_options(0b11, holders, 0b00001) == 0b00110
+        assert covers._fewest_options(0b11, holders, 0b10000) == 0b01100
+
+    def test_stops_at_one_option(self):
+        # a full scan would pick item 2, which has none
+        holders = Reads([0b11, 0b100, 0, 0b111])
+        assert covers._fewest_options(0b1111, holders, 0) == 0b100
+        assert holders.read == [0, 1]
+        holders = Reads([0b11, 0b110, 0b1100])
+        assert covers._fewest_options(0b111, holders, 0b10) == 0b1
+        assert holders.read == [0]
+
+    def test_no_items(self):
+        assert covers._fewest_options(0, [0b1], 0) == 0
+        assert covers._fewest_options(0, [], 0) == 0

@@ -128,6 +128,11 @@ class TestValidation:
     def test_order_bound(self):
         with pytest.raises(OrderBoundExceeded):
             cyclic(513)
+        with pytest.raises(OrderBoundExceeded):
+            dihedral(257)  # order 514
+        # no Latin square, but its size is checked first
+        with pytest.raises(OrderBoundExceeded):
+            validate_group([[0] * 513] * 513)
 
 
 class TestPermutationParsing:
@@ -164,6 +169,10 @@ class TestPermutationParsing:
             from_permutation_generators(2, [[1.5, 0]])
         with pytest.raises(MalformedCycle):
             from_permutation_generators(2, [[1.0, 0.0]])
+
+    def test_int_sequence_must_be_a_permutation(self):
+        with pytest.raises(MalformedCycle, match="is not a permutation of 0..2"):
+            from_permutation_generators(3, [[0, 0, 1]])
 
     def test_string_point_rejected(self):
         with pytest.raises(MalformedCycle):
@@ -218,6 +227,8 @@ class TestPresets:
             semidirect_cp_cn(5, 3, 2)  # 2^3 != 1 mod 5
         with pytest.raises(InvalidParameters):
             semidirect_cp_cn(5, 4, 5)  # l out of range
+        with pytest.raises(InvalidParameters, match="n must be at least 1"):
+            semidirect_cp_cn(3, 0, 1)
 
     def test_dihedral_matches_symmetric(self):
         a, b = dihedral(3), symmetric(3)

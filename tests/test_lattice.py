@@ -124,6 +124,15 @@ def test_a5_subgroup_count():
     assert len(all_subgroups(alternating(5))) == 59
 
 
+def test_subgroup_membership():
+    g = symmetric(3)
+    c3 = next(s for s in all_subgroups(g) if s.order == 3)
+    # the identity and the two 3-cycles
+    members = [x for x in range(g.order) if g.element_order(x) in (1, 3)]
+    assert [x for x in range(g.order) if x in c3] == members
+    assert g.order not in c3
+
+
 def test_normality_flags():
     s3 = symmetric(3)
     by_order = {}

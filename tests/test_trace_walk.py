@@ -13,6 +13,7 @@ uncovered generator, narrowest first.  The size walk must find the same
 sizes as the size walk that branched on the least uncovered generator.
 """
 
+import contextlib
 import functools
 import time
 from collections import Counter
@@ -49,6 +50,7 @@ from groupcovers.covers import (
     _trace_cover_sizes,
     _walk_trace_covers,
 )
+from groupcovers.groups import iter_bits
 from groupcovers.lattice import Subgroup
 
 from _oracles import (
@@ -190,6 +192,68 @@ def test_enumeration_matches_oracle_on_synthetic_traces(space, size_cap):
     expected = oracle_covers(space, oracle_families(space, size_cap))
     assert {frozenset(c.member_masks()) for c in got} == expected
     assert len(got) == len(expected)
+
+
+# ---------------------------------------------------------------------------
+# The early stop of the fewest-options scan
+
+
+@contextlib.contextmanager
+def recorded_scans():
+    """Record (items, holders, banned) for every _fewest_options call."""
+    calls = []
+    real = covers._fewest_options
+
+    def recording(items, holders, banned):
+        calls.append((items, holders, banned))
+        return real(items, holders, banned)
+
+    with mock.patch.object(covers, "_fewest_options", recording):
+        yield calls
+
+
+def dead_scans(calls):
+    """The calls that saw an item with no live option.
+
+    There must be none, or stopping at the first item with one option
+    could pass over a dead item that a full scan would pick.  At the
+    root every item has a holder: set cover returns None before its
+    search otherwise, and every generator holds the trace of its own
+    maximal cyclic subgroup (the synthetic families hold each single
+    generator).  Below the root the lemma in _fewest_options applies.
+    """
+    return [
+        (items, banned)
+        for items, holders, banned in calls
+        if any(not holders[i] & ~banned for i in iter_bits(items))
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(search_spaces(), st.sampled_from(CAPS))
+def test_no_scan_sees_a_dead_generator_on_synthetic_traces(space, size_cap):
+    with recorded_scans() as calls:
+        _count_trace_covers(space, size_cap)
+        _trace_cover_sizes(space)
+    assert calls
+    assert dead_scans(calls) == []
+
+
+def test_no_scan_sees_a_dead_item_on_corpus(corpus):
+    groups = [g for _, g in sorted(corpus.items()) if not g.is_cyclic]
+    walked = [g for g in groups if g.order <= WALK_ORDER]
+    assert len(walked) == 59
+    with recorded_scans() as calls:
+        for g in groups:
+            masks = [s.members for s in maximal_subgroups(g)]
+            covers._min_set_cover(g.full_mask, masks)
+        set_cover_calls = len(calls)
+        for g in walked:
+            _trace_cover_sizes(_search_space(g))
+            if g.name != "E16":  # 674,986 counting-walk nodes
+                _count_trace_covers(_search_space(g), None)
+    assert set_cover_calls and len(calls) > set_cover_calls
+    assert dead_scans(calls) == []
 
 
 # ---------------------------------------------------------------------------
