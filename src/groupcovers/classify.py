@@ -272,7 +272,8 @@ def check_quotient_invariants(group: Group) -> QuotientInvariantsCheck:
         if group.full_mask in images:
             continue
         above = [m for m in maximals if n.members & ~m == 0]
-        qsig = _min_set_cover(group.full_mask, above)[0]
+        same = len(above) == len(maximals)  # sigma(G)'s own set-cover instance
+        qsig = sig if same else _min_set_cover(group.full_mask, above)[0]
         qlam = len(maximal_masks(list(images)))
         items.append(QuotientCheckItem(n.order, group.order // n.order, qsig, qlam))
     ok = all(it.sigma_quotient == sig == it.lambda_quotient for it in items)

@@ -281,16 +281,17 @@ class Group:
         perms = self._conjugations
         orbit = [mask]
         seen = {mask}
-        for m in orbit:  # grows while it is scanned
+        lists = [list(iter_bits(mask))]  # the elements of each orbit member
+        for elements in lists:  # grows while it is scanned
             for perm in perms:
-                image, rest = 0, m
-                while rest:
-                    low = rest & -rest
-                    image |= 1 << perm[low.bit_length() - 1]
-                    rest ^= low
+                image_elements = [perm[x] for x in elements]
+                image = 0
+                for y in image_elements:
+                    image |= 1 << y
                 if image not in seen:
                     seen.add(image)
                     orbit.append(image)
+                    lists.append(image_elements)
         return tuple(orbit)
 
 

@@ -5,7 +5,7 @@ computed by cyclic extension up to conjugacy (Neubueser, Numer. Math. 2,
 1960): starting from the trivial subgroup, one representative S of each
 conjugacy class is joined with cyclic subgroups, and each new join
 brings its whole class, the orbit under conjugation by G's generators.
-Two lemmas make this exhaustive with few joins:
+Three lemmas make this exhaustive with few joins:
 
 * Classes.  <S^g, c^g> = <S, c>^g, so joining only a representative of
   each class and adding the classes of the joins finds every subgroup.
@@ -14,11 +14,17 @@ Two lemmas make this exhaustive with few joins:
   So every subgroup above S is reached through joins <S, c> with c
   meeting S in a subgroup of prime index in c, and only those are formed.
   A join depends only on the coset S*x, so one per coset is formed.
+* Prime index.  By Lagrange no subgroup lies strictly between S and J
+  when |J:S| is prime.  So an S of prime index in G is maximal and is
+  not joined at all (every S with |G:S| < 2p, p the least prime dividing
+  |G|, is one), and a proper join J = <S, x> of prime index over S is
+  also <S, y> for every y in J outside S, so no such y is joined again.
 
 The closure also decides normality and maximality: a subgroup is
 normal exactly when its class is a single subgroup, and a proper S is
-maximal exactly when every prime-step join of S is G (any H strictly
-between S and G contains such a y), a property its conjugates share.
+maximal exactly when its index is prime or every prime-step join of S
+is G (any H strictly between S and G contains such a y), a property its
+conjugates share.
 
 Every representative keeps a short generator tuple: the trivial
 subgroup none, a join <S, c> the tuple of S followed by c's least
@@ -192,14 +198,20 @@ def _lattice(group: Group) -> tuple[tuple[int, ...], frozenset[int], frozenset[i
     reps = [(1, (), (1,))] if group.order > 1 else []
     for s, s_gens, s_class in reps:  # grows while it is scanned
         members = list(iter_bits(s))
-        tried = s  # elements x whose coset S*x was joined already
+        if is_prime(group.order // len(members)):  # nothing lies between S and G
+            maximal.update(s_class)
+            continue
+        tried = s  # elements x whose join <S, x> is known: cosets S*x, joins J
         proper_join = False
         for c, order, x in steps:
             if tried >> x & 1 or order // (c & s).bit_count() not in primes:
                 continue
-            for m in members:  # <S, x> = <S, m*x>
-                tried |= 1 << t[m][x]
             j = _join(t, members, s, s_gens, x, cap)
+            if j != full and is_prime(j.bit_count() // len(members)):
+                tried |= j  # <S, y> = J for every y in J outside S
+            else:
+                for m in members:  # <S, x> = <S, m*x>
+                    tried |= 1 << t[m][x]
             if j == full:
                 continue
             proper_join = True

@@ -5,9 +5,10 @@ Cayley tables and bitmasks.  No lattice shortcuts, no pruning beyond
 feasibility, so these can referee the real implementations.  The
 exception is the reference routes at the end: algorithms the library
 used before newer ones replaced them (pairwise subgroup closure, the
-closure joining every subgroup with every cyclic one, the
-triple-scan table check, normality by conjugating with every element,
-the cover walk with per-node privacy lists (branching on the least
+closure joining every subgroup with every cyclic one, the closure up to
+conjugacy without its prime-index shortcuts, conjugate masks built bit
+by bit, the triple-scan table check, normality by conjugating with every
+element, the cover walk with per-node privacy lists (branching on the least
 uncovered generator or by the library's fewest-live rule), the size walk
 branching on the least uncovered generator, irredundancy by the union
 of the other members, the structure predicates by derived series, Sylow
@@ -299,6 +300,58 @@ def cyclic_join_subgroup_masks(table) -> set[int]:
     return set(gens)
 
 
+def class_rep_lattice(table):
+    """(masks by (order, mask), the normal ones, the maximal ones) by the
+    closure up to conjugacy as the library ran it before its prime-index
+    shortcuts.
+
+    One representative S per class is joined with each cyclic <x> that
+    meets S in prime index, once per coset S*x; each new join brings its
+    class.  A class is maximal when every join of its representative is
+    the whole group, even when |G:S| is prime.
+    """
+    n = len(table)
+    full = (1 << n) - 1
+    primes = {p for p in range(2, n + 1) if n % p == 0 and _is_prime(p)}
+    cap = n // min(primes) if n > 1 else 0
+    generator: dict[int, int] = {}
+    for x in range(n):
+        mask, y = 1, x
+        while y != 0:
+            mask |= 1 << y
+            y = table[y][x]
+        generator.setdefault(mask, x)
+    steps = sorted(
+        ((m, x) for m, x in generator.items() if m != 1),
+        key=lambda step: (step[0].bit_count(), step[0]),
+    )
+    found, normal, maximal = {1, full}, {1, full}, set()
+    reps = [(1, (), {1})] if n > 1 else []
+    for s, gens, s_class in reps:  # grows while it is scanned
+        members = bits(s)
+        tried = s
+        proper_join = False
+        for c, x in steps:
+            if tried >> x & 1 or c.bit_count() // (c & s).bit_count() not in primes:
+                continue
+            for m in members:
+                tried |= 1 << table[m][x]
+            j = _coset_join(table, members, s, gens, x, cap)
+            if j == full:
+                continue
+            proper_join = True
+            if j not in found:
+                j_class = conjugation_class(table, j)
+                found |= j_class
+                if len(j_class) == 1:
+                    normal.add(j)
+                reps.append((j, gens + (x,), j_class))
+        if not proper_join:
+            maximal |= s_class
+    masks = tuple(sorted(found, key=lambda m: (m.bit_count(), m)))
+    return masks, frozenset(normal), frozenset(maximal)
+
+
 def containment_maximal_masks(masks) -> set[int]:
     """The proper masks (the full mask is the largest) contained in no other proper one."""
     full = max(masks)
@@ -383,6 +436,23 @@ def conjugation_normal_core(table, mask: int) -> int:
     for c in _conjugates(table, mask):
         core &= c
     return core
+
+
+def bitloop_conjugates(perms, mask: int) -> tuple[int, ...]:
+    """The orbit of mask under the permutations perms, mask first, in
+    breadth-first order; each image is built by peeling mask's set bits."""
+    orbit, seen = [mask], {mask}
+    for m in orbit:  # grows while it is scanned
+        for perm in perms:
+            image, rest = 0, m
+            while rest:
+                low = rest & -rest
+                image |= 1 << perm[low.bit_length() - 1]
+                rest ^= low
+            if image not in seen:
+                seen.add(image)
+                orbit.append(image)
+    return tuple(orbit)
 
 
 def commutator_central_section(table, upper: int, lower: int) -> bool:

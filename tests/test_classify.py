@@ -290,6 +290,24 @@ class TestQuotientInvariants:
         assert (first.normal_order, first.quotient_order) == (1, 30)
         assert (first.sigma_quotient, first.lambda_quotient) == (4, 4)
 
+    @pytest.mark.parametrize("name, n", [("C7xC7xC2", 2), ("F42xC5", 5)])
+    def test_quotient_above_every_maximal_reuses_sigma(self, corpus, monkeypatch, name, n):
+        """With every maximal subgroup above N, sigma(G/N) is sigma(G)'s
+        own set cover; only the other quotient runs one."""
+        g = corpus[name]
+        calls = []
+        real = classify_module._min_set_cover
+
+        def counted(universe, candidates, limit=None):
+            calls.append(len(candidates))
+            return real(universe, candidates, limit)
+
+        monkeypatch.setattr(classify_module, "_min_set_cover", counted)
+        res = check_quotient_invariants(g)
+        assert [(it.normal_order, it.sigma_quotient, it.lambda_quotient)
+                for it in res.items] == [(1, 8, 8), (n, 8, 8)]
+        assert len(calls) == 1
+
 
 # ---------------------------------------------------------------------------
 # "H has a normal subgroup of order p" as "H has one subgroup of order p"

@@ -25,6 +25,7 @@ from groupcovers.groups import is_normal_mask, iter_bits, mask_of
 from groupcovers.lattice import _is_central_section, generated_mask, normal_core
 
 from _oracles import (
+    bitloop_conjugates,
     commutator_central_section,
     conjugation_class,
     conjugation_is_normal,
@@ -189,6 +190,15 @@ def test_conjugates_of_random_masks(which, raw):
     g = POOL[which]
     seed = raw & g.full_mask
     assert set(g.conjugates(seed)) == conjugation_class(g.cayley, seed)
+    assert g.conjugates(seed) == bitloop_conjugates(g._conjugations, seed)
+
+
+def test_conjugates_keep_the_bit_loop_order_on_corpus(corpus):
+    """Every caller sees the orbit in the bit loop's order, not just its set."""
+    for g in corpus.values():
+        subgroups = [s.members for s in all_subgroups(g)]
+        for m in subgroups + [1 << x for x in range(g.order)]:
+            assert g.conjugates(m) == bitloop_conjugates(g._conjugations, m), (g.name, m)
 
 
 @settings(max_examples=300, deadline=None)

@@ -38,8 +38,10 @@ from groupcovers.arith import is_prime
 from groupcovers.groups import mask_of
 from groupcovers.lattice import generated_mask, normal_core
 
+import _oracles
 from _oracles import (
     brute_subgroup_masks,
+    class_rep_lattice,
     commutator_derived_mask,
     conjugation_class,
     conjugation_is_normal,
@@ -369,6 +371,41 @@ def test_lattice_matches_cyclic_join_oracle_on_drawn_groups(g):
     assert not lattice_disagreements(g)
 
 
+def test_lattice_matches_class_rep_oracle_on_corpus(corpus):
+    wrong = [name for name, g in corpus.items()
+             if lattice._lattice(g) != class_rep_lattice(g.cayley)]
+    assert not wrong
+
+
+@given(lattice_groups())
+@settings(deadline=None, max_examples=60)
+def test_lattice_matches_class_rep_oracle_on_drawn_groups(g):
+    assert lattice._lattice(g) == class_rep_lattice(g.cayley)
+
+
+def elementary_abelian(k):
+    g = cyclic(2)
+    for _ in range(k - 1):
+        g = direct_product(g, cyclic(2))
+    return g
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: direct_product(symmetric(4), symmetric(3)),
+        lambda: direct_product(alternating(5), cyclic(4)),
+        lambda: direct_product(direct_product(dihedral(4), dihedral(4)), cyclic(2)),
+        lambda: elementary_abelian(6),
+    ],
+    ids=["S4xS3", "A5xC4", "D8xD8xC2", "E64"],
+)
+def test_lattice_matches_class_rep_oracle(make):
+    """Same masks in the same order, same normal and maximal sets."""
+    g = make()
+    assert lattice._lattice(g) == class_rep_lattice(g.cayley)
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -376,32 +413,54 @@ def test_lattice_matches_cyclic_join_oracle_on_drawn_groups(g):
         lambda: alternating(5),
         lambda: direct_product(dihedral(4), dihedral(4)),
         lambda: semidirect_cp_cn(7, 6, 3),
+        lambda: symmetric(5),
+        lambda: direct_product(alternating(5), cyclic(2)),
+        lambda: direct_product(direct_product(cyclic(7), cyclic(7)), cyclic(2)),
     ],
 )
 def test_closure_joins_one_class_representative_by_prime_steps(make, monkeypatch):
     """Every join <S, c> has c meeting S in prime index, the subgroups S
-    joined are pairwise non-conjugate, and each coset S*c is joined once."""
+    joined are pairwise non-conjugate and of composite index, each coset
+    S*c is joined once, no c lies in an earlier join of prime index over
+    the same S, and there are fewer joins than without those two rules."""
     g = make()
     joins = []
 
     def recording_join(table, members, mask, gens, c, cap):
-        joins.append((mask, c))
-        return join(table, members, mask, gens, c, cap)
+        joins.append((mask, c, join(table, members, mask, gens, c, cap)))
+        return joins[-1][2]
 
     join = lattice._join
     monkeypatch.setattr(lattice, "_join", recording_join)
     lattice._lattice(g)
     assert joins
     cyclic = {x: m for m, x in lattice._cyclic_masks(g)}
-    for s, c in joins:
+    for s, c, _ in joins:
         index = cyclic[c].bit_count() // (cyclic[c] & s).bit_count()
         assert is_prime(index), (s, c)
-    reps = {s for s, _ in joins}
+        assert not is_prime(g.order // s.bit_count()), s
+    reps = {s for s, _, _ in joins}
     classes = {s: conjugation_class(g.cayley, s) for s in reps}
     assert all(r == s or r not in classes[s] for r in reps for s in reps)
     cosets = [(s, mask_of(g.mul(m, c) for m in range(g.order) if s >> m & 1))
-              for s, c in joins]
+              for s, c, _ in joins]
     assert len(set(cosets)) == len(cosets)
+    covered = dict.fromkeys(reps, 0)  # earlier joins of prime index over S
+    for s, c, j in joins:
+        assert not covered[s] >> c & 1, (s, c)
+        if j != g.full_mask and is_prime(j.bit_count() // s.bit_count()):
+            covered[s] |= j
+
+    oracle_joins = []
+
+    def counted_join(*args):
+        oracle_joins.append(args)
+        return oracle_join(*args)
+
+    oracle_join = _oracles._coset_join
+    monkeypatch.setattr(_oracles, "_coset_join", counted_join)
+    class_rep_lattice(g.cayley)
+    assert len(joins) < len(oracle_joins)
 
 
 def test_lambda_and_cyclic_subgroups_build_no_lattice():
