@@ -1,4 +1,5 @@
 import importlib
+import itertools
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -520,8 +521,11 @@ def test_set_cover_matches_listcomp_oracle_on_corpus_and_large_groups():
         run_verify_corpus(parse_catalog(bundled_catalog_text()), options)
         for g in (symmetric(5), direct_product(alternating(5), cyclic(2)), d8xd8):
             run_analyze(g, options)
+        # One-sized groups whose quotient checks solve set covers of their own
+        for p, m in itertools.product((3, 5, 7), (2, 4, 6, 10)):
+            run_analyze(direct_product(direct_product(cyclic(p), cyclic(p)), cyclic(m)), options)
 
-    assert len(calls) > 160
+    assert len(calls) > 200
     assert any(limit is not None for (_, _, limit), _ in calls)
     assert not [
         args for args, result in calls if listcomp_min_set_cover(*args) != result

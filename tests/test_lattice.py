@@ -55,8 +55,11 @@ from _oracles import (
 )
 
 
-def elementary_abelian_8():
-    return direct_product(direct_product(cyclic(2), cyclic(2)), cyclic(2), name="E8")
+def elementary_abelian(k):
+    g = cyclic(2)
+    for _ in range(k - 2):
+        g = direct_product(g, cyclic(2))
+    return direct_product(g, cyclic(2), name=f"E{2 ** k}")
 
 
 @pytest.mark.parametrize(
@@ -67,7 +70,7 @@ def elementary_abelian_8():
         lambda: dihedral(4),
         lambda: generalized_quaternion(3),
         lambda: alternating(4),
-        elementary_abelian_8,
+        pytest.param(lambda: elementary_abelian(3), id="elementary_abelian_8"),
         lambda: direct_product(cyclic(4), cyclic(2)),
         lambda: semidirect_cp_cn(3, 4, 2),
         lambda: dihedral(8),
@@ -153,7 +156,7 @@ def test_minimal_normal_subgroups():
     a4 = alternating(4)
     mins = minimal_normal_subgroups(a4)
     assert [s.order for s in mins] == [4]
-    e8 = elementary_abelian_8()
+    e8 = elementary_abelian(3)
     assert [s.order for s in minimal_normal_subgroups(e8)] == [2] * 7
 
 
@@ -225,7 +228,7 @@ def test_normal_core():
 def test_frattini():
     q8 = generalized_quaternion(3)
     assert frattini_subgroup(q8) == q8.center
-    assert frattini_subgroup(elementary_abelian_8()) == 1
+    assert frattini_subgroup(elementary_abelian(3)) == 1
     assert frattini_subgroup(cyclic(4)).bit_count() == 2
 
 
@@ -383,13 +386,6 @@ def test_lattice_matches_class_rep_oracle_on_drawn_groups(g):
     assert lattice._lattice(g) == class_rep_lattice(g.cayley)
 
 
-def elementary_abelian(k):
-    g = cyclic(2)
-    for _ in range(k - 1):
-        g = direct_product(g, cyclic(2))
-    return g
-
-
 @pytest.mark.parametrize(
     "make",
     [
@@ -536,7 +532,7 @@ class TestChiefSeries:
         assert series[0].complement_count == 4
 
     def test_elementary_abelian(self):
-        series = chief_series(elementary_abelian_8())
+        series = chief_series(elementary_abelian(3))
         assert [(f.factor_order, f.complement_count) for f in series] == [
             (2, 4),
             (2, 2),
