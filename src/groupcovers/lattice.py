@@ -5,7 +5,7 @@ computed by cyclic extension up to conjugacy (Neubueser, Numer. Math. 2,
 1960): starting from the trivial subgroup, one representative S of each
 conjugacy class is joined with cyclic subgroups, and each new join
 brings its whole class, the orbit under conjugation by G's generators.
-Three lemmas make this exhaustive with few joins:
+Four lemmas make this exhaustive with few joins:
 
 * Classes.  <S^g, c^g> = <S, c>^g, so joining only a representative of
   each class and adding the classes of the joins finds every subgroup.
@@ -13,7 +13,9 @@ Three lemmas make this exhaustive with few joins:
   a > 1; for a prime p dividing a, y = x^(a/p) is not in S but y^p is.
   So every subgroup above S is reached through joins <S, c> with c
   meeting S in a subgroup of prime index in c, and only those are formed.
-  A join depends only on the coset S*x, so one per coset is formed.
+* Double cosets.  For a, b in S, <S, a*x*b> = <S, x>, since a*x*b lies
+  in <S, x> and x = a^-1 (a*x*b) b^-1.  So once <S, x> is formed, no
+  element of the double coset S*x*S is joined again.
 * Prime index.  By Lagrange no subgroup lies strictly between S and J
   when |J:S| is prime.  So an S of prime index in G is maximal and is
   not joined at all (every S with |G:S| < 2p, p the least prime dividing
@@ -182,6 +184,28 @@ def _cyclic_masks(group: Group) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(seen.items(), key=lambda kv: (kv[0].bit_count(), kv[0])))
 
 
+def _double_coset(
+    table: tuple[tuple[int, ...], ...],
+    members: list[int],
+    gens: tuple[int, ...],
+    x: int,
+) -> int:
+    """Mask of S*x*S for S = members generated by gens: the coset S*x
+    closed under right multiplication by gens, as `_join` closes <S, c>."""
+    mask, reps = 0, [x]
+    for s in members:
+        mask |= 1 << table[s][x]
+    for r in reps:
+        row = table[r]
+        for g in gens:
+            z = row[g]
+            if not mask >> z & 1:
+                for s in members:
+                    mask |= 1 << table[s][z]
+                reps.append(z)
+    return mask
+
+
 @per_group
 def _lattice(group: Group) -> tuple[tuple[int, ...], frozenset[int], frozenset[int]]:
     """(all subgroup masks in canonical order, the normal ones, the maximal ones).
@@ -201,17 +225,14 @@ def _lattice(group: Group) -> tuple[tuple[int, ...], frozenset[int], frozenset[i
         if is_prime(group.order // len(members)):  # nothing lies between S and G
             maximal.update(s_class)
             continue
-        tried = s  # elements x whose join <S, x> is known: cosets S*x, joins J
+        tried = s  # x needing no join: S, each S*x*S joined, each J of prime index
         proper_join = False
         for c, order, x in steps:
             if tried >> x & 1 or order // (c & s).bit_count() not in primes:
                 continue
             j = _join(t, members, s, s_gens, x, cap)
-            if j != full and is_prime(j.bit_count() // len(members)):
-                tried |= j  # <S, y> = J for every y in J outside S
-            else:
-                for m in members:  # <S, x> = <S, m*x>
-                    tried |= 1 << t[m][x]
+            prime = j != full and is_prime(j.bit_count() // len(members))
+            tried |= j if prime else _double_coset(t, members, s_gens, x)
             if j == full:
                 continue
             proper_join = True
@@ -245,13 +266,22 @@ def minimal_masks(masks: Sequence[int]) -> list[int]:
 
 @per_group
 def cyclic_subgroups(group: Group) -> tuple[CyclicSubgroup, ...]:
-    """Every cyclic subgroup in `Subgroup.key` order, which covers.py relies on."""
+    """Every cyclic subgroup in `Subgroup.key` order, which covers.py relies on.
+
+    <x> < C for a cyclic C exactly when x lies in C with order below |C|,
+    so <x> is maximal among cyclic subgroups when no C puts x in `inner`.
+    """
     pairs = _cyclic_masks(group)
-    maximal = set(maximal_masks([mask for mask, _ in pairs]))
+    of_order: dict[int, int] = {}
+    for x, k in enumerate(group.element_orders):
+        of_order[k] = of_order.get(k, 0) | 1 << x
+    inner = 0
+    for mask, _ in pairs:
+        inner |= mask & ~of_order[mask.bit_count()]
     out = []
     for mask, gen in pairs:
         sub = Subgroup(mask, mask.bit_count(), is_normal_mask(group, mask))
-        out.append(CyclicSubgroup(sub, gen, mask in maximal))
+        out.append(CyclicSubgroup(sub, gen, not inner >> gen & 1))
     return tuple(out)
 
 

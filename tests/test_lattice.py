@@ -1,7 +1,7 @@
 import time
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from groupcovers import (
     InvalidParameters,
@@ -40,6 +40,8 @@ from groupcovers.lattice import generated_mask, normal_core
 
 import _oracles
 from _oracles import (
+    bits,
+    brute_maximal_cyclic_masks,
     brute_subgroup_masks,
     class_rep_lattice,
     commutator_derived_mask,
@@ -386,6 +388,55 @@ def test_lattice_matches_class_rep_oracle_on_drawn_groups(g):
     assert lattice._lattice(g) == class_rep_lattice(g.cayley)
 
 
+def cyclic_flag_disagreements(g):
+    """Where cyclic_subgroups' flags differ from the power-closure scan
+    for maximality or from conjugation for normality."""
+    t = g.cayley
+    subs = cyclic_subgroups(g)
+    wrong = []
+    maximal = {c.subgroup.members for c in subs if c.is_maximal}
+    if maximal != brute_maximal_cyclic_masks(t):
+        wrong.append("maximal")
+    if any(c.subgroup.is_normal != conjugation_is_normal(t, c.subgroup.members)
+           for c in subs):
+        wrong.append("normal")
+    return wrong
+
+
+def test_cyclic_flags_match_oracles_on_corpus(corpus):
+    wrong = {name: w for name, g in corpus.items() if (w := cyclic_flag_disagreements(g))}
+    assert not wrong
+
+
+@given(lattice_groups())
+@settings(deadline=None, max_examples=60)
+def test_cyclic_flags_match_oracles_on_drawn_groups(g):
+    assert not cyclic_flag_disagreements(g)
+
+
+@st.composite
+def double_coset_triples(draw):
+    """(group, generators of a subgroup S, x): S may be trivial and x may lie in S."""
+    g = draw(lattice_groups())
+    elements = st.integers(min_value=0, max_value=g.order - 1)
+    gens = tuple(draw(st.lists(elements, max_size=2)))
+    inside = bits(generated_mask(g, mask_of(gens)))
+    x = draw(st.sampled_from(inside) if draw(st.booleans()) else elements)
+    return g, gens, x
+
+
+@given(double_coset_triples())
+@example((dihedral(4), (), 3))  # trivial S: S*x*S = {x}
+@example((dihedral(4), (1,), 3))  # x in S = <1> of order 4: S*x*S = S
+@settings(deadline=None, max_examples=80)
+def test_double_coset_matches_bruteforce(triple):
+    g, gens, x = triple
+    members = bits(generated_mask(g, mask_of(gens)))
+    t = g.cayley
+    expected = mask_of(t[t[a][x]][b] for a in members for b in members)
+    assert lattice._double_coset(t, members, gens, x) == expected
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -393,13 +444,23 @@ def test_lattice_matches_class_rep_oracle_on_drawn_groups(g):
         lambda: direct_product(alternating(5), cyclic(4)),
         lambda: direct_product(direct_product(dihedral(4), dihedral(4)), cyclic(2)),
         lambda: elementary_abelian(6),
+        lambda: alternating(6),
+        lambda: direct_product(symmetric(5), cyclic(2)),
     ],
-    ids=["S4xS3", "A5xC4", "D8xD8xC2", "E64"],
+    ids=["S4xS3", "A5xC4", "D8xD8xC2", "E64", "A6", "S5xC2"],
 )
 def test_lattice_matches_class_rep_oracle(make):
     """Same masks in the same order, same normal and maximal sets."""
     g = make()
     assert lattice._lattice(g) == class_rep_lattice(g.cayley)
+
+
+# Joins made with double-coset marking (before it, in the same order:
+# 54, 98, 1,812, 33, 297, 376 and 33).
+MOST_JOINS = {
+    "S4": 37, "A5": 57, "D8 x D8": 1382, "C7:C6[3]": 26, "S5": 141,
+    "A5 x C2": 200, "C7 x C7 x C2": 33,
+}
 
 
 @pytest.mark.parametrize(
@@ -418,7 +479,8 @@ def test_closure_joins_one_class_representative_by_prime_steps(make, monkeypatch
     """Every join <S, c> has c meeting S in prime index, the subgroups S
     joined are pairwise non-conjugate and of composite index, each coset
     S*c is joined once, no c lies in an earlier join of prime index over
-    the same S, and there are fewer joins than without those two rules."""
+    the same S nor in S*c'*S for an earlier join <S, c'> that is G or of
+    composite index, and there are fewer joins than without these rules."""
     g = make()
     joins = []
 
@@ -441,11 +503,15 @@ def test_closure_joins_one_class_representative_by_prime_steps(make, monkeypatch
     cosets = [(s, mask_of(g.mul(m, c) for m in range(g.order) if s >> m & 1))
               for s, c, _ in joins]
     assert len(set(cosets)) == len(cosets)
-    covered = dict.fromkeys(reps, 0)  # earlier joins of prime index over S
+    covered = dict.fromkeys(reps, 0)  # elements whose join from S is known
     for s, c, j in joins:
         assert not covered[s] >> c & 1, (s, c)
         if j != g.full_mask and is_prime(j.bit_count() // s.bit_count()):
             covered[s] |= j
+        else:
+            members = bits(s)
+            covered[s] |= mask_of(g.mul(g.mul(a, c), b) for a in members for b in members)
+    assert len(joins) <= MOST_JOINS[g.name]
 
     oracle_joins = []
 
