@@ -19,6 +19,16 @@ Algebraic Theory of Semigroups I, 1961, section 1.2).  The good y, with
 ((xy)w)z = (xy)(wz) = x(y(wz)) = x((yw)z).  So a good generating set
 proves the table associative, at O(n^2) per generator, not O(n^3).
 
+Validation needs only three checks on a group table: row and column 0
+are the identity, every row is a permutation, and Light's test passes.
+Such a table is an associative monoid in which every element has a
+right inverse, so it is a group: its columns are Latin and its inverses
+two-sided, and checking either would be wasted work.  A table that
+fails one of the three goes through every check in a fixed order, the
+implied ones included, so the error names the first broken axiom (a
+column that repeats an entry, say, rather than the triple that this
+makes fail) and does not depend on which check happened to catch it.
+
 Conjugacy classes are the normality primitive: any set, subgroup or not,
 is invariant under conjugation exactly when it is a union of classes, so
 `is_normal_mask` asks each class C to meet a mask in nothing or in C.
@@ -92,16 +102,37 @@ def _table_rows(cayley: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
 
 def _greedy_generators(t: tuple[tuple[int, ...], ...]) -> Iterator[int]:
     """Yield y1, y2, ... each outside the right-multiplication closure of
-    those before it; while they are good, it is a group that each one doubles."""
-    members, reached, gens = [0], {0}, []
+    those before it; while they are good, it is a group that each one doubles.
+
+    The closure grows incrementally: members already closed under the
+    earlier generators take only the new one, new members take them all.
+    """
+    members, reached, gens = [0], 1, []
     for y in range(1, len(t)):
-        if y not in reached:
+        if not reached >> y & 1:
             yield y
             gens.append(y)
-            for a in members:  # grows while it is scanned
-                new = {t[a][s] for s in gens} - reached
-                reached |= new
-                members.extend(new)
+            closed = len(members)
+            for i, a in enumerate(members):  # grows while it is scanned
+                row = t[a]
+                for s in (gens if i >= closed else (y,)):
+                    b = row[s]
+                    if not reached >> b & 1:
+                        reached |= 1 << b
+                        members.append(b)
+
+
+def _nonassociative_triple(
+    t: tuple[tuple[int, ...], ...], gens: tuple[int, ...]
+) -> tuple[int, int, int] | None:
+    """Light's test over gens: the first (x, y, z) with (xy)z != x(yz), else None."""
+    for y in gens:
+        times_y = operator.itemgetter(*t[y])
+        for x, row in enumerate(t):
+            if times_y(row) != t[row[y]]:
+                z = next(z for z in range(len(t)) if t[row[y]][z] != row[t[y][z]])
+                return x, y, z
+    return None
 
 
 def _check_axioms(
@@ -109,13 +140,27 @@ def _check_axioms(
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Validate identity, Latin property, inverses, associativity.
 
-    Returns the inverse map and the generators Light's test read.  Checks
-    run in that fixed order so the reported error names the first broken
-    axiom, not a downstream symptom of it.  Entries are range-checked
-    first, since a negative one would index from the end of a row.
+    Returns the inverse map and the generators Light's test read.  A group
+    table passes three checks: identity row and column 0, every row a
+    permutation, Light's test; the module docstring says why that is
+    enough.  When one fails, the checks run in a fixed order so the error
+    names the first broken axiom, not a downstream symptom of it: entries
+    in range (a negative one would index from the end of a row), identity,
+    Latin rows, Latin columns, inverses, associativity.
     """
     n = len(t)
     idx = tuple(range(n))
+    every = set(idx)
+    witness = None
+    if (
+        t[0] == idx
+        and tuple(row[0] for row in t) == idx
+        and all(set(row) == every for row in t)
+    ):
+        gens = tuple(_greedy_generators(t))
+        witness = _nonassociative_triple(t, gens)
+        if witness is None:
+            return tuple(row.index(0) for row in t), gens
 
     for a, row in enumerate(t):
         if min(row) < 0 or max(row) >= n:
@@ -133,21 +178,12 @@ def _check_axioms(
 
     # Rows are permutations, so a right inverse exists; demand it also
     # works from the left.
-    right_inv = tuple(row.index(0) for row in t)
-    for a, r in enumerate(right_inv):
-        if t[r][a] != 0:
+    for a, row in enumerate(t):
+        if t[row.index(0)][a] != 0:
             raise MissingInverse(a)
 
-    # Light's test over a generating set (see the module docstring).
-    gens = tuple(_greedy_generators(t))
-    for y in gens:
-        times_y = operator.itemgetter(*t[y])
-        for x, row in enumerate(t):
-            if times_y(row) != t[row[y]]:
-                z = next(z for z in idx if t[row[y]][z] != row[t[y][z]])
-                raise NotAssociative(x, y, z)
-
-    return right_inv, gens
+    # Every other check passed, so Light's test is the one that failed.
+    raise NotAssociative(*witness)
 
 
 # ---------------------------------------------------------------------------
@@ -245,13 +281,24 @@ class Group:
 
     @cached_property
     def conjugacy_classes(self) -> tuple[int, ...]:
-        """Masks of the classes of size > 1, by least element; one pass over G each."""
-        t, inv = self.cayley, self.inverse
+        """Masks of the classes of size > 1, by least element.
+
+        Each class is the orbit of its least element under the conjugations
+        by non-central generators, which an abelian group never builds.
+        """
         classes, left = [], self.full_mask & ~self.center
+        perms = self._conjugations if left else ()
         while left:
             x = (left & -left).bit_length() - 1
-            classes.append(mask_of(t[t[inv[g]][x]][g] for g in range(self.order)))
-            left &= ~classes[-1]
+            orbit, cls = [x], 1 << x
+            for y in orbit:  # grows while it is scanned
+                for perm in perms:
+                    z = perm[y]
+                    if not cls >> z & 1:
+                        cls |= 1 << z
+                        orbit.append(z)
+            classes.append(cls)
+            left &= ~cls
         return tuple(classes)
 
     @cached_property

@@ -7,8 +7,9 @@ exception is the reference routes at the end: algorithms the library
 used before newer ones replaced them (pairwise subgroup closure, the
 closure joining every subgroup with every cyclic one, the closure up to
 conjugacy without its prime-index shortcuts, conjugate masks built bit
-by bit, the triple-scan table check, normality by conjugating with every
-element, the cover walk with per-node privacy lists (branching on the least
+by bit, the triple-scan table check, the greedy generators for Light's
+test closed as a set, normality by conjugating with every element, the
+cover walk with per-node privacy lists (branching on the least
 uncovered generator or by the library's fewest-live rule), the size walk
 branching on the least uncovered generator, irredundancy by the union
 of the other members, the structure predicates by derived series, Sylow
@@ -360,8 +361,9 @@ def containment_maximal_masks(masks) -> set[int]:
 
 
 # ---------------------------------------------------------------------------
-# Reference route: table validation with associativity checked on every
-# triple, as the library did before Light's test.  Cubic in the order.
+# Reference routes: table validation with associativity checked on every
+# triple, as the library did before Light's test (cubic in the order), and
+# the set-based greedy closure that picks Light's generators.
 
 
 def table_axiom_error(table) -> tuple[str, tuple] | None:
@@ -395,6 +397,22 @@ def table_axiom_error(table) -> tuple[str, tuple] | None:
                 if table[table[x][y]][z] != table[x][table[y][z]]:
                     return "NotAssociative", (x, y, z)
     return None
+
+
+def set_greedy_generators(table):
+    """Yield y1, y2, ... each outside the right-multiplication closure of
+    those before it, as the library found them before its incremental
+    closure: each new generator rescans every member with every generator,
+    and the closure is a Python set.  Any table with entries in range."""
+    members, reached, gens = [0], {0}, []
+    for y in range(1, len(table)):
+        if y not in reached:
+            yield y
+            gens.append(y)
+            for a in members:  # grows while it is scanned
+                new = {table[a][s] for s in gens} - reached
+                reached |= new
+                members.extend(new)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ corpus and on arbitrary masks, subgroups or not, with or without the
 identity.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,6 +22,7 @@ from groupcovers import (
     generalized_quaternion,
     normal_subgroups,
     symmetric,
+    validate_group,
 )
 from groupcovers.groups import is_normal_mask, iter_bits, mask_of
 from groupcovers.lattice import _is_central_section, generated_mask, normal_core
@@ -86,6 +89,26 @@ def test_class_equation(corpus):
         assert union == g.full_mask & ~g.center, g.name
         least = [c & -c for c in classes]
         assert least == sorted(least), g.name
+
+
+def test_classes_of_validated_relabelled_tables(corpus):
+    """A validated table's generators come from Light's test, not from the
+    builder; the orbits under them must still be the full classes."""
+    rng = random.Random(23)
+    for g in small_corpus(corpus):
+        n = g.order
+        perm = [0] + rng.sample(range(1, n), n - 1)
+        table = [[0] * n for _ in range(n)]
+        for a, row in enumerate(g.cayley):
+            for b, c in enumerate(row):
+                table[perm[a]][perm[b]] = perm[c]
+        h = validate_group(table)
+        want = set()
+        for x in range(n):
+            cls = sum(conjugation_class(table, 1 << x))  # distinct singletons
+            if cls.bit_count() > 1:
+                want.add(cls)
+        assert h.conjugacy_classes == tuple(sorted(want, key=lambda c: c & -c)), g.name
 
 
 def _class_of(g, x):

@@ -31,7 +31,7 @@ from groupcovers import (
 from groupcovers import groups
 from groupcovers.groups import _greedy_generators
 
-from _oracles import pairwise_generated_mask, table_axiom_error
+from _oracles import pairwise_generated_mask, set_greedy_generators, table_axiom_error
 
 
 def library_error(table) -> tuple[str, tuple] | None:
@@ -200,6 +200,26 @@ class TestAgainstTripleScan:
         table[r][c] = data.draw(st.integers(-1, n).filter(lambda v: v != table[r][c]))
         assert_agrees(table)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_latin_rows_arbitrary_columns(self, data):
+        # Identity row and column 0 and every row a permutation: only
+        # such tables reach the column and inverse checks, which a group
+        # table never needs.  Intercalate swaps keep the columns Latin.
+        if data.draw(st.booleans()):
+            n = data.draw(st.integers(2, 7))
+            table = [list(range(n))] + [
+                [a, *data.draw(st.permutations([v for v in range(1, n) if v != a] + [0]))]
+                for a in range(1, n)
+            ]
+        else:
+            table = [list(row) for row in data.draw(st.sampled_from(SMALL_GROUPS)).cayley]
+            n = len(table)
+            r, c1 = data.draw(st.integers(1, n - 1)), data.draw(st.integers(1, n - 2))
+            c2 = data.draw(st.integers(c1 + 1, n - 1))
+            table[r][c1], table[r][c2] = table[r][c2], table[r][c1]
+        assert_agrees(table)
+
 
 class TestGreedyGenerators:
     def test_few_generators_that_generate(self, corpus):
@@ -220,6 +240,23 @@ class TestGreedyGenerators:
                 m.setattr(groups, "_greedy_generators", lambda t: pytest.fail("recomputed"))
                 gens = h.generators
             assert gens == tuple(_greedy_generators(h.cayley))
+
+    def test_same_yields_as_the_set_closure_on_corpus(self, corpus):
+        for g in corpus.values():
+            got = list(_greedy_generators(g.cayley))
+            assert got == list(set_greedy_generators(g.cayley)), g.name
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_same_yields_on_row_permutation_tables(self, data):
+        # Validation runs the closure before associativity is known, so
+        # it must agree on non-groups too, row 0 the identity or not.
+        n = data.draw(st.integers(1, 12))
+        rows = [tuple(data.draw(st.permutations(range(n)))) for _ in range(n)]
+        if data.draw(st.booleans()):
+            rows[0] = tuple(range(n))
+        table = tuple(rows)
+        assert list(_greedy_generators(table)) == list(set_greedy_generators(table))
 
     def test_large_relabelled_tables(self):
         rng = random.Random(512)
