@@ -193,10 +193,7 @@ def _centralizer(group: Group, a: int, cent: dict[int, int]) -> int:
         if x not in cent:
             cent[x] = mask_of(y for y, b in enumerate(t[x]) if b == t[y][x])
         cur &= cent[x]
-        y = x
-        while y:  # <x> is centralized by now
-            rest &= ~(1 << y)
-            y = t[y][x]
+        rest &= ~group.cyclic_masks[x]  # <x> is centralized by now
     return cur
 
 

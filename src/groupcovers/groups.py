@@ -43,7 +43,7 @@ import re
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, wraps
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .arith import is_prime
@@ -248,18 +248,37 @@ class Group:
         return acc
 
     def element_order(self, x: int) -> int:
-        y = x
-        k = 1
-        while y != 0:
-            y = self.cayley[y][x]
-            k += 1
-        return k
+        return self.element_orders[x]
 
     # -- whole-group invariants
 
     @cached_property
+    def cyclic_masks(self) -> tuple[int, ...]:
+        """Entry x is the mask of the cyclic subgroup <x>.
+
+        One power walk per cyclic subgroup, from its least generator x:
+        x^k generates <x> exactly when k is prime to |x|, so every
+        generator takes the mask that walk found.
+        """
+        t = self.cayley
+        masks = [0] * self.order
+        for x in range(self.order):
+            if masks[x]:
+                continue
+            powers, mask, y = [x], 1 << x, x  # x, x^2, ..., x^|x| = 1
+            while y:
+                y = t[y][x]
+                powers.append(y)
+                mask |= 1 << y
+            for k, y in enumerate(powers, 1):
+                if gcd(k, len(powers)) == 1:
+                    masks[y] = mask
+        return tuple(masks)
+
+    @cached_property
     def element_orders(self) -> tuple[int, ...]:
-        return tuple(self.element_order(x) for x in range(self.order))
+        """|x| for each element x: the size of <x>."""
+        return tuple(m.bit_count() for m in self.cyclic_masks)
 
     @cached_property
     def exponent(self) -> int:

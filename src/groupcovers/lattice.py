@@ -30,16 +30,19 @@ conjugates share.
 
 Every representative keeps a short generator tuple: the trivial
 subgroup none, a join <S, c> the tuple of S followed by c's least
-generator.  The join is Dimino's closure.  Because S is already a subgroup, <S, c> is a
-union of right cosets S*r: the closure starts from S and S*c, and for
-each coset representative r and each generator g it adds the whole
-coset S*(r*g) when r*g is new.  That costs O(|J|) table lookups plus
-(|J|/|S|)*k generator products, where the pairwise closure of a bare
-element set costs O(|J|^2).  Lagrange gives a cutoff: a proper subgroup
-has at most |G|/p elements, p the least prime dividing |G|, so the
-closure stops, and the join is G, as soon as it holds more than that.
-`generated_mask` runs the same join, adjoining one seed element at a
-time.
+generator.  One closure, `_coset_closure`, serves the joins, the double
+cosets and `generated_mask`: from a mask, a subgroup S and elements x
+and gens, it adds the right coset S*x and then, for each added coset's
+representative r and each g in gens, the whole coset S*(r*g) when r*g
+is new.  With mask S and gens those of S followed by c, that is Dimino's
+closure of <S, c>, a union of right cosets of S.  It costs O(|J|) table
+lookups plus (|J|/|S|)*k generator products, where the pairwise closure
+of a bare element set costs O(|J|^2).  Lagrange gives a cutoff: a proper
+subgroup has at most |G|/p elements, p the least prime dividing |G|, so
+the closure stops, and the join is G, as soon as it holds more than
+that.  `generated_mask` runs the same join, adjoining one seed element
+at a time.  From the empty mask with S's own generators it gives S*x*S,
+the union of the S*(x*s) for s in S.
 
 Normal structure reads the conjugacy classes (see groups.py).  x lies in
 every conjugate of a set exactly when its class lies in the set, so
@@ -115,28 +118,29 @@ def _proper_cap(order: int) -> int:
     return order // prime_divisors(order)[0] if order > 1 else 0
 
 
-def _join(
+def _coset_closure(
     table: tuple[tuple[int, ...], ...],
     members: list[int],
     mask: int,
+    x: int,
     gens: tuple[int, ...],
-    c: int,
     cap: int,
 ) -> int:
-    """Mask of <S, c> for the subgroup S = mask, generated by gens, c not in S.
+    """mask plus every right coset S*z, z in x*<gens>, for the subgroup S = members.
 
-    members lists the elements of S.  Returns the full mask as soon as
-    the join holds more than cap elements.
+    mask is 0 or S, and x lies outside it.  S*x is added, and then S*(r*g)
+    for each added coset's representative r and each g in gens whose
+    product r*g is new.  Returns the full mask as soon as the union holds
+    more than cap elements.
     """
     n = len(members)
-    if 2 * n > cap:
+    size = mask.bit_count() + n
+    if size > cap:
         return (1 << len(table)) - 1
     for s in members:
-        mask |= 1 << table[s][c]
-    size = 2 * n
-    reps = [c]
-    gens = gens + (c,)
-    for r in reps:
+        mask |= 1 << table[s][x]
+    reps = [x]
+    for r in reps:  # grows while it is scanned
         row = table[r]
         for g in gens:
             z = row[g]
@@ -161,48 +165,10 @@ def generated_mask(group: Group, seed_mask: int) -> int:
     for x in iter_bits(seed_mask):
         if mask >> x & 1:
             continue
-        mask = _join(t, list(iter_bits(mask)), mask, gens, x, cap)
+        mask = _coset_closure(t, list(iter_bits(mask)), mask, x, gens + (x,), cap)
         if mask == group.full_mask:
             break
         gens += (x,)
-    return mask
-
-
-@per_group
-def _cyclic_masks(group: Group) -> tuple[tuple[int, int], ...]:
-    """(mask, least generator) for every cyclic subgroup, by (order, mask)."""
-    t = group.cayley
-    seen: dict[int, int] = {}
-    for x in range(group.order):
-        mask = 1
-        y = x
-        while y != 0:
-            mask |= 1 << y
-            y = t[y][x]
-        if mask not in seen:
-            seen[mask] = x
-    return tuple(sorted(seen.items(), key=lambda kv: (kv[0].bit_count(), kv[0])))
-
-
-def _double_coset(
-    table: tuple[tuple[int, ...], ...],
-    members: list[int],
-    gens: tuple[int, ...],
-    x: int,
-) -> int:
-    """Mask of S*x*S for S = members generated by gens: the coset S*x
-    closed under right multiplication by gens, as `_join` closes <S, c>."""
-    mask, reps = 0, [x]
-    for s in members:
-        mask |= 1 << table[s][x]
-    for r in reps:
-        row = table[r]
-        for g in gens:
-            z = row[g]
-            if not mask >> z & 1:
-                for s in members:
-                    mask |= 1 << table[s][z]
-                reps.append(z)
     return mask
 
 
@@ -216,7 +182,11 @@ def _lattice(group: Group) -> tuple[tuple[int, ...], frozenset[int], frozenset[i
     t = group.cayley
     full = group.full_mask
     cap = _proper_cap(group.order)
-    steps = [(m, m.bit_count(), x) for m, x in _cyclic_masks(group) if m != 1]
+    steps = [
+        (c.subgroup.members, c.subgroup.order, c.generator)
+        for c in cyclic_subgroups(group)
+        if c.subgroup.order > 1
+    ]
     primes = set(prime_divisors(group.order))  # |c| divides |G|
     found, normal, maximal = {1, full}, {1, full}, set()
     reps = [(1, (), (1,))] if group.order > 1 else []
@@ -230,9 +200,11 @@ def _lattice(group: Group) -> tuple[tuple[int, ...], frozenset[int], frozenset[i
         for c, order, x in steps:
             if tried >> x & 1 or order // (c & s).bit_count() not in primes:
                 continue
-            j = _join(t, members, s, s_gens, x, cap)
-            prime = j != full and is_prime(j.bit_count() // len(members))
-            tried |= j if prime else _double_coset(t, members, s_gens, x)
+            j = _coset_closure(t, members, s, x, s_gens + (x,), cap)
+            if j != full and is_prime(j.bit_count() // len(members)):
+                tried |= j
+            else:  # the double coset S*x*S
+                tried |= _coset_closure(t, members, 0, x, s_gens, group.order)
             if j == full:
                 continue
             proper_join = True
@@ -271,15 +243,17 @@ def cyclic_subgroups(group: Group) -> tuple[CyclicSubgroup, ...]:
     <x> < C for a cyclic C exactly when x lies in C with order below |C|,
     so <x> is maximal among cyclic subgroups when no C puts x in `inner`.
     """
-    pairs = _cyclic_masks(group)
+    least: dict[int, int] = {}  # mask -> least generator
     of_order: dict[int, int] = {}
-    for x, k in enumerate(group.element_orders):
+    for x, mask in enumerate(group.cyclic_masks):
+        least.setdefault(mask, x)
+        k = mask.bit_count()
         of_order[k] = of_order.get(k, 0) | 1 << x
     inner = 0
-    for mask, _ in pairs:
+    for mask in least:
         inner |= mask & ~of_order[mask.bit_count()]
     out = []
-    for mask, gen in pairs:
+    for mask, gen in sorted(least.items(), key=lambda kv: (kv[0].bit_count(), kv[0])):
         sub = Subgroup(mask, mask.bit_count(), is_normal_mask(group, mask))
         out.append(CyclicSubgroup(sub, gen, not inner >> gen & 1))
     return tuple(out)

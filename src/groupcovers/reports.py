@@ -50,6 +50,8 @@ class AnalyzeOptions:
             raise InvalidParameters(f"max order {self.max_order} is negative")
         if _integer(self.enum_bound, "enumeration bound") < 0:
             raise InvalidParameters(f"enumeration bound {self.enum_bound} is negative")
+        if isinstance(self.checks, str):  # would iterate its characters
+            raise InvalidParameters("checks must be a sequence of check ids, not a str")
         unknown = [c for c in self.checks if c not in CHECK_IDS]
         if unknown:
             raise InvalidParameters(f"unknown check id {unknown[0]!r}")

@@ -4,9 +4,10 @@ Everything here is a subset scan or a combination search over raw
 Cayley tables and bitmasks.  No lattice shortcuts, no pruning beyond
 feasibility, so these can referee the real implementations.  The
 exception is the reference routes at the end: algorithms the library
-used before newer ones replaced them (pairwise subgroup closure, the
-closure joining every subgroup with every cyclic one, the closure up to
-conjugacy without its prime-index shortcuts, conjugate masks built bit
+used before newer ones replaced them (a power walk from every element
+for its cyclic subgroup, pairwise subgroup closure, the closure joining
+every subgroup with every cyclic one, the closure up to conjugacy
+without its prime-index shortcuts, conjugate masks built bit
 by bit, the triple-scan table check, the greedy generators for Light's
 test closed as a set, normality by conjugating with every element, the
 cover walk with per-node privacy lists (branching on the least
@@ -107,16 +108,21 @@ def brute_irredundant_covers(
     return covers
 
 
-def brute_maximal_cyclic_masks(table) -> set[int]:
-    """Masks of cyclic subgroups maximal among cyclic ones, by powers."""
-    n = len(table)
-    cyclics = set()
-    for x in range(n):
+def power_masks(table) -> list[int]:
+    """Entry x is the mask of <x>, walking the powers of every element."""
+    out = []
+    for x in range(len(table)):
         mask, y = 1, x
         while y != 0:
             mask |= 1 << y
             y = table[y][x]
-        cyclics.add(mask)
+        out.append(mask)
+    return out
+
+
+def brute_maximal_cyclic_masks(table) -> set[int]:
+    """Masks of cyclic subgroups maximal among cyclic ones, by powers."""
+    cyclics = set(power_masks(table))
     return {m for m in cyclics if not any(o != m and m & ~o == 0 for o in cyclics)}
 
 

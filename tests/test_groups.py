@@ -35,7 +35,7 @@ from groupcovers import (
 from groupcovers.covers import DEFAULT_ENUM_BOUND
 from groupcovers.groups import mask_of
 
-from _oracles import find_isomorphism
+from _oracles import element_order, find_isomorphism, power_masks
 
 
 class TestValidation:
@@ -247,6 +247,14 @@ class TestPresets:
         g = semidirect_cp_cn(3, 4, 2)
         assert sorted(g.element_orders) == [1, 2, 3, 3, 4, 4, 4, 4, 4, 4, 6, 6]
 
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: cyclic(512), lambda: dihedral(256), lambda: generalized_quaternion(9)],
+        ids=["C512", "D512", "Q512"],
+    )
+    def test_power_walk_at_the_order_bound(self, make):
+        assert power_walk_disagreements(make()) == []
+
     def test_semidirect_conjugation_twist(self):
         # generator of the cyclic complement must conjugate the normal
         # C5 generator to its l-th power
@@ -254,6 +262,23 @@ class TestPresets:
         x, a = 1, 5  # element 1 generates C5, element p=5 is the twist
         assert g.element_order(x) == 5
         assert g.conjugate(x, a) in (g.power(x, 2),)
+
+
+def power_walk_disagreements(g: Group) -> list[str]:
+    """Where cyclic_masks or element_orders differ from every element's
+    own power walk."""
+    t = g.cayley
+    wrong = []
+    if list(g.cyclic_masks) != power_masks(t):
+        wrong.append("cyclic_masks")
+    if list(g.element_orders) != [element_order(t, x) for x in range(g.order)]:
+        wrong.append("element_orders")
+    return wrong
+
+
+def test_power_walk_matches_oracle_on_corpus(corpus):
+    wrong = {name: w for name, g in corpus.items() if (w := power_walk_disagreements(g))}
+    assert not wrong
 
 
 class TestProductsAndQuotients:

@@ -434,7 +434,7 @@ def test_double_coset_matches_bruteforce(triple):
     members = bits(generated_mask(g, mask_of(gens)))
     t = g.cayley
     expected = mask_of(t[t[a][x]][b] for a in members for b in members)
-    assert lattice._double_coset(t, members, gens, x) == expected
+    assert lattice._coset_closure(t, members, 0, x, gens, g.order) == expected
 
 
 @pytest.mark.parametrize(
@@ -484,15 +484,17 @@ def test_closure_joins_one_class_representative_by_prime_steps(make, monkeypatch
     g = make()
     joins = []
 
-    def recording_join(table, members, mask, gens, c, cap):
-        joins.append((mask, c, join(table, members, mask, gens, c, cap)))
-        return joins[-1][2]
+    def recording_closure(table, members, mask, x, gens, cap):
+        out = closure(table, members, mask, x, gens, cap)
+        if mask & 1:  # a join <S, x>; a double coset S*x*S starts from 0
+            joins.append((mask, x, out))
+        return out
 
-    join = lattice._join
-    monkeypatch.setattr(lattice, "_join", recording_join)
+    closure = lattice._coset_closure
+    monkeypatch.setattr(lattice, "_coset_closure", recording_closure)
     lattice._lattice(g)
     assert joins
-    cyclic = {x: m for m, x in lattice._cyclic_masks(g)}
+    cyclic = {c.generator: c.subgroup.members for c in cyclic_subgroups(g)}
     for s, c, _ in joins:
         index = cyclic[c].bit_count() // (cyclic[c] & s).bit_count()
         assert is_prime(index), (s, c)

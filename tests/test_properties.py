@@ -24,6 +24,8 @@ from groupcovers import (
     validate_group,
 )
 
+from _oracles import element_order, power_masks
+
 # one shared pool so lattice caches stay warm across examples
 POOL = [
     cyclic(1), cyclic(2), cyclic(6), cyclic(8), cyclic(12), cyclic(15),
@@ -76,6 +78,14 @@ def test_relabeling_preserves_everything(pair):
         assert sigma_exact(g) == sigma_exact(h)
         assert lambda_(g) == lambda_(h)
         assert classify(g).one_sized == classify(h).one_sized
+
+
+@given(relabelings())
+@settings(deadline=None, max_examples=60)
+def test_power_walk_matches_oracle_on_relabelled_tables(pair):
+    _, h = pair
+    assert list(h.cyclic_masks) == power_masks(h.cayley)
+    assert list(h.element_orders) == [element_order(h.cayley, x) for x in range(h.order)]
 
 
 @given(groups)

@@ -254,6 +254,10 @@ class TestAnalyzeOptions:
         with pytest.raises(InvalidParameters, match="enumeration bound -1 is negative"):
             AnalyzeOptions(enum_bound=-1)
 
+    def test_bare_string_of_checks_is_rejected(self):
+        with pytest.raises(InvalidParameters, match="a sequence of check ids, not a str"):
+            AnalyzeOptions(checks="lemma-pnilp")
+
 
 CATALOG = """\
 group C6
