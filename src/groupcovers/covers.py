@@ -122,20 +122,16 @@ def _as_mask(group: Group, m: Subgroup | int) -> int:
 
 
 def make_cover(group: Group, family: Iterable[Subgroup | int]) -> Cover:
-    """Validate and canonicalize a family of proper subgroups."""
-    lookup = _subgroup_by_mask(group)
+    """Validate and canonicalize a family of proper subgroups, building no lattice."""
     members: dict[int, Subgroup] = {}
     if isinstance(family, Cover):
         family = family.members
     for mask in (_as_mask(group, m) for m in family):
-        sub = lookup.get(mask)
-        if sub is None:
-            if not is_subgroup_mask(group, mask):
-                raise NotSubgroup(f"mask {mask:#x} is not a subgroup")
-            raise AssertionError("subgroup missing from lattice")
-        if sub.order == group.order:
+        if not is_subgroup_mask(group, mask):
+            raise NotSubgroup(f"mask {mask:#x} is not a subgroup")
+        if mask == group.full_mask:
             raise NotProperSubgroup("cover members must be proper subgroups")
-        members[mask] = sub
+        members[mask] = Subgroup(mask, mask.bit_count(), is_normal_mask(group, mask))
     ordered = tuple(sorted(members.values(), key=Subgroup.key))
     return Cover(ordered, group.order)
 
@@ -301,12 +297,12 @@ def minimal_cover(group: Group) -> Cover:
     """
     if group.is_cyclic:
         raise GroupIsCyclic("cyclic groups have no cover by proper subgroups")
-    masks = [s.members for s in maximal_subgroups(group)]
-    result = _min_set_cover(group.full_mask, masks)
+    maximals = maximal_subgroups(group)  # in canonical order
+    result = _min_set_cover(group.full_mask, [s.members for s in maximals])
     if result is None:
         raise InvariantViolation("maximal subgroups fail to cover a non-cyclic group")
     size, sel = result
-    cover = make_cover(group, sel)
+    cover = Cover(tuple(s for s in maximals if s.members in sel), group.order)
     if len(cover.members) != size or not is_cover(group, cover):
         raise InvariantViolation("set-cover witness failed validation")
     return cover

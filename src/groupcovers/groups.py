@@ -19,15 +19,14 @@ Algebraic Theory of Semigroups I, 1961, section 1.2).  The good y, with
 ((xy)w)z = (xy)(wz) = x(y(wz)) = x((yw)z).  So a good generating set
 proves the table associative, at O(n^2) per generator, not O(n^3).
 
-Validation needs only three checks on a group table: row and column 0
-are the identity, every row is a permutation, and Light's test passes.
-Such a table is an associative monoid in which every element has a
-right inverse, so it is a group: its columns are Latin and its inverses
-two-sided, and checking either would be wasted work.  A table that
-fails one of the three goes through every check in a fixed order, the
-implied ones included, so the error names the first broken axiom (a
-column that repeats an entry, say, rather than the triple that this
-makes fail) and does not depend on which check happened to catch it.
+Validation is one ordered pass: entries in range, row and column 0 the
+identity, every row a permutation, Light's test.  A table that passes
+all four is an associative monoid in which every element has a right
+inverse, so it is a group: its columns are Latin and its inverses
+two-sided, and checking either would be wasted work.  Only a table that
+fails Light's test gets those two checks, before its NotAssociative, so
+the error names the first broken axiom (a column that repeats an entry,
+say, rather than the triple that this makes fail).
 
 Conjugacy classes are the normality primitive: any set, subgroup or not,
 is invariant under conjugation exactly when it is a union of classes, so
@@ -86,18 +85,23 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 
 def _table_rows(cayley: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The table as int tuples; sizes are checked before entries are converted."""
     try:
-        rows = tuple(tuple(map(operator.index, row)) for row in cayley)
+        n = len(cayley)
+        if n > ORDER_BOUND:
+            raise OrderBoundExceeded(ORDER_BOUND)
+        rows = []
+        for row in cayley:
+            if len(row) != n:
+                break
+            rows.append(tuple(map(operator.index, row)))
     except TypeError as exc:
         raise InvalidParameters(
             f"multiplication table must be a square array of integers ({exc})"
         ) from None
-    n = len(rows)
-    if n == 0 or any(len(row) != n for row in rows):
+    if n == 0 or len(rows) != n:
         raise InvalidParameters("multiplication table must be square and nonempty")
-    if n > ORDER_BOUND:
-        raise OrderBoundExceeded(ORDER_BOUND)
-    return rows
+    return tuple(rows)
 
 
 def _greedy_generators(t: tuple[tuple[int, ...], ...]) -> Iterator[int]:
@@ -140,30 +144,19 @@ def _check_axioms(
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Validate identity, Latin property, inverses, associativity.
 
-    Returns the inverse map and the generators Light's test read.  A group
-    table passes three checks: identity row and column 0, every row a
-    permutation, Light's test; the module docstring says why that is
-    enough.  When one fails, the checks run in a fixed order so the error
-    names the first broken axiom, not a downstream symptom of it: entries
-    in range (a negative one would index from the end of a row), identity,
-    Latin rows, Latin columns, inverses, associativity.
+    Returns the inverse map and the generators Light's test read.  The
+    checks run once, in a fixed order, so the error names the first broken
+    axiom: entries in range (a negative one would index from the end of a
+    row), identity row and column, Latin rows, Light's test.  Columns and
+    inverses can fail only when Light's test does (see the module
+    docstring), so only then are they checked, before NotAssociative.
     """
     n = len(t)
     idx = tuple(range(n))
     every = set(idx)
-    witness = None
-    if (
-        t[0] == idx
-        and tuple(row[0] for row in t) == idx
-        and all(set(row) == every for row in t)
-    ):
-        gens = tuple(_greedy_generators(t))
-        witness = _nonassociative_triple(t, gens)
-        if witness is None:
-            return tuple(row.index(0) for row in t), gens
-
-    for a, row in enumerate(t):
-        if min(row) < 0 or max(row) >= n:
+    not_latin = [a for a, row in enumerate(t) if set(row) != every]
+    for a in not_latin:
+        if min(t[a]) < 0 or max(t[a]) >= n:
             raise NotLatinSquare("row", a)
 
     if t[0] != idx:
@@ -171,18 +164,22 @@ def _check_axioms(
     if tuple(row[0] for row in t) != idx:
         raise NoIdentityAtZero("column 0 does not fix every element")
 
-    for axis, lines in (("row", t), ("column", zip(*t))):
-        for a, line in enumerate(lines):
-            if len(set(line)) != n:
-                raise NotLatinSquare(axis, a)
+    if not_latin:
+        raise NotLatinSquare("row", not_latin[0])
 
+    gens = tuple(_greedy_generators(t))
+    witness = _nonassociative_triple(t, gens)
+    if witness is None:
+        return tuple(row.index(0) for row in t), gens
+
+    for a, column in enumerate(zip(*t)):
+        if len(set(column)) != n:
+            raise NotLatinSquare("column", a)
     # Rows are permutations, so a right inverse exists; demand it also
     # works from the left.
     for a, row in enumerate(t):
         if t[row.index(0)][a] != 0:
             raise MissingInverse(a)
-
-    # Every other check passed, so Light's test is the one that failed.
     raise NotAssociative(*witness)
 
 

@@ -289,7 +289,8 @@ def frattini_subgroup(group: Group) -> int:
 
 
 def _check_prime_divisor(group: Group, p: int) -> None:
-    if not is_prime(p):
+    # A p above |G| cannot divide it, and is_prime(p) would trial-divide.
+    if p <= group.order and not is_prime(p):
         raise InvalidParameters(f"p = {p} is not prime")
     if group.order % p != 0:
         raise PrimeDoesNotDivideOrder(

@@ -52,6 +52,8 @@ class AnalyzeOptions:
             raise InvalidParameters(f"enumeration bound {self.enum_bound} is negative")
         if isinstance(self.checks, str):  # would iterate its characters
             raise InvalidParameters("checks must be a sequence of check ids, not a str")
+        # A generator would be used up by the check below, a list unhashable.
+        object.__setattr__(self, "checks", tuple(self.checks))
         unknown = [c for c in self.checks if c not in CHECK_IDS]
         if unknown:
             raise InvalidParameters(f"unknown check id {unknown[0]!r}")

@@ -45,6 +45,7 @@ from groupcovers import (
 )
 from groupcovers import covers
 from groupcovers.covers import _SearchSpace, _trace_cover_sizes, _walk_trace_covers
+from groupcovers.groups import mask_of
 
 from _oracles import (
     brute_irredundant_covers,
@@ -207,6 +208,28 @@ class TestCoverPredicates:
         )
         assert not is_irredundant(g, [*fam.members, center_c2])
         assert not is_irredundant(g, fam.members[:2])
+
+    def test_cover_checks_on_e128_build_no_lattice(self):
+        # E128 has 29,212 subgroups; closing them to look members up took about 2 s
+        g = cyclic(2)
+        for _ in range(6):
+            g = direct_product(g, cyclic(2))  # element x is a bit vector, x*y = x^y
+        family = [
+            mask_of(x for x in range(128) if not x & 1),
+            mask_of(x for x in range(128) if not x & 2),
+            mask_of(x for x in range(128) if x & 1 == x >> 1 & 1),
+        ]
+        misses = all_subgroups.cache_info().misses
+        assert len(make_cover(g, family)) == 3
+        assert is_cover(g, family) and is_irredundant(g, family)
+        assert all_subgroups.cache_info().misses == misses
+
+    def test_make_cover_keeps_each_lattice_subgroup(self, corpus):
+        # the normal flag make_cover computes is the lattice's
+        for g in corpus.values():
+            if g.order <= 24:
+                for s in all_subgroups(g)[:-1]:
+                    assert make_cover(g, [s]).members == (s,), (g.name, s)
 
 
 class TestEnumeration:

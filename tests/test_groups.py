@@ -134,6 +134,17 @@ class TestValidation:
         with pytest.raises(OrderBoundExceeded):
             validate_group([[0] * 513] * 513)
 
+    def test_order_bound_checked_before_any_entry(self):
+        class Unreadable:
+            def __len__(self):
+                return 600
+
+            def __iter__(self):
+                raise AssertionError("row read before the size check")
+
+        with pytest.raises(OrderBoundExceeded):
+            validate_group([Unreadable()] * 600)
+
 
 class TestPermutationParsing:
     def test_identity_generator(self):

@@ -11,6 +11,7 @@ from groupcovers import (
     PrimeDoesNotDivideOrder,
     all_subgroups,
     alternating,
+    check_p_nilpotence,
     chief_series,
     classify,
     cyclic,
@@ -250,6 +251,16 @@ def test_sylow():
         sylow_subgroup(s4, 4)
     with pytest.raises(PrimeDoesNotDivideOrder):
         sylow_subgroup(s4, 5)
+
+
+def test_huge_prime_fails_fast():
+    # trial division of 2^61 - 1 ran past 8 s; no p above |G| divides |G|
+    s3 = symmetric(3)
+    for call in (sylow_subgroup, has_normal_p_complement, check_p_nilpotence):
+        start = time.perf_counter()
+        with pytest.raises(PrimeDoesNotDivideOrder):
+            call(s3, 2**61 - 1)
+        assert time.perf_counter() - start < 0.1
 
 
 @pytest.mark.parametrize(

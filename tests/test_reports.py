@@ -258,6 +258,17 @@ class TestAnalyzeOptions:
         with pytest.raises(InvalidParameters, match="a sequence of check ids, not a str"):
             AnalyzeOptions(checks="lemma-pnilp")
 
+    def test_checks_from_a_generator_are_kept(self):
+        g = symmetric(3)
+        opts = AnalyzeOptions(checks=(c for c in ["lemma-pnilp"]))
+        assert opts.checks == ("lemma-pnilp",)
+        assert [c["id"] for c in run_analyze(g, opts).lemma_checks] == ["lemma-pnilp"]
+
+    def test_checks_given_as_a_list_stay_hashable(self):
+        opts = AnalyzeOptions(checks=["lemma-pnilp"])
+        assert opts.checks == ("lemma-pnilp",)
+        assert hash(opts) == hash(AnalyzeOptions(checks=("lemma-pnilp",)))
+
 
 CATALOG = """\
 group C6
