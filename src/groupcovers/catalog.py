@@ -14,8 +14,8 @@ by name.  '#' starts a comment anywhere on a line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 from .errors import DuplicateName, OrderMismatch, ParseError
 from .groups import (
@@ -31,20 +31,17 @@ from .groups import (
 )
 
 
-@dataclass(frozen=True)
-class PermSource:
+class PermSource(NamedTuple):
     degree: int
     generators: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class PresetSource:
+class PresetSource(NamedTuple):
     kind: str
     args: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     source: PermSource | PresetSource
     expected_order: int | None

@@ -18,8 +18,8 @@ its order and element counts by order, never by isomorphism search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
+from typing import NamedTuple
 
 from .arith import is_prime, prime_divisors
 from .covers import _min_set_cover, lambda_, one_sized_bruteforce, sigma_exact
@@ -39,8 +39,7 @@ from .lattice import (
 )
 
 
-@dataclass(frozen=True)
-class FamilyTag:
+class FamilyTag(NamedTuple):
     """Which recognized shape the H factor has."""
 
     kind: str  # "CpTimesCp" | "Q8" | "CpRtimesCn"
@@ -48,8 +47,7 @@ class FamilyTag:
     n: int | None = None
 
 
-@dataclass(frozen=True)
-class ClassificationOutcome:
+class ClassificationOutcome(NamedTuple):
     one_sized: bool
     family: FamilyTag | None
     witness_h: Subgroup | None
@@ -106,8 +104,7 @@ def classify(group: Group) -> ClassificationOutcome:
     return ClassificationOutcome(False, None, None, None)
 
 
-@dataclass(frozen=True)
-class ClassificationAgreement:
+class ClassificationAgreement(NamedTuple):
     structural: ClassificationOutcome
     bruteforce: bool
     lambda_value: int
@@ -143,8 +140,7 @@ def _verdict(hypothesis: bool, conclusion: bool) -> str:
     return "consistent" if conclusion else "violation"
 
 
-@dataclass(frozen=True)
-class PNilpotenceCheck:
+class PNilpotenceCheck(NamedTuple):
     prime: int
     hypothesis_holds: bool
     conclusion_holds: bool
@@ -154,7 +150,7 @@ class PNilpotenceCheck:
 def check_p_nilpotence(group: Group, p: int) -> PNilpotenceCheck:
     """If every complemented chief factor of p-power order is central,
     the group must have a normal p-complement.  Records both truths."""
-    _check_prime_divisor(group, p)
+    p = _check_prime_divisor(group, p)
     if not is_solvable(group):
         raise NotSolvable("chief-factor centrality check needs a solvable group")
     hypothesis = all(
@@ -170,8 +166,7 @@ def check_p_nilpotence(group: Group, p: int) -> PNilpotenceCheck:
 # Abelian minimum-size covers force solvability
 
 
-@dataclass(frozen=True)
-class AbelianCoverCheck:
+class AbelianCoverCheck(NamedTuple):
     sigma: int
     abelian_cover_exists: bool
     solvable: bool
@@ -228,16 +223,14 @@ def check_abelian_sigma_cover(group: Group) -> AbelianCoverCheck:
 # Quotient invariants of one-sized groups
 
 
-@dataclass(frozen=True)
-class QuotientCheckItem:
+class QuotientCheckItem(NamedTuple):
     normal_order: int
     quotient_order: int
     sigma_quotient: int
     lambda_quotient: int
 
 
-@dataclass(frozen=True)
-class QuotientInvariantsCheck:
+class QuotientInvariantsCheck(NamedTuple):
     sigma: int
     items: tuple[QuotientCheckItem, ...]
     status: str

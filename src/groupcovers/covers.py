@@ -48,8 +48,7 @@ on the generator or the option order.  Only the visit order does.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import (
     EnumerationBoundExceeded,
@@ -80,8 +79,7 @@ from .lattice import (
 DEFAULT_ENUM_BOUND = 32
 
 
-@dataclass(frozen=True)
-class SigmaValue:
+class SigmaValue(NamedTuple):
     """Minimum cover size; None encodes infinity (cyclic groups)."""
 
     value: int | None
@@ -97,8 +95,7 @@ class SigmaValue:
 INFINITE = SigmaValue(None)
 
 
-@dataclass(frozen=True)
-class Cover:
+class Cover(NamedTuple):
     """A family of proper subgroups in canonical (order, members) order."""
 
     members: tuple[Subgroup, ...]
@@ -109,6 +106,10 @@ class Cover:
 
     def member_masks(self) -> tuple[int, ...]:
         return tuple(s.members for s in self.members)
+
+
+# The generated _make, behind _replace, checks len(), which counts members here.
+Cover._make = classmethod(tuple.__new__)
 
 
 @per_group
@@ -333,8 +334,7 @@ def sigma_tomkinson(group: Group) -> SigmaValue:
 # Exhaustive irredundant-cover enumeration
 
 
-@dataclass(frozen=True)
-class _SearchSpace:
+class _SearchSpace(NamedTuple):
     """Proper subgroups bucketed by generator trace.
 
     generators: the chosen generator element of each maximal cyclic
@@ -351,15 +351,15 @@ class _SearchSpace:
 def _search_space(group: Group) -> _SearchSpace:
     gens = tuple(c.generator for c in cyclic_subgroups(group) if c.is_maximal)
     buckets: dict[int, list[int]] = {}
-    for sub in all_subgroups(group):
-        if sub.order == group.order:
+    for mask in (s.members for s in all_subgroups(group)):
+        if mask == group.full_mask:
             continue
         trace = 0
         for i, g in enumerate(gens):
-            if sub.members >> g & 1:
+            if mask >> g & 1:
                 trace |= 1 << i
         if trace:
-            buckets.setdefault(trace, []).append(sub.members)
+            buckets.setdefault(trace, []).append(mask)
     traces = tuple(sorted(buckets, key=lambda t: (t.bit_count(), t)))
     classes = tuple(tuple(sorted(buckets[t])) for t in traces)
     return _SearchSpace(gens, traces, classes)
@@ -430,8 +430,7 @@ def _walk_trace_covers(
     rec(0, 0, 0)
 
 
-@dataclass(frozen=True)
-class EnumerationStats:
+class EnumerationStats(NamedTuple):
     """Counts from a full irredundant-cover walk, no covers materialized."""
 
     cover_count: int

@@ -40,10 +40,9 @@ from __future__ import annotations
 import operator
 import re
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import cached_property, wraps
 from math import gcd, lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .arith import is_prime
 from .errors import (
@@ -655,8 +654,7 @@ def semidirect_cp_cn(p: int, n: int, l: int, name: str | None = None) -> Group:
 # Quotients
 
 
-@dataclass(frozen=True)
-class Homomorphism:
+class Homomorphism(NamedTuple):
     """A map between groups recorded as an image tuple on element indices."""
 
     source: Group

@@ -65,16 +65,14 @@ mask), so downstream choices like "the first witness" are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .arith import is_prime, p_part, prime_divisors, prime_power_base
 from .errors import InvalidParameters, PrimeDoesNotDivideOrder
-from .groups import Group, is_normal_mask, iter_bits, per_group
+from .groups import Group, _integer, is_normal_mask, iter_bits, per_group
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(NamedTuple):
     """A subgroup of some fixed ambient group, as a member bitmask."""
 
     members: int
@@ -88,8 +86,7 @@ class Subgroup:
         return (self.order, self.members)
 
 
-@dataclass(frozen=True)
-class CyclicSubgroup:
+class CyclicSubgroup(NamedTuple):
     """A cyclic subgroup tagged with its least-index generator."""
 
     subgroup: Subgroup
@@ -97,8 +94,7 @@ class CyclicSubgroup:
     is_maximal: bool  # maximal among the cyclic subgroups, not in the lattice
 
 
-@dataclass(frozen=True)
-class ChiefFactor:
+class ChiefFactor(NamedTuple):
     """One factor of a chief series, between two normal subgroups."""
 
     lower: int
@@ -288,7 +284,9 @@ def frattini_subgroup(group: Group) -> int:
     return phi
 
 
-def _check_prime_divisor(group: Group, p: int) -> None:
+def _check_prime_divisor(group: Group, p: int) -> int:
+    """p as an int, once it is checked to be a prime dividing |G|."""
+    p = _integer(p, "prime p")
     # A p above |G| cannot divide it, and is_prime(p) would trial-divide.
     if p <= group.order and not is_prime(p):
         raise InvalidParameters(f"p = {p} is not prime")
@@ -296,10 +294,11 @@ def _check_prime_divisor(group: Group, p: int) -> None:
         raise PrimeDoesNotDivideOrder(
             f"{p} does not divide the group order {group.order}"
         )
+    return p
 
 
 def sylow_subgroup(group: Group, p: int) -> Subgroup:
-    _check_prime_divisor(group, p)
+    p = _check_prime_divisor(group, p)
     target = p_part(group.order, p)
     for s in all_subgroups(group):
         if s.order == target:
@@ -323,15 +322,11 @@ def _complement_count(group: Group, lower: int, upper: int) -> int:
     The trivial witness A = lower is excluded: it only qualifies when
     upper is the whole group, and it carries no splitting information.
     """
-    lo = lower.bit_count()
-    up = upper.bit_count()
-    count = 0
-    for s in all_subgroups(group):
-        if s.members == lower:
-            continue
-        if s.order * up == group.order * lo and (s.members & upper) == lower:
-            count += 1
-    return count
+    size = group.order * lower.bit_count() // upper.bit_count()
+    return sum(
+        1 for m in _lattice(group)[0]
+        if m.bit_count() == size and m & upper == lower and m != lower
+    )
 
 
 @per_group
@@ -378,6 +373,6 @@ def is_supersolvable(group: Group) -> bool:
 
 
 def has_normal_p_complement(group: Group, p: int) -> bool:
-    _check_prime_divisor(group, p)
+    p = _check_prime_divisor(group, p)
     target = group.order // p_part(group.order, p)
-    return any(s.order == target for s in normal_subgroups(group))
+    return any(m.bit_count() == target for m in _lattice(group)[1])

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable
-from dataclasses import MISSING, asdict, dataclass, field, fields
-from typing import Any
+from typing import Any, NamedTuple
 
 from . import covers, lattice
 from .catalog import CatalogEntry, build_entry
@@ -39,24 +38,35 @@ COMPLEMENT_COUNT_ASSUMPTION = (
 )
 
 
-@dataclass(frozen=True)
-class AnalyzeOptions:
-    max_order: int = DEFAULT_MAX_ORDER
-    enum_bound: int = DEFAULT_ENUM_BOUND
-    checks: tuple[str, ...] = CHECK_IDS
+class _AnalyzeFields(NamedTuple):
+    max_order: int
+    enum_bound: int
+    checks: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if _integer(self.max_order, "max order") < 0:
-            raise InvalidParameters(f"max order {self.max_order} is negative")
-        if _integer(self.enum_bound, "enumeration bound") < 0:
-            raise InvalidParameters(f"enumeration bound {self.enum_bound} is negative")
-        if isinstance(self.checks, str):  # would iterate its characters
+
+class AnalyzeOptions(_AnalyzeFields):
+    """Validated options; _make and _replace skip the validation."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        max_order: int = DEFAULT_MAX_ORDER,
+        enum_bound: int = DEFAULT_ENUM_BOUND,
+        checks: Iterable[str] = CHECK_IDS,
+    ) -> "AnalyzeOptions":
+        if _integer(max_order, "max order") < 0:
+            raise InvalidParameters(f"max order {max_order} is negative")
+        if _integer(enum_bound, "enumeration bound") < 0:
+            raise InvalidParameters(f"enumeration bound {enum_bound} is negative")
+        if isinstance(checks, str):  # would iterate its characters
             raise InvalidParameters("checks must be a sequence of check ids, not a str")
         # A generator would be used up by the check below, a list unhashable.
-        object.__setattr__(self, "checks", tuple(self.checks))
-        unknown = [c for c in self.checks if c not in CHECK_IDS]
+        checks = tuple(checks)
+        unknown = [c for c in checks if c not in CHECK_IDS]
         if unknown:
             raise InvalidParameters(f"unknown check id {unknown[0]!r}")
+        return super().__new__(cls, max_order, enum_bound, checks)
 
 
 # The report's JSON schema as plain data.  A kind is a type, None, a tuple
@@ -70,6 +80,7 @@ _OUTCOME = {
     "witnessCOrder": (int, None),
 }
 _LEMMA_CHECK = {"id": str, "status": (str, None)}
+_MISSING = object()  # a key the decoded report lacks
 
 
 def _alternatives(kind: Any) -> tuple[Any, ...]:
@@ -94,19 +105,11 @@ def _check_json(value: Any, kind: Any, where: str) -> None:
             return
         if type(k) is dict and type(value) is dict:
             for key, v_kind in k.items():
-                _check_json(value.get(key, MISSING), v_kind, f"{where}[{key!r}]")
+                _check_json(value.get(key, _MISSING), v_kind, f"{where}[{key!r}]")
             return
         if (value is None) if k is None else (type(value) is k):
             return
     raise InvalidParameters(f"report key {where} must hold {_kind_name(kind)}")
-
-
-def _json_field(key: str, kind: Any) -> Any:
-    """A VerificationReport field that the report's JSON holds under key as
-    a value of the given kind; it defaults to None if nullable, () if an array."""
-    nullable = None in _alternatives(kind)
-    default = None if nullable else () if type(kind) is list else MISSING
-    return field(default=default, metadata={"json": key, "kind": kind})
 
 
 def _converted(value: Any, sequence: type) -> Any:
@@ -116,43 +119,56 @@ def _converted(value: Any, sequence: type) -> Any:
     return value
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    group_name: str = _json_field("groupName", str)
-    order: int = _json_field("order", int)
-    is_cyclic: bool | None = _json_field("isCyclic", (bool, None))
-    is_solvable: bool | None = _json_field("isSolvable", (bool, None))
-    is_nilpotent: bool | None = _json_field("isNilpotent", (bool, None))
-    is_supersolvable: bool | None = _json_field("isSupersolvable", (bool, None))
-    lambda_value: int | None = _json_field("lambda", (int, None))
-    sigma_exact: int | str | None = _json_field("sigmaExact", (int, str, None))
-    sigma_tomkinson: int | str | None = _json_field("sigmaTomkinson", (int, str, None))
-    irredundant_sizes: tuple[int, ...] | None = _json_field(
-        "irredundantSizes", ([int], None)
-    )
-    one_sized_bruteforce: bool | None = _json_field("oneSizedBruteforce", (bool, None))
-    classify_outcome: dict[str, Any] | None = _json_field(
-        "classifyOutcome", (_OUTCOME, None)
-    )
-    agreement: bool | None = _json_field("agreement", (bool, None))
-    lemma_checks: tuple[dict[str, Any], ...] = _json_field(
-        "lemmaChecks", [_LEMMA_CHECK]
-    )
-    errors: tuple[str, ...] = _json_field("errors", [str])
+# (VerificationReport field, its JSON key, the kind of value the key holds),
+# in JSON key order.  A field defaults to None if nullable, () if an array.
+_REPORT_SCHEMA = (
+    ("group_name", "groupName", str),
+    ("order", "order", int),
+    ("is_cyclic", "isCyclic", (bool, None)),
+    ("is_solvable", "isSolvable", (bool, None)),
+    ("is_nilpotent", "isNilpotent", (bool, None)),
+    ("is_supersolvable", "isSupersolvable", (bool, None)),
+    ("lambda_value", "lambda", (int, None)),
+    ("sigma_exact", "sigmaExact", (int, str, None)),
+    ("sigma_tomkinson", "sigmaTomkinson", (int, str, None)),
+    ("irredundant_sizes", "irredundantSizes", ([int], None)),
+    ("one_sized_bruteforce", "oneSizedBruteforce", (bool, None)),
+    ("classify_outcome", "classifyOutcome", (_OUTCOME, None)),
+    ("agreement", "agreement", (bool, None)),
+    ("lemma_checks", "lemmaChecks", [_LEMMA_CHECK]),
+    ("errors", "errors", [str]),
+)
+
+
+class VerificationReport(NamedTuple):
+    group_name: str
+    order: int
+    is_cyclic: bool | None = None
+    is_solvable: bool | None = None
+    is_nilpotent: bool | None = None
+    is_supersolvable: bool | None = None
+    lambda_value: int | None = None
+    sigma_exact: int | str | None = None
+    sigma_tomkinson: int | str | None = None
+    irredundant_sizes: tuple[int, ...] | None = None
+    one_sized_bruteforce: bool | None = None
+    classify_outcome: dict[str, Any] | None = None
+    agreement: bool | None = None
+    lemma_checks: tuple[dict[str, Any], ...] = ()
+    errors: tuple[str, ...] = ()
 
     def to_dict(self) -> dict[str, Any]:
         return {
-            f.metadata["json"]: _converted(getattr(self, f.name), list)
-            for f in fields(self)
+            key: _converted(getattr(self, name), list)
+            for name, key, _ in _REPORT_SCHEMA
         }
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "VerificationReport":
         values = {}
-        for f in fields(cls):
-            key = f.metadata["json"]
-            _check_json(d.get(key, MISSING), f.metadata["kind"], repr(key))
-            values[f.name] = _converted(d[key], tuple)
+        for name, key, kind in _REPORT_SCHEMA:
+            _check_json(d.get(key, _MISSING), kind, repr(key))
+            values[name] = _converted(d[key], tuple)
         return cls(**values)
 
 
@@ -177,7 +193,7 @@ def _sigma_json(value: SigmaValue) -> int | str:
 def outcome_json(outcome: Any) -> dict[str, Any]:
     return {
         "oneSized": outcome.one_sized,
-        "family": None if outcome.family is None else asdict(outcome.family),
+        "family": None if outcome.family is None else outcome.family._asdict(),
         "witnessHOrder": None if outcome.witness_h is None else outcome.witness_h.order,
         "witnessCOrder": None if outcome.witness_c is None else outcome.witness_c.order,
     }

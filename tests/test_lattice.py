@@ -263,6 +263,25 @@ def test_huge_prime_fails_fast():
         assert time.perf_counter() - start < 0.1
 
 
+@pytest.mark.parametrize("p", ["2", None, 2.0])
+def test_prime_must_be_an_integer(p):
+    for group, call in ((symmetric(4), sylow_subgroup),
+                        (symmetric(4), has_normal_p_complement),
+                        (alternating(4), check_p_nilpotence)):
+        with pytest.raises(InvalidParameters, match="must be an integer"):
+            call(group, p)
+
+
+def test_integer_like_prime_is_reported_as_an_int():
+    class Two:
+        def __index__(self):
+            return 2
+
+    res = check_p_nilpotence(alternating(4), Two())
+    assert type(res.prime) is int and res.prime == 2
+    assert sylow_subgroup(symmetric(4), Two()).order == 8
+
+
 @pytest.mark.parametrize(
     "make,solvable,nilpotent,supersolvable",
     [
