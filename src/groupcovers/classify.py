@@ -173,23 +173,52 @@ class AbelianCoverCheck(NamedTuple):
     status: str
 
 
-def _centralizer(group: Group, a: int, cent: dict[int, int]) -> int:
-    """C_G(A), or a mask missing part of A once A is seen to be non-abelian.
+# Clique characterization: the maximal abelian subgroups of a non-abelian
+# G are the sets Z(G) | <x_1> | ... | <x_k> for the maximal cliques
+# {<x_1>, ..., <x_k>} of the commuting graph on the non-central cyclic
+# subgroups.  A maximal abelian A is C_G(A), so its non-central cyclic
+# subgroups form a clique that no other one commutes with entirely, and
+# every element of A lies in the center or in one of them.  Conversely a
+# maximal clique generates, with Z(G), an abelian A whose centralizer
+# adds no non-central <y> outside the clique, so A = C_G(A) is maximal
+# abelian, and its non-central cyclic subgroups are the clique.
 
-    C_G(A) is the intersection of the C_G(x) over x in A, and C_G(x) lies
-    in C_G(x^k), so one x per cyclic subgroup, over the part of A outside
-    the center, suffices.  cent maps x to C_G(x); each is built the first
-    time it is read.
-    """
-    t = group.cayley
-    cur, rest = group.full_mask, a & ~group.center
-    while rest and cur & a == a:
-        x = (rest & -rest).bit_length() - 1
-        if x not in cent:
-            cent[x] = mask_of(y for y, b in enumerate(t[x]) if b == t[y][x])
-        cur &= cent[x]
-        rest &= ~group.cyclic_masks[x]  # <x> is centralized by now
-    return cur
+
+def _maximal_abelian_masks(group: Group) -> list[int]:
+    """The maximal abelian subgroups of a non-abelian group, one per
+    maximal clique (Bron and Kerbosch, CACM 16, 1973, with Tomita's pivot:
+    TCS 363, 2006)."""
+    t, center = group.cayley, group.center
+    nodes = [c for c in cyclic_subgroups(group) if not center >> c.generator & 1]
+    gens = [c.generator for c in nodes]
+    masks = [c.subgroup.members for c in nodes]
+    nbrs = [0] * len(gens)  # nbrs[i]: the nodes commuting with node i
+    for i, x in enumerate(gens):
+        row = t[x]
+        for j in range(i + 1, len(gens)):
+            y = gens[j]
+            if row[y] == t[y][x]:
+                nbrs[i] |= 1 << j
+                nbrs[j] |= 1 << i
+    out: list[int] = []
+
+    def expand(a: int, cands: int, done: int) -> None:
+        """a: the clique's elements; cands, done: nodes it may still take,
+        and nodes whose cliques were all reported already."""
+        if not cands:
+            if not done:
+                out.append(a)
+            return
+        pivot = max(
+            iter_bits(cands | done), key=lambda v: (cands & nbrs[v]).bit_count()
+        )
+        for v in iter_bits(cands & ~nbrs[pivot]):
+            expand(a | masks[v], cands & nbrs[v], done & nbrs[v])
+            cands &= ~(1 << v)
+            done |= 1 << v
+
+    expand(center, (1 << len(gens)) - 1, 0)
+    return out
 
 
 def check_abelian_sigma_cover(group: Group) -> AbelianCoverCheck:
@@ -198,8 +227,8 @@ def check_abelian_sigma_cover(group: Group) -> AbelianCoverCheck:
     Any abelian member extends to a maximal abelian subgroup, so the
     search runs exact set cover over those, capped at sigma.  Existence
     must imply solvability.  In an abelian G those are the maximal
-    subgroups; otherwise they are the A with C_G(A) = A (A inside C_G(A)
-    is abelian, and x in C_G(A) outside A gives the abelian <A, x>).
+    subgroups; otherwise they come from the maximal cliques of the
+    commuting graph on the non-central cyclic subgroups.
     """
     if group.is_cyclic:
         raise GroupIsCyclic("cyclic groups have no cover by proper subgroups")
@@ -208,11 +237,7 @@ def check_abelian_sigma_cover(group: Group) -> AbelianCoverCheck:
     if group.is_abelian:
         candidates = [s.members for s in maximal_subgroups(group)]
     else:
-        cent: dict[int, int] = {}
-        candidates = [
-            a for a in (s.members for s in all_subgroups(group))
-            if _centralizer(group, a, cent) == a
-        ]
+        candidates = _maximal_abelian_masks(group)
     found = _min_set_cover(group.full_mask, sorted(candidates), limit=sig)
     exists = found is not None
     solvable = is_solvable(group)
@@ -244,8 +269,9 @@ def check_quotient_invariants(group: Group) -> QuotientInvariantsCheck:
     Lemma: the maximal subgroups of G/N are the M/N, M maximal in G above
     N, and every maximal cyclic subgroup of G/N is the image <x>N/N of a
     maximal cyclic <x> of G.  So sigma(G/N) is a least cover of G by those
-    M, and lambda(G/N) counts the maximal sets among the <x>N, the first
-    subgroups above N | <x> in ascending order; G/N is cyclic if G is one.
+    M, and lambda(G/N) counts the maximal sets among the <x>N; G/N is
+    cyclic if G is one.  N being normal, <x>N is the one subgroup of order
+    |N||x|/|N & <x>| above N | <x>, found among the subgroups of that order.
     """
     if not one_sized_bruteforce(group):
         raise PreconditionViolation(
@@ -253,12 +279,18 @@ def check_quotient_invariants(group: Group) -> QuotientInvariantsCheck:
         )
     sig = sigma_exact(group).value
     assert sig is not None
-    masks = [s.members for s in all_subgroups(group)]
+    of_order: dict[int, list[int]] = {}
+    for s in all_subgroups(group):
+        of_order.setdefault(s.order, []).append(s.members)
     maximals = [s.members for s in maximal_subgroups(group)]
-    cyclics = [c.subgroup.members for c in cyclic_subgroups(group) if c.is_maximal]
+    cyclics = [c.subgroup for c in cyclic_subgroups(group) if c.is_maximal]
     items = []
     for n in normal_subgroups(group):
-        images = {next(m for m in masks if (n.members | x) & ~m == 0) for x in cyclics}
+        images = set()
+        for x in cyclics:
+            size = n.order * x.order // (n.members & x.members).bit_count()
+            union = n.members | x.members
+            images.add(next(m for m in of_order[size] if union & ~m == 0))
         if group.full_mask in images:
             continue
         above = [m for m in maximals if n.members & ~m == 0]

@@ -62,8 +62,8 @@ from .errors import (
     PreconditionViolation,
 )
 from .groups import (
-    Group, _element_mask, is_cyclic_mask, is_normal_mask, is_subgroup_mask, iter_bits,
-    per_group,
+    DEFAULT_ENUM_BOUND, Group, _element_mask, _integer, is_cyclic_mask, is_normal_mask,
+    is_subgroup_mask, iter_bits, per_group,
 )
 from .lattice import (
     Subgroup,
@@ -75,8 +75,6 @@ from .lattice import (
     maximal_subgroups,
     normal_core,
 )
-
-DEFAULT_ENUM_BOUND = 32
 
 
 class SigmaValue(NamedTuple):
@@ -446,15 +444,22 @@ class EnumerationStats(NamedTuple):
         return self.size_counts[-1][0]
 
 
-def _check_enumerable(group: Group, enum_bound: int, size_cap: int | None) -> None:
-    if size_cap is not None and size_cap < 0:
-        raise InvalidParameters(f"size cap {size_cap} is negative")
+def _check_enumerable(
+    group: Group, enum_bound: int, size_cap: int | None
+) -> int | None:
+    """size_cap as an int (or None), once the walk may run on group."""
+    if size_cap is not None:
+        size_cap = _integer(size_cap, "size cap")
+        if size_cap < 0:
+            raise InvalidParameters(f"size cap {size_cap} is negative")
+    enum_bound = _integer(enum_bound, "enumeration bound")
     if enum_bound < 0:
         raise InvalidParameters(f"enumeration bound {enum_bound} is negative")
     if group.is_cyclic:
         raise GroupIsCyclic("cyclic groups have no cover by proper subgroups")
     if group.order > enum_bound:
         raise EnumerationBoundExceeded(group.order, enum_bound)
+    return size_cap
 
 
 def cover_enumeration_stats(
@@ -470,8 +475,7 @@ def cover_enumeration_stats(
     reference route for irredundant_cover_sizes, whose pruned walk must
     report exactly the sizes counted here.
     """
-    _check_enumerable(group, enum_bound, size_cap)
-    return _counted_covers(group, size_cap)
+    return _counted_covers(group, _check_enumerable(group, enum_bound, size_cap))
 
 
 @per_group
@@ -554,7 +558,7 @@ def enumerate_irredundant_covers(
     irredundant covers (large elementary abelian ones especially) prefer
     cover_enumeration_stats.
     """
-    _check_enumerable(group, enum_bound, size_cap)
+    size_cap = _check_enumerable(group, enum_bound, size_cap)
     space = _search_space(group)
     lookup = _subgroup_by_mask(group)
     class_of = dict(zip(space.traces, space.class_masks))

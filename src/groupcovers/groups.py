@@ -58,6 +58,9 @@ from .errors import (
 )
 
 ORDER_BOUND = 512
+# Groups up to this order get their irredundant-cover sizes walked, which
+# needs every subgroup; above it, analysis reads no more than it must.
+DEFAULT_ENUM_BOUND = 32
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +278,14 @@ class Group:
     def element_orders(self) -> tuple[int, ...]:
         """|x| for each element x: the size of <x>."""
         return tuple(m.bit_count() for m in self.cyclic_masks)
+
+    @cached_property
+    def order_masks(self) -> dict[int, int]:
+        """Each element order -> the mask of the elements of that order."""
+        masks: dict[int, int] = {}
+        for x, o in enumerate(self.element_orders):
+            masks[o] = masks.get(o, 0) | 1 << x
+        return masks
 
     @cached_property
     def exponent(self) -> int:

@@ -51,13 +51,52 @@ For lower normal, upper/lower is central when [x, g] is in lower for all
 x in upper, g in G: each class C meeting upper outside lower must lie in
 x*lower for x in C, and one x is enough.  That is |C| lookups per class.
 
-Solvability, nilpotency and supersolvability are read off the chief
-factors.  A chief factor H/K is minimal normal in G/K, so it is a direct
-power of one simple group.  It is abelian exactly when its order is a
-prime power: no non-abelian simple group has prime-power order.  G is
-solvable when every chief factor is abelian, nilpotent when every one is
-central (a minimal normal subgroup of a nilpotent group is central), and
-supersolvable when every one has prime order.
+Solvability and supersolvability are read off the chief factors.  A
+chief factor H/K is minimal normal in G/K, so it is a direct power of
+one simple group.  It is abelian exactly when its order is a prime
+power: no non-abelian simple group has prime-power order.  G is
+solvable when every chief factor is abelian and supersolvable when
+every one has prime order.  Nilpotency is read off element orders: G is
+nilpotent exactly when each Sylow subgroup is normal, that is, unique,
+that is, when the elements of p-power order number |G|_p for each p.
+
+A nilpotent group of order above the enumeration bound is analyzed
+without its lattice (the cover walk, which needs every subgroup, runs
+only up to the bound).  Four lemmas give what analysis reads:
+
+* Frattini quotient (Burnside's basis theorem, for every prime at once).
+  Let K_p be generated by the p'-elements, the g^p and the commutators
+  [x, g], for x in G and g in G's generators.  The [x, g] generate G':
+  their subgroup is normalized by each g, as n^g = n[n, g], so G mod it
+  is generated by central elements, hence abelian.  So K_p is normal,
+  and G/K_p is abelian, of exponent p (in an abelian group the g^p
+  generate the p-th powers) and a p-group, that is, F_p^d.  A maximal
+  subgroup of a nilpotent group is normal of prime index p, so it holds
+  every p'-element, every p-th power and G'; it is the preimage of a
+  hyperplane of G/K_p, and every such preimage is maximal.  The
+  hyperplanes are the kernels of the nonzero functionals up to scalars,
+  (p^d - 1)/(p - 1) of them, each read off the coordinates of the cosets.
+* Central chief terms.  In a nilpotent G/L the least order of a normal
+  subgroup above L is |L|q, q the least prime dividing |G:L|, and the
+  normal subgroups of that order are the L<x> with xL central of order
+  q, minimal normal subgroups being central.  The q-part of x is a power
+  of x that gives the same L<x>, so only elements of q-power order are
+  scanned, and x^q lies in L exactly when <x> meets L in |x|/q elements.
+  The least such L<x> by mask is the term the lattice route picks.
+* Abelian chief factors, in every group.  A complement A of an abelian
+  chief factor H/K (A*H = G, A meeting H in K) is exactly a maximal
+  subgroup M with K <= M and H not inside M.  If A < B, then B meets H
+  in a subgroup normalized by A and, as H/K is abelian, by H; so B
+  meets H in K, which |B| > |A| forbids, or in H, which makes B = G.
+  Conversely M*H = G for such an M, and M meets H in a normal subgroup
+  between K and H that is not H.  So complements are counted among the
+  maximal subgroups, and only non-abelian factors scan the lattice.
+* Normal p-complements, in every group.  G has one exactly when its
+  p'-elements number |G|/|G|_p and form a subgroup.  A normal
+  p-complement N holds every p'-element x, as xN has order dividing |x|
+  and the p-power |G/N|.  Conversely, such a subgroup is a union of
+  classes, since element orders are class invariants, so it is normal,
+  and by its order it complements a Sylow p-subgroup.
 
 All listings come back in a canonical order, sorted by (order, members
 mask), so downstream choices like "the first witness" are reproducible.
@@ -69,7 +108,9 @@ from typing import NamedTuple, Sequence
 
 from .arith import is_prime, p_part, prime_divisors, prime_power_base
 from .errors import InvalidParameters, PrimeDoesNotDivideOrder
-from .groups import Group, _integer, is_normal_mask, iter_bits, per_group
+from .groups import (
+    DEFAULT_ENUM_BOUND, Group, _integer, is_normal_mask, iter_bits, per_group,
+)
 
 
 class Subgroup(NamedTuple):
@@ -158,13 +199,14 @@ def generated_mask(group: Group, seed_mask: int) -> int:
     t = group.cayley
     cap = _proper_cap(group.order)
     mask, gens = 1, ()
-    for x in iter_bits(seed_mask):
-        if mask >> x & 1:
-            continue
+    left = seed_mask & ~mask
+    while left:
+        x = (left & -left).bit_length() - 1
         mask = _coset_closure(t, list(iter_bits(mask)), mask, x, gens + (x,), cap)
         if mask == group.full_mask:
             break
         gens += (x,)
+        left &= ~mask
     return mask
 
 
@@ -240,11 +282,9 @@ def cyclic_subgroups(group: Group) -> tuple[CyclicSubgroup, ...]:
     so <x> is maximal among cyclic subgroups when no C puts x in `inner`.
     """
     least: dict[int, int] = {}  # mask -> least generator
-    of_order: dict[int, int] = {}
     for x, mask in enumerate(group.cyclic_masks):
         least.setdefault(mask, x)
-        k = mask.bit_count()
-        of_order[k] = of_order.get(k, 0) | 1 << x
+    of_order = group.order_masks
     inner = 0
     for mask in least:
         inner |= mask & ~of_order[mask.bit_count()]
@@ -255,8 +295,102 @@ def cyclic_subgroups(group: Group) -> tuple[CyclicSubgroup, ...]:
     return tuple(out)
 
 
+def _orders_mask(group: Group, keep) -> int:
+    """The elements whose order o passes keep(o)."""
+    return sum(m for o, m in group.order_masks.items() if keep(o))  # disjoint
+
+
+def _lattice_free(group: Group) -> bool:
+    """Whether analysis reads group's structure without its lattice."""
+    return group.order > DEFAULT_ENUM_BOUND and is_nilpotent(group)
+
+
+def _frattini_maximals(group: Group) -> list[int]:
+    """The maximal subgroups of a nilpotent group in canonical order: the
+    hyperplane preimages over each K_p (see the module docstring)."""
+    t, inv = group.cayley, group.inverse
+    derived = 0  # generates G': the [x, g] = x^-1 * x^g, g a non-central generator
+    for perm in group._conjugations:
+        for x, y in enumerate(perm):
+            derived |= 1 << t[inv[x]][y]
+    out = []
+    for p in prime_divisors(group.order):
+        seed = derived | _orders_mask(group, lambda o: o % p)
+        for g in group.generators:
+            y = g
+            for _ in range(p - 1):
+                y = t[y][g]
+            seed |= 1 << y
+        k = generated_mask(group, seed)
+        if k.bit_count() * p == group.order:  # d = 1: K_p is the one maximal
+            out.append(k)
+            continue
+        members = list(iter_bits(k))
+        # cosets[i] = reps[i] * K_p; the coordinates of i are its base-p
+        # digits, one per generator that enlarges the span, in order.
+        reps, cosets, span, d = [0], [k], k, 0
+        for g in group.generators:
+            if span >> g & 1:
+                continue
+            n, y = len(reps), g
+            for _ in range(p - 1):
+                for r in reps[:n]:
+                    z = t[r][y]
+                    reps.append(z)
+                    row, m = t[z], 0
+                    for s in members:  # z * K_p
+                        m |= 1 << row[s]
+                    cosets.append(m)
+                y = t[y][g]
+            span |= sum(cosets[n:])  # disjoint cosets
+            d += 1
+        out += _hyperplane_preimages(cosets, p, d)
+    return sorted(out, key=lambda m: (m.bit_count(), m))
+
+
+def _hyperplane_preimages(cosets: list[int], p: int, d: int) -> list[int]:
+    """The kernel of each functional on F_p^d whose first nonzero
+    coefficient is 1, as a union of cosets[i], i's base-p digits being
+    the coordinates.
+
+    level[b] holds the elements where the functional, over the
+    coordinates so far, sums to b; coordinate j with coefficient a moves
+    the elements with digit u there from level b to level b + a*u.  At
+    the last coordinate only the elements that reach level 0 are kept.
+    """
+    digit = [[0] * p for _ in range(d)]  # digit[j][u]: j-th coordinate u
+    for i, m in enumerate(cosets):
+        for row in digit:
+            row[i % p] |= m
+            i //= p
+    out = []
+
+    def extend(level: list[int], j: int) -> None:
+        if j == d:
+            out.append(level[0])
+        elif j == d - 1:
+            last = digit[j]
+            out.extend(  # the parts are disjoint, so sum is union
+                sum(level[-a * u % p] & last[u] for u in range(p)) for a in range(p)
+            )
+        else:
+            for a in range(p):
+                moved = [0] * p
+                for u, part in enumerate(digit[j]):
+                    for b, m in enumerate(level):
+                        moved[(b + a * u) % p] |= m & part
+                extend(moved, j + 1)
+
+    for j in range(d):
+        extend(digit[j], j + 1)
+    return out
+
+
 @per_group
 def maximal_subgroups(group: Group) -> tuple[Subgroup, ...]:
+    if _lattice_free(group):  # each one is normal
+        masks = _frattini_maximals(group)
+        return tuple(Subgroup(m, m.bit_count(), True) for m in masks)
     subgroups = all_subgroups(group)
     maximal = _lattice(group)[2]
     return tuple(s for s in subgroups if s.members in maximal)
@@ -321,6 +455,7 @@ def _complement_count(group: Group, lower: int, upper: int) -> int:
 
     The trivial witness A = lower is excluded: it only qualifies when
     upper is the whole group, and it carries no splitting information.
+    Abelian factors count maximal subgroups instead (`_chief_factors`).
     """
     size = group.order * lower.bit_count() // upper.bit_count()
     return sum(
@@ -329,43 +464,113 @@ def _complement_count(group: Group, lower: int, upper: int) -> int:
     )
 
 
+def _normal_chief_terms(group: Group) -> list[int]:
+    """Chief series terms above 1 from the lattice: each the first normal
+    subgroup above the last in canonical order, so the least one."""
+    normals = [s.members for s in normal_subgroups(group)]
+    terms, lower = [], 1
+    while lower != group.full_mask:
+        lower = next(m for m in normals if lower & ~m == 0 and m != lower)
+        terms.append(lower)
+    return terms
+
+
+def _central_chief_terms(group: Group) -> list[int]:
+    """Chief series terms above 1 of a nilpotent group: each the least
+    L<x> by mask over the x central mod L, L the last term, of order q
+    mod L, q the least prime dividing |G:L| (see the module docstring).
+
+    Each x that fails a test takes the other generators of <x> with it,
+    and each L<x> found takes its elements, since they pass or fail alike.
+    """
+    t, inv, perms = group.cayley, group.inverse, group._conjugations
+    orders, cyclic = group.element_orders, group.cyclic_masks
+    terms, lower = [], 1
+    while lower != group.full_mask:
+        index = group.order // lower.bit_count()
+        if is_prime(index):  # lower is maximal
+            terms.append(group.full_mask)
+            break
+        q = prime_divisors(index)[0]
+        part = p_part(group.order, q)
+        left = _orders_mask(group, lambda o: part % o == 0) & ~lower
+        members = list(iter_bits(lower))
+        best = group.full_mask
+        while left:
+            x = (left & -left).bit_length() - 1
+            row = t[inv[x]]
+            if (cyclic[x] & lower).bit_count() * q == orders[x] and all(
+                lower >> row[perm[x]] & 1 for perm in perms  # [x, g] in L
+            ):
+                term, y = lower, x
+                while not lower >> y & 1:  # the cosets L*x^k, k < q
+                    for a in members:
+                        term |= 1 << t[a][y]
+                    y = t[y][x]
+                best = min(best, term)
+                left &= ~term
+            else:
+                left &= ~(cyclic[x] & group.order_masks[orders[x]])
+        terms.append(best)
+        lower = best
+    return terms
+
+
+def _chief_factors(
+    group: Group, terms: list[int], maximals: list[int]
+) -> tuple[ChiefFactor, ...]:
+    """The factors between 1 and the given terms.  An abelian factor's
+    complements are the maximal subgroups above lower missing part of
+    upper, lower itself excluded (see the module docstring); every chief
+    factor of a nilpotent group is central."""
+    factors: list[ChiefFactor] = []
+    lower = 1
+    for upper in terms:
+        order = upper.bit_count() // lower.bit_count()
+        prime = prime_power_base(order)
+        if prime is None:
+            count = _complement_count(group, lower, upper)
+        else:
+            count = sum(
+                1 for m in maximals if lower & ~m == 0 and upper & ~m and m != lower
+            )
+        central = is_nilpotent(group) or _is_central_section(group, upper, lower)
+        factors.append(ChiefFactor(lower, upper, order, count, central, prime))
+        lower = upper
+    return tuple(factors)
+
+
 @per_group
 def chief_series(group: Group) -> tuple[ChiefFactor, ...]:
     """A chief series of the group, canonically chosen.
 
     At each step the next term is the smallest (by order, then mask)
     normal subgroup of the whole group properly above the current term;
-    having the least order, it sits minimally above it.  Each factor
-    records its order, how many subgroups complement it, whether it is
-    central, and the prime when the factor order is a prime power.
+    having the least order, it sits minimally above it.  A nilpotent
+    group above the enumeration bound finds these terms without its
+    lattice.  Each factor records its order, how many subgroups complement
+    it, whether it is central, and the prime when the factor order is a
+    prime power.
     """
-    normals = [s.members for s in normal_subgroups(group)]
-    factors: list[ChiefFactor] = []
-    lower = 1
-    while lower != group.full_mask:
-        above = [m for m in normals if lower & ~m == 0 and m != lower]
-        upper = min(above, key=lambda m: (m.bit_count(), m))
-        order = upper.bit_count() // lower.bit_count()
-        factors.append(
-            ChiefFactor(
-                lower=lower,
-                upper=upper,
-                factor_order=order,
-                complement_count=_complement_count(group, lower, upper),
-                is_central=_is_central_section(group, upper, lower),
-                prime=prime_power_base(order),
-            )
-        )
-        lower = upper
-    return tuple(factors)
+    if _lattice_free(group):
+        terms = _central_chief_terms(group)
+    else:
+        terms = _normal_chief_terms(group)
+    return _chief_factors(group, terms, [s.members for s in maximal_subgroups(group)])
 
 
 def is_solvable(group: Group) -> bool:
     return all(f.prime is not None for f in chief_series(group))
 
 
+@per_group
 def is_nilpotent(group: Group) -> bool:
-    return all(f.is_central for f in chief_series(group))
+    """Every Sylow subgroup is normal: |G|_p elements of p-power order, each p."""
+    for p in prime_divisors(group.order):
+        part = p_part(group.order, p)
+        if _orders_mask(group, lambda o: part % o == 0).bit_count() != part:
+            return False
+    return True
 
 
 def is_supersolvable(group: Group) -> bool:
@@ -373,6 +578,10 @@ def is_supersolvable(group: Group) -> bool:
 
 
 def has_normal_p_complement(group: Group, p: int) -> bool:
+    """The p'-elements number |G|/|G|_p and form a subgroup (module docstring)."""
     p = _check_prime_divisor(group, p)
-    target = group.order // p_part(group.order, p)
-    return any(m.bit_count() == target for m in _lattice(group)[1])
+    coprime = _orders_mask(group, lambda o: o % p)
+    return (
+        coprime.bit_count() == group.order // p_part(group.order, p)
+        and generated_mask(group, coprime) == coprime
+    )

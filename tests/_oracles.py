@@ -17,7 +17,9 @@ of the other members, the structure predicates by derived series, Sylow
 subgroups and maximal-subgroup indices, the one-sized classification
 by pairs of normal subgroups, quotient invariants from quotient groups,
 maximal abelian subgroups by pairwise commutativity, the self-centralizing
-subgroups from a centralizer table of every element, the preset, direct
+subgroups from a centralizer table of every element or as the subgroups
+A with C_G(A) = A, the chief series, complement counts, nilpotency and
+normal p-complements read off the whole lattice, the preset, direct
 product and quotient tables filled cell by cell, permutation tables
 by composing every pair, the set cover that rebuilds each element's
 option list at every node, and the lemma-check statuses decided by an
@@ -1004,3 +1006,91 @@ CHECK_STATUS_ORACLES = {
     "bryce-serena": abelian_cover_status,
     "osclemma-quotients": precondition_quotients_status,
 }
+
+
+# ---------------------------------------------------------------------------
+# Reference routes: structure read off the whole lattice, as the library
+# did for every group before nilpotent groups above the enumeration bound
+# skipped it.  The chief series takes the least normal subgroup above each
+# term from the lattice and counts every factor's complements by a scan
+# over all subgroups; nilpotency asks every chief factor to be central;
+# a normal p-complement is a normal subgroup of order |G|/|G|_p; the
+# maximal abelian subgroups of a non-abelian group are the subgroups A
+# with C_G(A) = A.  They call library internals, which the tests above
+# check against the brute-force oracles.
+
+
+def lattice_chief_series(group):
+    from groupcovers.arith import prime_power_base
+    from groupcovers.lattice import (
+        ChiefFactor, _complement_count, _is_central_section, normal_subgroups,
+    )
+
+    normals = [s.members for s in normal_subgroups(group)]
+    factors = []
+    lower = 1
+    while lower != group.full_mask:
+        above = [m for m in normals if lower & ~m == 0 and m != lower]
+        upper = min(above, key=lambda m: (m.bit_count(), m))
+        order = upper.bit_count() // lower.bit_count()
+        factors.append(
+            ChiefFactor(
+                lower=lower,
+                upper=upper,
+                factor_order=order,
+                complement_count=_complement_count(group, lower, upper),
+                is_central=_is_central_section(group, upper, lower),
+                prime=prime_power_base(order),
+            )
+        )
+        lower = upper
+    return tuple(factors)
+
+
+def central_chief_nilpotent(group) -> bool:
+    return all(f.is_central for f in lattice_chief_series(group))
+
+
+def lattice_maximal_masks(group) -> set[int]:
+    from groupcovers.lattice import _lattice
+
+    return set(_lattice(group)[2])
+
+
+def lattice_has_normal_p_complement(group, p: int) -> bool:
+    from groupcovers.lattice import _lattice
+
+    target = group.order
+    while target % p == 0:
+        target //= p
+    return any(m.bit_count() == target for m in _lattice(group)[1])
+
+
+def _centralizer(group, a: int, cent: dict[int, int]) -> int:
+    """C_G(A), or a mask missing part of A once A is seen to be non-abelian.
+
+    C_G(A) is the intersection of the C_G(x) over x in A, and C_G(x) lies
+    in C_G(x^k), so one x per cyclic subgroup, over the part of A outside
+    the center, suffices.  cent maps x to C_G(x); each is built the first
+    time it is read.
+    """
+    t = group.cayley
+    cur, rest = group.full_mask, a & ~group.center
+    while rest and cur & a == a:
+        x = (rest & -rest).bit_length() - 1
+        if x not in cent:
+            cent[x] = sum(1 << y for y, b in enumerate(t[x]) if b == t[y][x])
+        cur &= cent[x]
+        rest &= ~group.cyclic_masks[x]  # <x> is centralized by now
+    return cur
+
+
+def self_centralizing_masks(group) -> list[int]:
+    """The subgroups A with C_G(A) = A, ascending by mask."""
+    from groupcovers import all_subgroups
+
+    cent: dict[int, int] = {}
+    return sorted(
+        a for a in (s.members for s in all_subgroups(group))
+        if _centralizer(group, a, cent) == a
+    )

@@ -694,3 +694,40 @@ class TestFewestOptions:
     def test_no_items(self):
         assert covers._fewest_options(0, [0b1], 0) == 0
         assert covers._fewest_options(0, [], 0) == 0
+
+
+class TestEnumerationArguments:
+    """size_cap and enum_bound go through the constructors' integer check."""
+
+    CALLERS = [
+        cover_enumeration_stats,
+        irredundant_cover_sizes,
+        enumerate_irredundant_covers,
+    ]
+
+    @pytest.mark.parametrize("caller", CALLERS)
+    @pytest.mark.parametrize("bound", ["32", 32.0, None])
+    def test_non_integer_bound(self, caller, bound):
+        with pytest.raises(InvalidParameters, match="enumeration bound"):
+            caller(symmetric(3), enum_bound=bound)
+
+    @pytest.mark.parametrize(
+        "caller", [cover_enumeration_stats, enumerate_irredundant_covers]
+    )
+    @pytest.mark.parametrize("cap", ["3", 2.5])
+    def test_non_integer_cap(self, caller, cap):
+        with pytest.raises(InvalidParameters, match="size cap"):
+            caller(symmetric(3), cap)
+
+    def test_integer_like_arguments_still_count(self):
+        class Index:
+            def __init__(self, n):
+                self.n = n
+
+            def __index__(self):
+                return self.n
+
+        g = symmetric(3)  # one irredundant cover: the three C2 and the C3
+        assert cover_enumeration_stats(g, Index(4)) == cover_enumeration_stats(g, 4)
+        assert len(enumerate_irredundant_covers(g, Index(4), enum_bound=Index(6))) == 1
+        assert irredundant_cover_sizes(g, enum_bound=Index(6)) == (4,)

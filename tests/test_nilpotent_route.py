@@ -1,0 +1,177 @@
+"""The lattice-free route for nilpotent groups above the enumeration bound,
+and the lattice-free answers every group now gets (complement counts of
+abelian chief factors, normal p-complements, maximal abelian subgroups),
+each against the lattice route it replaced (tests/_oracles.py)."""
+
+from hypothesis import given, settings, strategies as st
+
+from groupcovers import (
+    AnalyzeOptions,
+    chief_series,
+    cyclic,
+    dihedral,
+    direct_product,
+    from_permutation_generators,
+    generalized_quaternion,
+    has_normal_p_complement,
+    is_nilpotent,
+    maximal_subgroups,
+    prime_divisors,
+    run_analyze,
+)
+from groupcovers import lattice
+from groupcovers.classify import _maximal_abelian_masks
+from groupcovers.covers import DEFAULT_ENUM_BOUND
+from groupcovers.groups import DEFAULT_ENUM_BOUND as GROUPS_ENUM_BOUND
+
+from _oracles import (
+    central_chief_nilpotent,
+    lattice_chief_series,
+    lattice_has_normal_p_complement,
+    lattice_maximal_masks,
+    self_centralizing_masks,
+    sylow_count_nilpotent,
+)
+
+
+def route_maximals(g):
+    return lattice._frattini_maximals(g)
+
+
+def route_chief_series(g):
+    """The whole chief series as the route gives it, at any order."""
+    return lattice._chief_factors(g, lattice._central_chief_terms(g), route_maximals(g))
+
+
+def route_disagreements(g):
+    wrong = []
+    masks = route_maximals(g)
+    if masks != sorted(masks, key=lambda m: (m.bit_count(), m)):
+        wrong.append("maximal order")
+    if set(masks) != lattice_maximal_masks(g):
+        wrong.append("maximal")
+    if route_chief_series(g) != lattice_chief_series(g):
+        wrong.append("chief series")
+    return wrong
+
+
+def test_one_enumeration_bound():
+    assert DEFAULT_ENUM_BOUND is GROUPS_ENUM_BOUND
+
+
+def test_nilpotency_matches_both_old_routes_on_corpus(corpus):
+    wrong = [
+        name for name, g in corpus.items()
+        if not is_nilpotent(g)
+        == sylow_count_nilpotent(g.cayley)
+        == central_chief_nilpotent(g)
+    ]
+    assert not wrong
+
+
+def test_route_matches_lattice_on_nilpotent_corpus(corpus):
+    groups = {name: g for name, g in corpus.items() if is_nilpotent(g)}
+    assert len(groups) == 60
+    assert sum(g.order > DEFAULT_ENUM_BOUND for g in groups.values()) == 4
+    wrong = {name: w for name, g in groups.items() if (w := route_disagreements(g))}
+    assert not wrong
+
+
+def heisenberg27():
+    """x: (u, v) -> (u + 1, v) and y: (u, v) -> (u, v + u) on F_3^2, of
+    exponent 3: no generator's cube reaches the commutator [x, y]."""
+    def perm(f):
+        images = (f(u, v) for u in range(3) for v in range(3))
+        return [3 * (a % 3) + b % 3 for a, b in images]
+
+    return from_permutation_generators(
+        9, [perm(lambda u, v: (u + 1, v)), perm(lambda u, v: (u, v + u))]
+    )
+
+
+# p-groups built from the presets or permutations, each with its prime
+P_GROUPS = [
+    (3, heisenberg27),
+    # D8 generated by two reflections, whose squares are trivial
+    (2, lambda: from_permutation_generators(4, ["(1 2)(3 4)", "(1 3)"])),
+    (2, lambda: cyclic(4)),
+    (2, lambda: cyclic(8)),
+    (2, lambda: direct_product(cyclic(2), cyclic(2))),
+    (2, lambda: direct_product(cyclic(4), cyclic(2))),
+    (2, lambda: direct_product(direct_product(cyclic(2), cyclic(2)), cyclic(2))),
+    (2, lambda: dihedral(4)),
+    (2, lambda: dihedral(8)),
+    (2, lambda: generalized_quaternion(3)),
+    (2, lambda: generalized_quaternion(4)),
+    (2, lambda: direct_product(dihedral(4), cyclic(2))),
+    (2, lambda: direct_product(generalized_quaternion(3), cyclic(2))),
+    (2, lambda: direct_product(dihedral(4), cyclic(4))),
+    (3, lambda: cyclic(9)),
+    (3, lambda: direct_product(cyclic(3), cyclic(3))),
+    (3, lambda: direct_product(cyclic(9), cyclic(3))),
+    (5, lambda: direct_product(cyclic(5), cyclic(5))),
+    (7, lambda: direct_product(cyclic(7), cyclic(7))),
+]
+# Products stay at or below this order, where the lattice oracle is quick.
+ROUTE_CAP = 128
+
+
+@st.composite
+def nilpotent_products(draw):
+    p, make = draw(st.sampled_from(P_GROUPS))
+    g = make()
+    m = draw(st.sampled_from([m for m in range(1, ROUTE_CAP // g.order + 1) if m % p]))
+    return g if m == 1 else direct_product(g, cyclic(m))
+
+
+@given(nilpotent_products())
+@settings(deadline=None, max_examples=40)
+def test_route_matches_lattice_on_drawn_nilpotent_products(g):
+    assert is_nilpotent(g)
+    assert not route_disagreements(g)
+    if g.order > DEFAULT_ENUM_BOUND:  # the library takes the route itself
+        assert [s.members for s in maximal_subgroups(g)] == route_maximals(g)
+        assert all(s.is_normal for s in maximal_subgroups(g))
+        assert chief_series(g) == route_chief_series(g)
+
+
+def test_abelian_factor_complements_match_lattice_scan(corpus):
+    checked = 0
+    for name, g in corpus.items():
+        for f in chief_series(g):
+            if f.prime is not None:
+                count = lattice._complement_count(g, f.lower, f.upper)
+                assert f.complement_count == count, name
+                checked += 1
+    assert checked > 200
+
+
+def test_normal_p_complement_matches_lattice_on_corpus(corpus):
+    pairs = [(name, p) for name, g in corpus.items() for p in prime_divisors(g.order)]
+    assert len(pairs) == 167
+    wrong = [
+        (name, p) for name, p in pairs
+        if has_normal_p_complement(corpus[name], p)
+        != lattice_has_normal_p_complement(corpus[name], p)
+    ]
+    assert not wrong
+
+
+def test_cliques_match_self_centralizing_scan_on_corpus(corpus):
+    groups = {name: g for name, g in corpus.items() if not g.is_abelian}
+    assert len(groups) == 55
+    wrong = [
+        name for name, g in groups.items()
+        if sorted(_maximal_abelian_masks(g)) != self_centralizing_masks(g)
+    ]
+    assert not wrong
+
+
+def test_analyze_closes_no_lattice_for_d8xd8():
+    g = direct_product(dihedral(4), dihedral(4))
+    misses = lattice._lattice.cache_info().misses
+    r = run_analyze(g, AnalyzeOptions(max_order=512))
+    assert lattice._lattice.cache_info().misses == misses
+    assert r.errors == ()
+    assert (r.sigma_exact, r.lambda_value, r.is_nilpotent) == (3, 46, True)
+    assert all(c["status"] for c in r.lemma_checks)
