@@ -22,7 +22,9 @@ from math import gcd, isqrt
 from typing import NamedTuple
 
 from .arith import is_prime, prime_divisors
-from .covers import _min_set_cover, lambda_, one_sized_bruteforce, sigma_exact
+from .covers import (
+    _cover_universe, _min_set_cover, lambda_, one_sized_bruteforce, sigma_exact,
+)
 from .errors import GroupIsCyclic, NotSolvable, PreconditionViolation
 from .groups import Group, iter_bits, mask_of, per_group
 from .lattice import (
@@ -225,7 +227,8 @@ def check_abelian_sigma_cover(group: Group) -> AbelianCoverCheck:
     """Does some cover of minimum size consist of abelian subgroups?
 
     Any abelian member extends to a maximal abelian subgroup, so the
-    search runs exact set cover over those, capped at sigma.  Existence
+    search runs exact set cover over those, capped at sigma, of the
+    maximal-cyclic generators (see covers.py).  Existence
     must imply solvability.  In an abelian G those are the maximal
     subgroups; otherwise they come from the maximal cliques of the
     commuting graph on the non-central cyclic subgroups.
@@ -238,7 +241,7 @@ def check_abelian_sigma_cover(group: Group) -> AbelianCoverCheck:
         candidates = [s.members for s in maximal_subgroups(group)]
     else:
         candidates = _maximal_abelian_masks(group)
-    found = _min_set_cover(group.full_mask, sorted(candidates), limit=sig)
+    found = _min_set_cover(_cover_universe(group), sorted(candidates), limit=sig)
     exists = found is not None
     solvable = is_solvable(group)
     return AbelianCoverCheck(sig, exists, solvable, _verdict(exists, solvable))
@@ -268,9 +271,9 @@ def check_quotient_invariants(group: Group) -> QuotientInvariantsCheck:
 
     Lemma: the maximal subgroups of G/N are the M/N, M maximal in G above
     N, and every maximal cyclic subgroup of G/N is the image <x>N/N of a
-    maximal cyclic <x> of G.  So sigma(G/N) is a least cover of G by those
-    M, and lambda(G/N) counts the maximal sets among the <x>N; G/N is
-    cyclic if G is one.  N being normal, <x>N is the one subgroup of order
+    maximal cyclic <x> of G.  So sigma(G/N) is a least cover of G (of its
+    maximal-cyclic generators) by those M, and lambda(G/N) counts the
+    maximal sets among the <x>N; G/N is cyclic if G is one.  N being normal, <x>N is the one subgroup of order
     |N||x|/|N & <x>| above N | <x>, found among the subgroups of that order.
     """
     if not one_sized_bruteforce(group):
@@ -284,6 +287,7 @@ def check_quotient_invariants(group: Group) -> QuotientInvariantsCheck:
         of_order.setdefault(s.order, []).append(s.members)
     maximals = [s.members for s in maximal_subgroups(group)]
     cyclics = [c.subgroup for c in cyclic_subgroups(group) if c.is_maximal]
+    universe = _cover_universe(group)
     items = []
     for n in normal_subgroups(group):
         images = set()
@@ -295,7 +299,7 @@ def check_quotient_invariants(group: Group) -> QuotientInvariantsCheck:
             continue
         above = [m for m in maximals if n.members & ~m == 0]
         same = len(above) == len(maximals)  # sigma(G)'s own set-cover instance
-        qsig = sig if same else _min_set_cover(group.full_mask, above)[0]
+        qsig = sig if same else _min_set_cover(universe, above)[0]
         qlam = len(maximal_masks(list(images)))
         items.append(QuotientCheckItem(n.order, group.order // n.order, qsig, qlam))
     ok = all(it.sigma_quotient == sig == it.lambda_quotient for it in items)

@@ -7,10 +7,16 @@ maximal cyclic subgroups (whose size is the largest irredundant cover
 size), the minimum cover size two independent ways, and the complete
 set of irredundant covers for small groups.
 
-The enumeration works at the level of generator traces.  Fix generators
-x_1..x_k of the k maximal cyclic subgroups.  Every element is a power of
-some x_i, so a family covers the group iff it covers the generators, and
-a member's privacy can be witnessed by a private generator.  Members of
+The exact minimum cover and the enumeration rest on one fact.  Fix
+generators x_1..x_k of the k maximal cyclic subgroups.  Every element
+is a power of some x_i, so a family of subgroups covers the group iff
+it covers the generators.  The exact set covers (sigma here, and the
+Bryce-Serena and quotient checks in classify.py) therefore take the
+generators as their universe, k = lambda items instead of |G|: 31 for
+S5 and 121 for A6, against 120 and 360.
+
+The enumeration works at the level of generator traces, and a
+member's privacy can be witnessed by a private generator.  Members of
 an irredundant cover therefore have pairwise distinct generator traces,
 and swapping a member for another subgroup with the same trace preserves
 both properties.  So the search runs over distinct traces and multiplies
@@ -63,7 +69,7 @@ from .errors import (
 )
 from .groups import (
     DEFAULT_ENUM_BOUND, Group, _element_mask, _integer, is_cyclic_mask, is_normal_mask,
-    is_subgroup_mask, iter_bits, per_group,
+    is_subgroup_mask, iter_bits, mask_of, per_group,
 )
 from .lattice import (
     Subgroup,
@@ -170,6 +176,18 @@ def maximal_cyclic_family(group: Group) -> Cover:
     return Cover(members, group.order)
 
 
+def _maximal_cyclic_generators(group: Group) -> tuple[int, ...]:
+    """The chosen generator of each maximal cyclic subgroup, in
+    `Subgroup.key` order; read off the cyclic subgroups, not the lattice."""
+    return tuple(c.generator for c in cyclic_subgroups(group) if c.is_maximal)
+
+
+def _cover_universe(group: Group) -> int:
+    """The maximal-cyclic generators as a mask, the universe of the exact
+    set covers: a family of subgroups covers G iff it holds all of them."""
+    return mask_of(_maximal_cyclic_generators(group))
+
+
 def lambda_(group: Group) -> int:
     """Number of maximal cyclic subgroups; the largest irredundant cover size."""
     return len(maximal_cyclic_family(group).members)
@@ -233,7 +251,7 @@ def _min_set_cover(
     limit, returns None when no cover of size <= limit exists.
 
     holders[e] is the bitmask of the candidates containing element e, and
-    each node branches, in ascending candidate order, over the options
+    the bound counts only universe elements; each node branches, in ascending candidate order, over the options
     _fewest_options picks among the uncovered elements.
     """
     cands = list(candidates)
@@ -245,7 +263,7 @@ def _min_set_cover(
             holders[e] |= 1 << i
     if not all(holders[e] for e in iter_bits(universe)):
         return None
-    max_gain = max(m.bit_count() for m in cands)
+    max_gain = max((m & universe).bit_count() for m in cands)
 
     # Every element has a holder, so greedy always finds a cover.
     best_sel: tuple[int, ...] | None = ()
@@ -293,11 +311,13 @@ def minimal_cover(group: Group) -> Cover:
     Candidates are the maximal subgroups: enlarging each member of any
     cover to a maximal subgroup above it never increases the family
     size, so the optimum over maximal subgroups is the true optimum.
+    The universe is the generators of the maximal cyclic subgroups (see
+    the module docstring), and the witness is checked against all of G.
     """
     if group.is_cyclic:
         raise GroupIsCyclic("cyclic groups have no cover by proper subgroups")
     maximals = maximal_subgroups(group)  # in canonical order
-    result = _min_set_cover(group.full_mask, [s.members for s in maximals])
+    result = _min_set_cover(_cover_universe(group), [s.members for s in maximals])
     if result is None:
         raise InvariantViolation("maximal subgroups fail to cover a non-cyclic group")
     size, sel = result
@@ -347,7 +367,7 @@ class _SearchSpace(NamedTuple):
 
 @per_group
 def _search_space(group: Group) -> _SearchSpace:
-    gens = tuple(c.generator for c in cyclic_subgroups(group) if c.is_maximal)
+    gens = _maximal_cyclic_generators(group)
     buckets: dict[int, list[int]] = {}
     for mask in (s.members for s in all_subgroups(group)):
         if mask == group.full_mask:

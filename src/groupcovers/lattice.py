@@ -434,6 +434,11 @@ def _check_prime_divisor(group: Group, p: int) -> int:
 def sylow_subgroup(group: Group, p: int) -> Subgroup:
     p = _check_prime_divisor(group, p)
     target = p_part(group.order, p)
+    # Every p-element lies in a Sylow p-subgroup, so when they number |G|_p
+    # they are the only one, and normal; no lattice is needed.
+    p_elements = _orders_mask(group, lambda o: p_part(o, p) == o)
+    if p_elements.bit_count() == target:
+        return Subgroup(p_elements, target, True)
     for s in all_subgroups(group):
         if s.order == target:
             return s

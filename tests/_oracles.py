@@ -22,7 +22,10 @@ A with C_G(A) = A, the chief series, complement counts, nilpotency and
 normal p-complements read off the whole lattice, the preset, direct
 product and quotient tables filled cell by cell, permutation tables
 by composing every pair, the set cover that rebuilds each element's
-option list at every node, and the lemma-check statuses decided by an
+option list at every node, the three set covers (sigma, the abelian
+cover and the quotient covers) over every element of G, the Sylow
+subgroup as the first of its order in the lattice, and the lemma-check
+statuses decided by an
 if/elif chain per check and a ranking of per-prime statuses), kept as
 slower independent routes.
 """
@@ -946,6 +949,56 @@ def listcomp_min_set_cover(
     if best_sel is None or (limit is not None and best_size > limit):
         return None
     return best_size, best_sel
+
+
+# ---------------------------------------------------------------------------
+# The three set covers over every element of G, as they ran before their
+# universe shrank to the generators of the maximal cyclic subgroups
+
+
+def full_group_minimal_cover(group) -> tuple[int, ...]:
+    """A least cover of all of G by its maximal subgroups, as masks."""
+    from groupcovers import maximal_subgroups
+
+    masks = [s.members for s in maximal_subgroups(group)]
+    return listcomp_min_set_cover(group.full_mask, masks)[1]
+
+
+def full_group_abelian_cover_exists(group) -> bool:
+    """Do sigma(G) maximal abelian subgroups, found pairwise, cover all of G?"""
+    from groupcovers import all_subgroups, sigma_exact
+
+    masks = [s.members for s in all_subgroups(group)]
+    cands = sorted(pairwise_maximal_abelian_masks(group.cayley, masks))
+    limit = sigma_exact(group).value
+    return listcomp_min_set_cover(group.full_mask, cands, limit) is not None
+
+
+def full_group_quotient_items(group) -> list[tuple[int, int, int, int]]:
+    """(|N|, |G/N|, sigma(G/N), lambda(G/N)) for every normal N, in lattice
+    order, whose quotient group is not cyclic; sigma(G/N) is a least cover
+    of all of G by the maximal subgroups above N."""
+    from groupcovers import lambda_, maximal_subgroups, normal_subgroups, quotient
+
+    maximals = [s.members for s in maximal_subgroups(group)]
+    out = []
+    for n in normal_subgroups(group):
+        q, _ = quotient(group, n.members)
+        if not q.is_cyclic:
+            above = [m for m in maximals if n.members & ~m == 0]
+            size = listcomp_min_set_cover(group.full_mask, above)[0]
+            out.append((n.order, q.order, size, lambda_(q)))
+    return out
+
+
+def lattice_sylow_subgroup(group, p: int):
+    """The first subgroup of order |G|_p in the lattice."""
+    from groupcovers import all_subgroups
+
+    target = 1
+    while group.order % (target * p) == 0:
+        target *= p
+    return next(s for s in all_subgroups(group) if s.order == target)
 
 
 # ---------------------------------------------------------------------------

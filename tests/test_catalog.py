@@ -1,9 +1,12 @@
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from groupcovers import (
+    CatalogEntry,
     DuplicateName,
+    GroupCoversError,
     InvalidParameters,
     OrderBoundExceeded,
     OrderMismatch,
@@ -207,3 +210,62 @@ def test_bundled_catalog(corpus_entries):
     # every entry in the shipped catalog carries an order assertion
     assert all(e.expected_order is not None for e in corpus_entries)
     assert bundled_catalog_text().count("group ") >= 98
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: any text either parses into entries or raises a GroupCoversError
+
+BUNDLED_LINES = bundled_catalog_text().splitlines()
+
+# Words of the format, so drawn text reaches past the header checks
+catalog_words = st.sampled_from(
+    ["group", "perm", "preset", "order", "product", "cyclic", "cpcn", "sym",
+     ";", "#", "(1 2)", "0", "-1", "3", "C2", "E4", "\n", "\n\n", " ", "\t"]
+)
+drawn_text = st.text(max_size=40) | st.lists(catalog_words, max_size=12).map(" ".join)
+
+
+def assert_parses_or_fails_typed(text):
+    try:
+        entries = parse_catalog(text)
+    except GroupCoversError:
+        return
+    assert all(isinstance(e, CatalogEntry) for e in entries)
+
+
+@given(st.text(max_size=200))
+@settings(max_examples=300, deadline=None)
+def test_parse_catalog_on_arbitrary_text(text):
+    assert_parses_or_fails_typed(text)
+
+
+@st.composite
+def mutated_catalogs(draw):
+    """The bundled catalog with up to six lines deleted, duplicated,
+    swapped, replaced, inserted, or with a token replaced."""
+    lines = list(BUNDLED_LINES)
+    for _ in range(draw(st.integers(1, 6))):
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["delete", "duplicate", "swap", "replace", "insert", "token"]))
+        if op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "replace":
+            lines[i] = draw(drawn_text)
+        elif op == "insert":
+            lines.insert(i, draw(drawn_text))
+        else:
+            tokens = lines[i].split(" ")
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(drawn_text)
+            lines[i] = " ".join(tokens)
+    return "\n".join(lines)
+
+
+@given(mutated_catalogs())
+@settings(max_examples=300, deadline=None)
+def test_parse_catalog_on_mutated_bundled_catalog(text):
+    assert_parses_or_fails_typed(text)

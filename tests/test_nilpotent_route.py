@@ -1,7 +1,8 @@
 """The lattice-free route for nilpotent groups above the enumeration bound,
 and the lattice-free answers every group now gets (complement counts of
-abelian chief factors, normal p-complements, maximal abelian subgroups),
-each against the lattice route it replaced (tests/_oracles.py)."""
+abelian chief factors, normal p-complements, maximal abelian subgroups,
+normal Sylow subgroups), each against the lattice route it replaced
+(tests/_oracles.py)."""
 
 from hypothesis import given, settings, strategies as st
 
@@ -18,6 +19,7 @@ from groupcovers import (
     maximal_subgroups,
     prime_divisors,
     run_analyze,
+    sylow_subgroup,
 )
 from groupcovers import lattice
 from groupcovers.classify import _maximal_abelian_masks
@@ -29,6 +31,7 @@ from _oracles import (
     lattice_chief_series,
     lattice_has_normal_p_complement,
     lattice_maximal_masks,
+    lattice_sylow_subgroup,
     self_centralizing_masks,
     sylow_count_nilpotent,
 )
@@ -175,3 +178,27 @@ def test_analyze_closes_no_lattice_for_d8xd8():
     assert r.errors == ()
     assert (r.sigma_exact, r.lambda_value, r.is_nilpotent) == (3, 46, True)
     assert all(c["status"] for c in r.lemma_checks)
+
+
+def test_sylow_matches_lattice_scan_on_corpus(corpus):
+    pairs = [(name, p) for name, g in corpus.items() for p in prime_divisors(g.order)]
+    assert len(pairs) == 167
+    wrong = [
+        (name, p) for name, p in pairs
+        if sylow_subgroup(corpus[name], p) != lattice_sylow_subgroup(corpus[name], p)
+    ]
+    assert not wrong
+
+
+def test_normal_sylow_subgroup_closes_no_lattice():
+    d8 = dihedral(4)
+    d8_cubed = direct_product(direct_product(d8, d8), d8)
+    e256 = cyclic(2)
+    for _ in range(7):
+        e256 = direct_product(e256, cyclic(2))
+    d8xd8xc3 = direct_product(direct_product(d8, d8), cyclic(3))
+    misses = lattice._lattice.cache_info().misses
+    for g in (d8_cubed, e256):
+        assert sylow_subgroup(g, 2) == lattice.Subgroup(g.full_mask, g.order, True)
+    assert [sylow_subgroup(d8xd8xc3, p).order for p in (2, 3)] == [64, 3]
+    assert lattice._lattice.cache_info().misses == misses
