@@ -26,10 +26,11 @@ from .covers import (
     _cover_universe, _min_set_cover, lambda_, one_sized_bruteforce, sigma_exact,
 )
 from .errors import GroupIsCyclic, NotSolvable, PreconditionViolation
-from .groups import Group, iter_bits, mask_of, per_group
+from .groups import Group, iter_bits, per_group
 from .lattice import (
     Subgroup,
     _check_prime_divisor,
+    _orders_mask,
     all_subgroups,
     chief_series,
     cyclic_subgroups,
@@ -90,13 +91,12 @@ def classify(group: Group) -> ClassificationOutcome:
     """
     if group.is_cyclic:
         raise GroupIsCyclic("cyclic groups admit no cover at all")
-    orders = group.element_orders
     for d in range(1, group.order + 1):
         e = group.order // d
-        if group.order % d or gcd(d, e) != 1 or e not in orders:
+        if group.order % d or gcd(d, e) != 1 or e not in group.order_masks:
             continue
-        c = mask_of(x for x, o in enumerate(orders) if e % o == 0)
-        h = mask_of(x for x, o in enumerate(orders) if d % o == 0)
+        c = _orders_mask(group, lambda o: e % o == 0)
+        h = _orders_mask(group, lambda o: d % o == 0)
         if c.bit_count() != e or h.bit_count() != d:
             continue
         witness_h = Subgroup(h, d, True)

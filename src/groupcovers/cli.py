@@ -4,7 +4,8 @@ Subcommands operate on a catalog file (bundled corpus when omitted):
 
     analyze [catalog] [--group NAME]     full per-group reports
     sigma / lambda / classify            single quantities
-    covers --enumerate [--cap K]         irredundant-cover statistics
+    covers --enumerate [--cap K]         irredundant-cover statistics, for
+                                         groups up to --enum-bound
     verify-corpus [catalog]              corpus run, nonzero exit on
                                          any classification disagreement
 """
@@ -238,7 +239,10 @@ def _cmd_covers(args: argparse.Namespace, opts: AnalyzeOptions) -> int:
         row["lambda"] = len(family)
         row["memberOrders"] = orders
         line = f"lambda={len(family)} maximal cyclic orders={orders}"
-        if args.enumerate:
+        if args.enumerate and g.order > opts.enum_bound:
+            row["enumeration"] = None
+            line += f"\n  not enumerated: order above --enum-bound {opts.enum_bound}"
+        elif args.enumerate:
             stats = covers.cover_enumeration_stats(
                 g, args.cap, enum_bound=opts.enum_bound
             )

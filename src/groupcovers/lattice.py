@@ -42,7 +42,9 @@ subgroup has at most |G|/p elements, p the least prime dividing |G|, so
 the closure stops, and the join is G, as soon as it holds more than
 that.  `generated_mask` runs the same join, adjoining one seed element
 at a time.  From the empty mask with S's own generators it gives S*x*S,
-the union of the S*(x*s) for s in S.
+the union of the S*(x*s) for s in S, and with no generators the coset
+S*x alone.  The Sylow joins, the chief terms L<x> of the nilpotent route
+and the cosets of its K_p are formed by the same closure.
 
 Normal structure reads the conjugacy classes (see groups.py).  x lies in
 every conjugate of a set exactly when its class lies in the set, so
@@ -50,6 +52,22 @@ every conjugate of a set exactly when its class lies in the set, so
 For lower normal, upper/lower is central when [x, g] is in lower for all
 x in upper, g in G: each class C meeting upper outside lower must lie in
 x*lower for x in C, and one x is enough.  That is |C| lookups per class.
+
+Two lemmas give Sylow and minimal normal subgroups without the lattice,
+in every group:
+
+* Sylow growth.  A p-subgroup S below |G|_p lies in a Sylow p-subgroup
+  P, and N_P(S) > S, as normalizers grow in a p-group.  So some
+  p-element x outside S normalizes S, and S<x> = S*<x> is a p-group, a
+  join made by `_coset_closure` from S's generators and x.  Adjoining
+  the least such x until |S| = |G|_p gives a Sylow p-subgroup.  All of
+  them are conjugate, so the least by mask is the least of S's
+  conjugates, and S is normal exactly when it has no other.
+* Minimal class closures.  The subgroup a class generates is the normal
+  closure of any of its elements; for a central z it is <z>.  A minimal
+  normal N holds some x other than 1, so the closure of x's class lies
+  in N and, being normal and not trivial, is N.  So the minimal normal
+  subgroups are the minimal members among the class closures.
 
 Solvability and supersolvability are read off the chief factors.  A
 chief factor H/K is minimal normal in G/K, so it is a direct power of
@@ -109,7 +127,7 @@ from typing import NamedTuple, Sequence
 from .arith import is_prime, p_part, prime_divisors, prime_power_base
 from .errors import InvalidParameters, PrimeDoesNotDivideOrder
 from .groups import (
-    DEFAULT_ENUM_BOUND, Group, _integer, is_normal_mask, iter_bits, per_group,
+    DEFAULT_ENUM_BOUND, Group, _integer, is_normal_mask, iter_bits, mask_of, per_group,
 )
 
 
@@ -316,11 +334,7 @@ def _frattini_maximals(group: Group) -> list[int]:
     out = []
     for p in prime_divisors(group.order):
         seed = derived | _orders_mask(group, lambda o: o % p)
-        for g in group.generators:
-            y = g
-            for _ in range(p - 1):
-                y = t[y][g]
-            seed |= 1 << y
+        seed |= mask_of(group.power(g, p) for g in group.generators)
         k = generated_mask(group, seed)
         if k.bit_count() * p == group.order:  # d = 1: K_p is the one maximal
             out.append(k)
@@ -337,10 +351,7 @@ def _frattini_maximals(group: Group) -> list[int]:
                 for r in reps[:n]:
                     z = t[r][y]
                     reps.append(z)
-                    row, m = t[z], 0
-                    for s in members:  # z * K_p
-                        m |= 1 << row[s]
-                    cosets.append(m)
+                    cosets.append(_coset_closure(t, members, 0, z, (), group.order))
                 y = t[y][g]
             span |= sum(cosets[n:])  # disjoint cosets
             d += 1
@@ -401,8 +412,11 @@ def normal_subgroups(group: Group) -> tuple[Subgroup, ...]:
 
 
 def minimal_normal_subgroups(group: Group) -> tuple[Subgroup, ...]:
-    normals = {s.members: s for s in normal_subgroups(group) if s.members != 1}
-    return tuple(normals[m] for m in minimal_masks(list(normals)))
+    """The minimal class closures, in canonical order (module docstring)."""
+    closures = {group.cyclic_masks[z] for z in iter_bits(group.center & ~1)}
+    closures.update(generated_mask(group, c) for c in group.conjugacy_classes)
+    masks = minimal_masks(sorted(closures, key=lambda m: (m.bit_count(), m)))
+    return tuple(Subgroup(m, m.bit_count(), True) for m in masks)
 
 
 def normal_core(group: Group, mask: int) -> int:
@@ -432,17 +446,20 @@ def _check_prime_divisor(group: Group, p: int) -> int:
 
 
 def sylow_subgroup(group: Group, p: int) -> Subgroup:
+    """The least Sylow p-subgroup by mask, grown by normalizing p-elements
+    and then conjugated (see the module docstring)."""
     p = _check_prime_divisor(group, p)
     target = p_part(group.order, p)
-    # Every p-element lies in a Sylow p-subgroup, so when they number |G|_p
-    # they are the only one, and normal; no lattice is needed.
-    p_elements = _orders_mask(group, lambda o: p_part(o, p) == o)
-    if p_elements.bit_count() == target:
-        return Subgroup(p_elements, target, True)
-    for s in all_subgroups(group):
-        if s.order == target:
-            return s
-    raise AssertionError("unreachable: Sylow subgroup must exist")
+    p_elements = _orders_mask(group, lambda o: target % o == 0)
+    s, gens = 1, ()
+    while s.bit_count() < target:
+        for x in iter_bits(p_elements & ~s):  # the least with x^-1 S x = S
+            if all(s >> group.conjugate(g, x) & 1 for g in gens):
+                break
+        gens += (x,)
+        s = _coset_closure(group.cayley, list(iter_bits(s)), s, x, gens, group.order)
+    orbit = group.conjugates(s)
+    return Subgroup(min(orbit), target, len(orbit) == 1)
 
 
 def _is_central_section(group: Group, upper: int, lower: int) -> bool:
@@ -507,11 +524,7 @@ def _central_chief_terms(group: Group) -> list[int]:
             if (cyclic[x] & lower).bit_count() * q == orders[x] and all(
                 lower >> row[perm[x]] & 1 for perm in perms  # [x, g] in L
             ):
-                term, y = lower, x
-                while not lower >> y & 1:  # the cosets L*x^k, k < q
-                    for a in members:
-                        term |= 1 << t[a][y]
-                    y = t[y][x]
+                term = _coset_closure(t, members, lower, x, (x,), group.order)
                 best = min(best, term)
                 left &= ~term
             else:
@@ -526,8 +539,8 @@ def _chief_factors(
 ) -> tuple[ChiefFactor, ...]:
     """The factors between 1 and the given terms.  An abelian factor's
     complements are the maximal subgroups above lower missing part of
-    upper, lower itself excluded (see the module docstring); every chief
-    factor of a nilpotent group is central."""
+    upper, lower itself excluded (see the module docstring); whether a
+    factor is central is read off the classes by `_is_central_section`."""
     factors: list[ChiefFactor] = []
     lower = 1
     for upper in terms:
@@ -539,7 +552,7 @@ def _chief_factors(
             count = sum(
                 1 for m in maximals if lower & ~m == 0 and upper & ~m and m != lower
             )
-        central = is_nilpotent(group) or _is_central_section(group, upper, lower)
+        central = _is_central_section(group, upper, lower)
         factors.append(ChiefFactor(lower, upper, order, count, central, prime))
         lower = upper
     return tuple(factors)

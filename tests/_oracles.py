@@ -24,10 +24,11 @@ product and quotient tables filled cell by cell, permutation tables
 by composing every pair, the set cover that rebuilds each element's
 option list at every node, the three set covers (sigma, the abelian
 cover and the quotient covers) over every element of G, the Sylow
-subgroup as the first of its order in the lattice, and the lemma-check
-statuses decided by an
-if/elif chain per check and a ranking of per-prime statuses), kept as
-slower independent routes.
+subgroup as the first of its order in the lattice, the minimal normal
+subgroups as the lattice's nontrivial normal subgroups containing no
+other one, and the lemma-check statuses decided by an if/elif chain per
+check and a ranking of per-prime statuses), kept as slower independent
+routes.
 """
 
 from __future__ import annotations
@@ -999,6 +1000,16 @@ def lattice_sylow_subgroup(group, p: int):
     while group.order % (target * p) == 0:
         target *= p
     return next(s for s in all_subgroups(group) if s.order == target)
+
+
+def lattice_minimal_normal_subgroups(group):
+    """The normal subgroups of the lattice, 1 left out, properly
+    containing no other one, in lattice order."""
+    from groupcovers import normal_subgroups
+    from groupcovers.lattice import minimal_masks
+
+    normals = {s.members: s for s in normal_subgroups(group) if s.members != 1}
+    return tuple(normals[m] for m in minimal_masks(list(normals)))
 
 
 # ---------------------------------------------------------------------------

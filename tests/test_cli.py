@@ -1,9 +1,13 @@
+import io
 import json
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from groupcovers import cli
+from groupcovers.reports import CHECK_IDS
 
 
 SMALL_CATALOG = """\
@@ -142,6 +146,19 @@ class TestCovers:
             assert code == 1
             assert out == ""
             assert err == "error: size cap -1 is negative\n"
+
+    def test_enumerate_skips_groups_above_the_bound(self, capsys, catalog):
+        # A5 (order 60) is above the default --enum-bound 32: its row says
+        # so and the run goes on, as analyze leaves its sizes out.
+        code, out, err = run(capsys, "--json", "covers", catalog, "--enumerate")
+        assert code == 0 and err == ""
+        rows = {row["groupName"]: row for row in json.loads(out)}
+        assert rows["A5"]["enumeration"] is None
+        assert rows["A5"]["lambda"] == 31
+        assert rows["E8"]["enumeration"]["coverCount"] == 64
+        code, out, err = run(capsys, "covers", catalog, "--enumerate", "--group", "A5")
+        assert code == 0 and err == ""
+        assert out.endswith("\n  not enumerated: order above --enum-bound 32\n")
 
     def test_text_rendering(self, capsys, catalog):
         code, out, _ = run(capsys, "covers", catalog, "--group", "V4", "--enumerate")
@@ -319,3 +336,84 @@ class TestErrors:
         assert code == 1
         assert out == ""
         assert "error:" in err and value in err
+
+
+# Every group has order at most 12, so no command walks for long.
+FUZZ_CATALOG = """\
+group C2
+preset cyclic 2
+
+group C6
+preset cyclic 6
+
+group V4
+preset product C2 C2
+
+group S3
+perm 3; (1 2 3); (1 2)
+
+group D8
+preset dihedral 4
+
+group Q8
+preset quaternion 3
+
+group A4
+preset alt 4
+
+group Dic12
+preset cpcn 3 4 2
+"""
+FUZZ_NAMES = ("C2", "C6", "V4", "S3", "D8", "Q8", "A4", "Dic12")
+COMMANDS = ("analyze", "sigma", "lambda", "covers", "classify", "verify-corpus")
+
+
+@pytest.fixture(scope="module")
+def fuzz_catalog(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "fuzz.cat"
+    path.write_text(FUZZ_CATALOG, encoding="utf-8")
+    return str(path)
+
+
+@st.composite
+def cli_argvs(draw, catalog):
+    """A subcommand on the catalog with some of the flags: the global ones
+    before or after it, the subcommand ones after it, drawn for every
+    subcommand though verify-corpus takes no --group and only covers
+    takes --enumerate and --cap."""
+    number = st.integers(-3, 40) | st.integers()
+    check_id = st.sampled_from(CHECK_IDS) | st.text(max_size=12)
+    command = draw(st.sampled_from(COMMANDS))
+    before, after = [], [catalog]
+    for flag in (
+        ["--json"],
+        ["--max-order", str(draw(number))],
+        ["--enum-bound", str(draw(number))],
+        ["--checks", ",".join(draw(st.lists(check_id, max_size=4)))],
+    ):
+        if draw(st.booleans()):
+            (before if draw(st.booleans()) else after).extend(flag)
+    for flag in (
+        ["--group", draw(st.sampled_from(FUZZ_NAMES) | st.text(max_size=8))],
+        ["--enumerate"],
+        ["--cap", str(draw(number))],
+    ):
+        if draw(st.booleans()):
+            after.extend(flag)
+    return [*before, command, *after]
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_fuzzed_argv_returns_or_exits_as_argparse(fuzz_catalog, data):
+    """main returns 0 or 1, or argparse exits with 2; nothing else escapes."""
+    argv = data.draw(cli_argvs(fuzz_catalog), label="argv")
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            event("argparse exit")
+            assert exc.code == 2
+            return
+    event(f"exit {code}")
+    assert code in (0, 1)

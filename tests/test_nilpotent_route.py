@@ -1,13 +1,16 @@
 """The lattice-free route for nilpotent groups above the enumeration bound,
 and the lattice-free answers every group now gets (complement counts of
 abelian chief factors, normal p-complements, maximal abelian subgroups,
-normal Sylow subgroups), each against the lattice route it replaced
-(tests/_oracles.py)."""
+Sylow and minimal normal subgroups), each against the lattice route it
+replaced (tests/_oracles.py)."""
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from groupcovers import (
     AnalyzeOptions,
+    OrderBoundExceeded,
+    alternating,
     chief_series,
     cyclic,
     dihedral,
@@ -17,20 +20,23 @@ from groupcovers import (
     has_normal_p_complement,
     is_nilpotent,
     maximal_subgroups,
+    minimal_normal_subgroups,
     prime_divisors,
     run_analyze,
     sylow_subgroup,
+    symmetric,
 )
 from groupcovers import lattice
 from groupcovers.classify import _maximal_abelian_masks
 from groupcovers.covers import DEFAULT_ENUM_BOUND
-from groupcovers.groups import DEFAULT_ENUM_BOUND as GROUPS_ENUM_BOUND
+from groupcovers.groups import DEFAULT_ENUM_BOUND as GROUPS_ENUM_BOUND, iter_bits
 
 from _oracles import (
     central_chief_nilpotent,
     lattice_chief_series,
     lattice_has_normal_p_complement,
     lattice_maximal_masks,
+    lattice_minimal_normal_subgroups,
     lattice_sylow_subgroup,
     self_centralizing_masks,
     sylow_count_nilpotent,
@@ -201,4 +207,109 @@ def test_normal_sylow_subgroup_closes_no_lattice():
     for g in (d8_cubed, e256):
         assert sylow_subgroup(g, 2) == lattice.Subgroup(g.full_mask, g.order, True)
     assert [sylow_subgroup(d8xd8xc3, p).order for p in (2, 3)] == [64, 3]
+    assert lattice._lattice.cache_info().misses == misses
+
+
+def structure_disagreements(g):
+    """The primes whose Sylow subgroup differs from the lattice scan, and
+    "minimal normal" if the minimal normal subgroups do; whole records
+    are compared."""
+    wrong = [
+        p for p in prime_divisors(g.order)
+        if sylow_subgroup(g, p) != lattice_sylow_subgroup(g, p)
+    ]
+    if minimal_normal_subgroups(g) != lattice_minimal_normal_subgroups(g):
+        wrong.append("minimal normal")
+    return wrong
+
+
+def test_minimal_normal_subgroups_match_lattice_scan_on_corpus(corpus):
+    wrong = [
+        name for name, g in corpus.items()
+        if minimal_normal_subgroups(g) != lattice_minimal_normal_subgroups(g)
+    ]
+    assert not wrong
+
+
+PRESETS = [
+    cyclic(2), cyclic(3), cyclic(4), cyclic(5), symmetric(3), dihedral(4),
+    generalized_quaternion(3), alternating(4), dihedral(5), symmetric(4),
+    alternating(5),
+]
+
+
+@st.composite
+def structure_groups(draw):
+    """A subgroup of S5 or S6 on two permutations, or a product of two presets."""
+    if draw(st.booleans()):
+        degree = draw(st.sampled_from([5, 6]))
+        perms = st.permutations(range(degree))
+        try:
+            g = from_permutation_generators(degree, [draw(perms), draw(perms)])
+        except OrderBoundExceeded:  # S6 has order 720
+            g = None
+        assume(g is not None)
+        return g
+    a = draw(st.sampled_from(PRESETS))
+    return direct_product(a, draw(st.sampled_from(
+        [f for f in PRESETS if a.order * f.order <= 240]
+    )))
+
+
+@given(structure_groups())
+@settings(deadline=None, max_examples=60)
+def test_structure_matches_lattice_scans_on_drawn_groups(g):
+    assert not structure_disagreements(g)
+
+
+def elementary(k):
+    g = cyclic(2)
+    for _ in range(k - 1):
+        g = direct_product(g, cyclic(2))
+    return g
+
+
+# name -> (build, Sylow orders by prime, how many are normal, minimal normals)
+NOT_NILPOTENT = {
+    "E32xS3": (lambda: direct_product(elementary(5), symmetric(3)), [64, 3], 1, 32),
+    "E16xS4": (lambda: direct_product(elementary(4), symmetric(4)), [128, 3], 0, 16),
+    "A6": (lambda: alternating(6), [8, 9, 5], 0, 1),
+    "PSL(2,8)": (
+        lambda: from_permutation_generators(
+            9, ["(1 2)(3 4)(5 6)(7 8)", "(2 3 5 4 7 8 6)", "(1 9)(3 6)(4 7)(5 8)"]
+        ),
+        [8, 9, 7], 0, 1,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", NOT_NILPOTENT)
+def test_structure_without_lattice_matches_it(name):
+    """A fresh group's Sylow and minimal normal subgroups close no lattice,
+    and they equal the lattice scans."""
+    make, orders, normal, minimal = NOT_NILPOTENT[name]
+    g = make()
+    misses = lattice._lattice.cache_info().misses
+    sylows = [sylow_subgroup(g, p) for p in prime_divisors(g.order)]
+    minimals = minimal_normal_subgroups(g)
+    assert lattice._lattice.cache_info().misses == misses
+    assert [s.order for s in sylows] == orders
+    assert sum(s.is_normal for s in sylows) == normal
+    assert len(minimals) == minimal
+    assert not structure_disagreements(g)
+
+
+def test_minimal_normal_subgroups_close_no_lattice():
+    """Above the enumeration bound, D8^3's minimal normal subgroups are the
+    7 of order 2 in its center E8, and E256's are its 255 of order 2."""
+    d8 = dihedral(4)
+    d8_cubed = direct_product(direct_product(d8, d8), d8)
+    misses = lattice._lattice.cache_info().misses
+    for g, count in ((d8_cubed, 7), (elementary(8), 255)):
+        minimals = minimal_normal_subgroups(g)
+        assert len(minimals) == count
+        assert all(s.order == 2 and s.is_normal for s in minimals)
+        assert {s.members for s in minimals} == {
+            1 | 1 << z for z in iter_bits(g.center & ~1)  # {1, z}, z central
+        }
     assert lattice._lattice.cache_info().misses == misses
