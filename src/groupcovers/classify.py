@@ -273,8 +273,9 @@ def check_quotient_invariants(group: Group) -> QuotientInvariantsCheck:
     N, and every maximal cyclic subgroup of G/N is the image <x>N/N of a
     maximal cyclic <x> of G.  So sigma(G/N) is a least cover of G (of its
     maximal-cyclic generators) by those M, and lambda(G/N) counts the
-    maximal sets among the <x>N; G/N is cyclic if G is one.  N being normal, <x>N is the one subgroup of order
-    |N||x|/|N & <x>| above N | <x>, found among the subgroups of that order.
+    maximal sets among the <x>N; G/N is cyclic if G is one.  N being
+    normal, <x>N is the one subgroup of order |N||x|/|N & <x>| above
+    N | <x>, found among the subgroups of that order.
     """
     if not one_sized_bruteforce(group):
         raise PreconditionViolation(

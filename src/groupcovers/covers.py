@@ -251,8 +251,9 @@ def _min_set_cover(
     limit, returns None when no cover of size <= limit exists.
 
     holders[e] is the bitmask of the candidates containing element e, and
-    the bound counts only universe elements; each node branches, in ascending candidate order, over the options
-    _fewest_options picks among the uncovered elements.
+    the bound counts only universe elements; each node branches, in
+    ascending candidate order, over the options _fewest_options picks
+    among the uncovered elements.
     """
     cands = list(candidates)
     if not universe:
@@ -449,19 +450,23 @@ def _walk_trace_covers(
 
 
 class EnumerationStats(NamedTuple):
-    """Counts from a full irredundant-cover walk, no covers materialized."""
+    """Counts from a full irredundant-cover walk, no covers materialized.
+
+    min_size and max_size are None when the walk found no cover, as a
+    size cap below sigma leaves it.
+    """
 
     cover_count: int
     size_counts: tuple[tuple[int, int], ...]
     multi_trace_sizes: tuple[int, ...]
 
     @property
-    def min_size(self) -> int:
-        return self.size_counts[0][0]
+    def min_size(self) -> int | None:
+        return self.size_counts[0][0] if self.size_counts else None
 
     @property
-    def max_size(self) -> int:
-        return self.size_counts[-1][0]
+    def max_size(self) -> int | None:
+        return self.size_counts[-1][0] if self.size_counts else None
 
 
 def _check_enumerable(

@@ -43,8 +43,8 @@ the closure stops, and the join is G, as soon as it holds more than
 that.  `generated_mask` runs the same join, adjoining one seed element
 at a time.  From the empty mask with S's own generators it gives S*x*S,
 the union of the S*(x*s) for s in S, and with no generators the coset
-S*x alone.  The Sylow joins, the chief terms L<x> of the nilpotent route
-and the cosets of its K_p are formed by the same closure.
+S*x alone.  The Sylow joins, and the chief terms L<x> and hyperplane
+preimages h<x> of the nilpotent route, are formed by the same closure.
 
 Normal structure reads the conjugacy classes (see groups.py).  x lies in
 every conjugate of a set exactly when its class lies in the set, so
@@ -80,7 +80,7 @@ that is, when the elements of p-power order number |G|_p for each p.
 
 A nilpotent group of order above the enumeration bound is analyzed
 without its lattice (the cover walk, which needs every subgroup, runs
-only up to the bound).  Four lemmas give what analysis reads:
+only up to the bound).  Five lemmas give what analysis reads:
 
 * Frattini quotient (Burnside's basis theorem, for every prime at once).
   Let K_p be generated by the p'-elements, the g^p and the commutators
@@ -91,9 +91,19 @@ only up to the bound).  Four lemmas give what analysis reads:
   generate the p-th powers) and a p-group, that is, F_p^d.  A maximal
   subgroup of a nilpotent group is normal of prime index p, so it holds
   every p'-element, every p-th power and G'; it is the preimage of a
-  hyperplane of G/K_p, and every such preimage is maximal.  The
-  hyperplanes are the kernels of the nonzero functionals up to scalars,
-  (p^d - 1)/(p - 1) of them, each read off the coordinates of the cosets.
+  hyperplane of G/K_p, and every such preimage is maximal.
+* Hyperplane growth.  For g outside a subspace W of F_p^d, the
+  hyperplanes of W + <g> are W and the H + <g + i*w>, for H a hyperplane
+  of W, 0 <= i < p and w any one vector of W outside H.  A hyperplane U
+  other than W meets W in a hyperplane H, as U + W = W + <g>; U/H is a
+  line of the plane (W + <g>)/H = <w, g> other than <w>, so it holds
+  exactly one g + i*w.  These are distinct and number
+  1 + p(p^(j-1) - 1)/(p - 1) = (p^j - 1)/(p - 1), j = dim W + 1.  So
+  from span = K_p, with no hyperplanes, each generator g outside span
+  turns the list into span and the h<g*w^i>, and span into span<g>; once
+  span is G the list holds the maximal subgroups, for d = 1 just K_p.
+  h is normal, holding G', and x^p lies in K_p, so h<x> is the union of
+  the cosets h*x^i, the join `_coset_closure` makes from h and x.
 * Central chief terms.  In a nilpotent G/L the least order of a normal
   subgroup above L is |L|q, q the least prime dividing |G:L|, and the
   normal subgroups of that order are the L<x> with xL central of order
@@ -325,7 +335,8 @@ def _lattice_free(group: Group) -> bool:
 
 def _frattini_maximals(group: Group) -> list[int]:
     """The maximal subgroups of a nilpotent group in canonical order: the
-    hyperplane preimages over each K_p (see the module docstring)."""
+    hyperplane preimages over each K_p, grown one generator at a time
+    (see the module docstring)."""
     t, inv = group.cayley, group.inverse
     derived = 0  # generates G': the [x, g] = x^-1 * x^g, g a non-central generator
     for perm in group._conjugations:
@@ -335,66 +346,21 @@ def _frattini_maximals(group: Group) -> list[int]:
     for p in prime_divisors(group.order):
         seed = derived | _orders_mask(group, lambda o: o % p)
         seed |= mask_of(group.power(g, p) for g in group.generators)
-        k = generated_mask(group, seed)
-        if k.bit_count() * p == group.order:  # d = 1: K_p is the one maximal
-            out.append(k)
-            continue
-        members = list(iter_bits(k))
-        # cosets[i] = reps[i] * K_p; the coordinates of i are its base-p
-        # digits, one per generator that enlarges the span, in order.
-        reps, cosets, span, d = [0], [k], k, 0
+        span, planes = generated_mask(group, seed), []  # span's hyperplanes over K_p
         for g in group.generators:
             if span >> g & 1:
                 continue
-            n, y = len(reps), g
-            for _ in range(p - 1):
-                for r in reps[:n]:
-                    z = t[r][y]
-                    reps.append(z)
-                    cosets.append(_coset_closure(t, members, 0, z, (), group.order))
-                y = t[y][g]
-            span |= sum(cosets[n:])  # disjoint cosets
-            d += 1
-        out += _hyperplane_preimages(cosets, p, d)
+            grown = [span]
+            for h in planes:
+                members, outside = list(iter_bits(h)), span & ~h
+                w, x = (outside & -outside).bit_length() - 1, g
+                for _ in range(p):  # h<g * w^i>, 0 <= i < p
+                    grown.append(_coset_closure(t, members, h, x, (x,), group.order))
+                    x = t[x][w]
+            span = _coset_closure(t, list(iter_bits(span)), span, g, (g,), group.order)
+            planes = grown
+        out += planes
     return sorted(out, key=lambda m: (m.bit_count(), m))
-
-
-def _hyperplane_preimages(cosets: list[int], p: int, d: int) -> list[int]:
-    """The kernel of each functional on F_p^d whose first nonzero
-    coefficient is 1, as a union of cosets[i], i's base-p digits being
-    the coordinates.
-
-    level[b] holds the elements where the functional, over the
-    coordinates so far, sums to b; coordinate j with coefficient a moves
-    the elements with digit u there from level b to level b + a*u.  At
-    the last coordinate only the elements that reach level 0 are kept.
-    """
-    digit = [[0] * p for _ in range(d)]  # digit[j][u]: j-th coordinate u
-    for i, m in enumerate(cosets):
-        for row in digit:
-            row[i % p] |= m
-            i //= p
-    out = []
-
-    def extend(level: list[int], j: int) -> None:
-        if j == d:
-            out.append(level[0])
-        elif j == d - 1:
-            last = digit[j]
-            out.extend(  # the parts are disjoint, so sum is union
-                sum(level[-a * u % p] & last[u] for u in range(p)) for a in range(p)
-            )
-        else:
-            for a in range(p):
-                moved = [0] * p
-                for u, part in enumerate(digit[j]):
-                    for b, m in enumerate(level):
-                        moved[(b + a * u) % p] |= m & part
-                extend(moved, j + 1)
-
-    for j in range(d):
-        extend(digit[j], j + 1)
-    return out
 
 
 @per_group

@@ -19,8 +19,10 @@ by pairs of normal subgroups, quotient invariants from quotient groups,
 maximal abelian subgroups by pairwise commutativity, the self-centralizing
 subgroups from a centralizer table of every element or as the subgroups
 A with C_G(A) = A, the chief series, complement counts, nilpotency and
-normal p-complements read off the whole lattice, the preset, direct
-product and quotient tables filled cell by cell, permutation tables
+normal p-complements read off the whole lattice, the maximal subgroups
+of a nilpotent group as kernels of functionals over base-p coordinates
+of the cosets of K_p, the preset, direct product and quotient tables
+filled cell by cell, permutation tables
 by composing every pair, the set cover that rebuilds each element's
 option list at every node, the three set covers (sigma, the abelian
 cover and the quotient covers) over every element of G, the Sylow
@@ -1080,8 +1082,11 @@ CHECK_STATUS_ORACLES = {
 # over all subgroups; nilpotency asks every chief factor to be central;
 # a normal p-complement is a normal subgroup of order |G|/|G|_p; the
 # maximal abelian subgroups of a non-abelian group are the subgroups A
-# with C_G(A) = A.  They call library internals, which the tests above
-# check against the brute-force oracles.
+# with C_G(A) = A.  The maximal subgroups of a nilpotent group are also
+# kept as the kernels of functionals over base-p coset coordinates, the
+# route the hyperplane growth replaced, which needs no lattice.  They call
+# library internals, which the tests above check against the brute-force
+# oracles.
 
 
 def lattice_chief_series(group):
@@ -1128,6 +1133,89 @@ def lattice_has_normal_p_complement(group, p: int) -> bool:
     while target % p == 0:
         target //= p
     return any(m.bit_count() == target for m in _lattice(group)[1])
+
+
+def coordinate_frattini_maximals(group) -> list[int]:
+    """The maximal subgroups of a nilpotent group in canonical order, as
+    the kernels of the functionals on G/K_p = F_p^d, read off base-p
+    coordinates of the cosets of K_p; no lattice is closed.
+
+    K_p is generated by the p'-elements, the generators' p-th powers and
+    the [x, g].  The cosets are labelled in the order they are made: the
+    coordinates of coset i are its base-p digits, one per generator that
+    enlarges the span of those before it.
+    """
+    from groupcovers.arith import prime_divisors
+    from groupcovers.groups import iter_bits, mask_of
+    from groupcovers.lattice import _coset_closure, _orders_mask, generated_mask
+
+    t, inv = group.cayley, group.inverse
+    derived = 0
+    for perm in group._conjugations:
+        for x, y in enumerate(perm):
+            derived |= 1 << t[inv[x]][y]
+    out = []
+    for p in prime_divisors(group.order):
+        seed = derived | _orders_mask(group, lambda o: o % p)
+        seed |= mask_of(group.power(g, p) for g in group.generators)
+        k = generated_mask(group, seed)
+        if k.bit_count() * p == group.order:  # d = 1: K_p is the one maximal
+            out.append(k)
+            continue
+        members = list(iter_bits(k))
+        reps, cosets, span, d = [0], [k], k, 0  # cosets[i] = reps[i] * K_p
+        for g in group.generators:
+            if span >> g & 1:
+                continue
+            n, y = len(reps), g
+            for _ in range(p - 1):
+                for r in reps[:n]:
+                    z = t[r][y]
+                    reps.append(z)
+                    cosets.append(_coset_closure(t, members, 0, z, (), group.order))
+                y = t[y][g]
+            span |= sum(cosets[n:])  # disjoint cosets
+            d += 1
+        out += _hyperplane_preimages(cosets, p, d)
+    return sorted(out, key=lambda m: (m.bit_count(), m))
+
+
+def _hyperplane_preimages(cosets: list[int], p: int, d: int) -> list[int]:
+    """The kernel of each functional on F_p^d whose first nonzero
+    coefficient is 1, as a union of cosets[i], i's base-p digits being
+    the coordinates.
+
+    level[b] holds the elements where the functional, over the
+    coordinates so far, sums to b; coordinate j with coefficient a moves
+    the elements with digit u there from level b to level b + a*u.  At
+    the last coordinate only the elements that reach level 0 are kept.
+    """
+    digit = [[0] * p for _ in range(d)]  # digit[j][u]: j-th coordinate u
+    for i, m in enumerate(cosets):
+        for row in digit:
+            row[i % p] |= m
+            i //= p
+    out = []
+
+    def extend(level: list[int], j: int) -> None:
+        if j == d:
+            out.append(level[0])
+        elif j == d - 1:
+            last = digit[j]
+            out.extend(  # the parts are disjoint, so sum is union
+                sum(level[-a * u % p] & last[u] for u in range(p)) for a in range(p)
+            )
+        else:
+            for a in range(p):
+                moved = [0] * p
+                for u, part in enumerate(digit[j]):
+                    for b, m in enumerate(level):
+                        moved[(b + a * u) % p] |= m & part
+                extend(moved, j + 1)
+
+    for j in range(d):
+        extend(digit[j], j + 1)
+    return out
 
 
 def _centralizer(group, a: int, cent: dict[int, int]) -> int:

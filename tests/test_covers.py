@@ -306,6 +306,8 @@ class TestEnumeration:
         st = cover_enumeration_stats(dihedral(4), 2)
         assert st.cover_count == 0
         assert st.size_counts == ()
+        assert st.min_size is None
+        assert st.max_size is None
 
     def test_cyclic_group_has_no_covers_to_count(self):
         with pytest.raises(GroupIsCyclic):

@@ -33,6 +33,7 @@ from groupcovers.groups import DEFAULT_ENUM_BOUND as GROUPS_ENUM_BOUND, iter_bit
 
 from _oracles import (
     central_chief_nilpotent,
+    coordinate_frattini_maximals,
     lattice_chief_series,
     lattice_has_normal_p_complement,
     lattice_maximal_masks,
@@ -120,6 +121,11 @@ P_GROUPS = [
     (3, lambda: direct_product(cyclic(9), cyclic(3))),
     (5, lambda: direct_product(cyclic(5), cyclic(5))),
     (7, lambda: direct_product(cyclic(7), cyclic(7))),
+    # odd primes with d >= 3, so hyperplanes grow over hyperplanes
+    (3, lambda: elementary(3, 3)),
+    (3, lambda: elementary(4, 3)),
+    (3, lambda: direct_product(heisenberg27(), cyclic(3))),
+    (5, lambda: elementary(3, 5)),
 ]
 # Products stay at or below this order, where the lattice oracle is quick.
 ROUTE_CAP = 128
@@ -142,6 +148,35 @@ def test_route_matches_lattice_on_drawn_nilpotent_products(g):
         assert [s.members for s in maximal_subgroups(g)] == route_maximals(g)
         assert all(s.is_normal for s in maximal_subgroups(g))
         assert chief_series(g) == route_chief_series(g)
+
+
+def test_route_matches_lattice_on_every_p_group():
+    """Each p-group above once, where the drawn products only sample them."""
+    wrong = [i for i, (_, make) in enumerate(P_GROUPS) if route_disagreements(make())]
+    assert not wrong
+
+
+def test_route_matches_coordinate_oracle_without_lattice():
+    """On groups whose lattices tier-1 cannot close, the grown hyperplane
+    preimages equal the kernels read off base-p coset coordinates, and
+    neither route closes a lattice."""
+    d8 = dihedral(4)
+    d8xd8 = direct_product(d8, d8)
+    groups = {
+        "E128": elementary(7), "E256": elementary(8),
+        "D8^3": direct_product(d8xd8, d8), "D8xD8xE4": direct_product(d8xd8, elementary(2)),
+        "C7^3": elementary(3, 7), "C3^5": elementary(5, 3),
+    }
+    misses = lattice._lattice.cache_info().misses
+    found = {name: route_maximals(g) for name, g in groups.items()}
+    wrong = [
+        name for name, g in groups.items() if found[name] != coordinate_frattini_maximals(g)
+    ]
+    assert lattice._lattice.cache_info().misses == misses
+    assert not wrong
+    assert {name: len(masks) for name, masks in found.items()} == {
+        "E128": 127, "E256": 255, "D8^3": 63, "D8xD8xE4": 63, "C7^3": 57, "C3^5": 121,
+    }
 
 
 def test_abelian_factor_complements_match_lattice_scan(corpus):
@@ -262,10 +297,11 @@ def test_structure_matches_lattice_scans_on_drawn_groups(g):
     assert not structure_disagreements(g)
 
 
-def elementary(k):
-    g = cyclic(2)
+def elementary(k, p=2):
+    """C_p^k."""
+    g = cyclic(p)
     for _ in range(k - 1):
-        g = direct_product(g, cyclic(2))
+        g = direct_product(g, cyclic(p))
     return g
 
 
