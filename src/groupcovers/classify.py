@@ -23,7 +23,8 @@ from typing import NamedTuple
 
 from .arith import is_prime, prime_divisors
 from .covers import (
-    _cover_universe, _min_set_cover, lambda_, one_sized_bruteforce, sigma_exact,
+    _cover_universe, _maximal_cyclic_generators, _min_set_cover, lambda_,
+    one_sized_bruteforce, sigma_exact,
 )
 from .errors import GroupIsCyclic, NotSolvable, PreconditionViolation
 from .groups import Group, iter_bits, per_group
@@ -175,25 +176,21 @@ class AbelianCoverCheck(NamedTuple):
     status: str
 
 
-# Clique characterization: the maximal abelian subgroups of a non-abelian
-# G are the sets Z(G) | <x_1> | ... | <x_k> for the maximal cliques
-# {<x_1>, ..., <x_k>} of the commuting graph on the non-central cyclic
-# subgroups.  A maximal abelian A is C_G(A), so its non-central cyclic
-# subgroups form a clique that no other one commutes with entirely, and
-# every element of A lies in the center or in one of them.  Conversely a
-# maximal clique generates, with Z(G), an abelian A whose centralizer
-# adds no non-central <y> outside the clique, so A = C_G(A) is maximal
-# abelian, and its non-central cyclic subgroups are the clique.
+# Lemma: elements that commute pairwise generate an abelian subgroup,
+# proper when G is not abelian, and a family covers G exactly when it
+# holds every maximal-cyclic generator (see covers.py).  So an abelian
+# cover of size <= k exists exactly when <= k maximal cliques of the
+# generators' commuting graph hold all of them: each member's generators
+# form a clique, inside a maximal one, and each maximal clique generates
+# an abelian proper subgroup that holds it.
 
 
-def _maximal_abelian_masks(group: Group) -> list[int]:
-    """The maximal abelian subgroups of a non-abelian group, one per
-    maximal clique (Bron and Kerbosch, CACM 16, 1973, with Tomita's pivot:
-    TCS 363, 2006)."""
-    t, center = group.cayley, group.center
-    nodes = [c for c in cyclic_subgroups(group) if not center >> c.generator & 1]
-    gens = [c.generator for c in nodes]
-    masks = [c.subgroup.members for c in nodes]
+def _commuting_cliques(group: Group) -> list[int]:
+    """The maximal cliques of the commuting graph on the maximal-cyclic
+    generators, each as the mask of its generators (Bron and Kerbosch,
+    CACM 16, 1973, with Tomita's pivot: TCS 363, 2006)."""
+    t = group.cayley
+    gens = _maximal_cyclic_generators(group)
     nbrs = [0] * len(gens)  # nbrs[i]: the nodes commuting with node i
     for i, x in enumerate(gens):
         row = t[x]
@@ -205,8 +202,8 @@ def _maximal_abelian_masks(group: Group) -> list[int]:
     out: list[int] = []
 
     def expand(a: int, cands: int, done: int) -> None:
-        """a: the clique's elements; cands, done: nodes it may still take,
-        and nodes whose cliques were all reported already."""
+        """a: the clique's generators; cands, done: nodes it may still
+        take, and nodes whose cliques were all reported already."""
         if not cands:
             if not done:
                 out.append(a)
@@ -215,23 +212,22 @@ def _maximal_abelian_masks(group: Group) -> list[int]:
             iter_bits(cands | done), key=lambda v: (cands & nbrs[v]).bit_count()
         )
         for v in iter_bits(cands & ~nbrs[pivot]):
-            expand(a | masks[v], cands & nbrs[v], done & nbrs[v])
+            expand(a | 1 << gens[v], cands & nbrs[v], done & nbrs[v])
             cands &= ~(1 << v)
             done |= 1 << v
 
-    expand(center, (1 << len(gens)) - 1, 0)
+    expand(0, (1 << len(gens)) - 1, 0)
     return out
 
 
 def check_abelian_sigma_cover(group: Group) -> AbelianCoverCheck:
     """Does some cover of minimum size consist of abelian subgroups?
 
-    Any abelian member extends to a maximal abelian subgroup, so the
-    search runs exact set cover over those, capped at sigma, of the
-    maximal-cyclic generators (see covers.py).  Existence
-    must imply solvability.  In an abelian G those are the maximal
-    subgroups; otherwise they come from the maximal cliques of the
-    commuting graph on the non-central cyclic subgroups.
+    The search runs exact set cover, capped at sigma, of the
+    maximal-cyclic generators (see covers.py).  Existence must imply
+    solvability.  In an abelian G the candidates are the maximal
+    subgroups; otherwise they are the maximal cliques of the commuting
+    graph on those generators, by the lemma above.
     """
     if group.is_cyclic:
         raise GroupIsCyclic("cyclic groups have no cover by proper subgroups")
@@ -240,7 +236,7 @@ def check_abelian_sigma_cover(group: Group) -> AbelianCoverCheck:
     if group.is_abelian:
         candidates = [s.members for s in maximal_subgroups(group)]
     else:
-        candidates = _maximal_abelian_masks(group)
+        candidates = _commuting_cliques(group)
     found = _min_set_cover(_cover_universe(group), sorted(candidates), limit=sig)
     exists = found is not None
     solvable = is_solvable(group)

@@ -126,41 +126,52 @@ def _as_mask(group: Group, m: Subgroup | int) -> int:
     return _element_mask(group, m.members if isinstance(m, Subgroup) else m)
 
 
-def make_cover(group: Group, family: Iterable[Subgroup | int]) -> Cover:
-    """Validate and canonicalize a family of proper subgroups, building no lattice."""
-    members: dict[int, Subgroup] = {}
+def _member_masks(group: Group, family: Cover | Iterable[Subgroup | int]) -> list[int]:
+    """Each member's mask, checked to be a proper subgroup of group; a
+    Cover is checked too, and its repeats are kept."""
     if isinstance(family, Cover):
         family = family.members
+    masks = []
     for mask in (_as_mask(group, m) for m in family):
         if not is_subgroup_mask(group, mask):
             raise NotSubgroup(f"mask {mask:#x} is not a subgroup")
         if mask == group.full_mask:
             raise NotProperSubgroup("cover members must be proper subgroups")
-        members[mask] = Subgroup(mask, mask.bit_count(), is_normal_mask(group, mask))
+        masks.append(mask)
+    return masks
+
+
+def make_cover(group: Group, family: Iterable[Subgroup | int]) -> Cover:
+    """Validate and canonicalize a family of proper subgroups, building no lattice."""
+    members = {
+        m: Subgroup(m, m.bit_count(), is_normal_mask(group, m))
+        for m in _member_masks(group, family)
+    }
     ordered = tuple(sorted(members.values(), key=Subgroup.key))
     return Cover(ordered, group.order)
 
 
 def is_cover(group: Group, family: Cover | Iterable[Subgroup | int]) -> bool:
-    cov = family if isinstance(family, Cover) else make_cover(group, family)
-    if any(s.order == group.order for s in cov.members):
-        raise NotProperSubgroup("cover members must be proper subgroups")
     union = 0
-    for s in cov.members:
-        union |= s.members
+    for m in _member_masks(group, family):
+        union |= m
     return union == group.full_mask
 
 
 def is_irredundant(
     group: Group, family: Cover | Iterable[Subgroup | int]
 ) -> bool:
-    """True iff the family is a cover and every member has a private element."""
-    cov = family if isinstance(family, Cover) else make_cover(group, family)
+    """True iff the family is a cover and every member has a private
+    element.  A repeated member has none in a Cover, which keeps its
+    repeats; any other family drops them, as make_cover does."""
+    masks = _member_masks(group, family)
+    if not isinstance(family, Cover):
+        masks = list(dict.fromkeys(masks))
     union = twice = 0
-    for s in cov.members:
-        twice |= union & s.members
-        union |= s.members
-    return is_cover(group, cov) and all(s.members & ~twice for s in cov.members)
+    for m in masks:
+        twice |= union & m
+        union |= m
+    return union == group.full_mask and all(m & ~twice for m in masks)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +334,10 @@ def minimal_cover(group: Group) -> Cover:
         raise InvariantViolation("maximal subgroups fail to cover a non-cyclic group")
     size, sel = result
     cover = Cover(tuple(s for s in maximals if s.members in sel), group.order)
-    if len(cover.members) != size or not is_cover(group, cover):
+    union = 0
+    for m in sel:
+        union |= m
+    if len(cover.members) != size or union != group.full_mask:
         raise InvariantViolation("set-cover witness failed validation")
     return cover
 

@@ -612,16 +612,8 @@ def alternating(n: int, name: str | None = None) -> Group:
     n = _integer(n, "alternating degree")
     if not 1 <= n <= ORDER_BOUND:
         raise InvalidParameters(f"alternating degree must lie in 1..{ORDER_BOUND}")
-    label = name or f"A{n}"
-    if n <= 2:
-        return from_permutation_generators(max(n, 1), [], label)
-    if n == 3:
-        gens = ["(1 2 3)"]
-    elif n % 2 == 1:
-        gens = ["(1 2 3)", "(" + " ".join(map(str, range(1, n + 1))) + ")"]
-    else:
-        gens = ["(1 2 3)", "(" + " ".join(map(str, range(2, n + 1))) + ")"]
-    return from_permutation_generators(n, gens, label)
+    gens = [f"(1 2 {k})" for k in range(3, n + 1)]  # the 3-cycles generate A_n
+    return from_permutation_generators(n, gens, name or f"A{n}")
 
 
 def direct_product(a: Group, b: Group, name: str | None = None) -> Group:

@@ -38,7 +38,9 @@ from groupcovers import (
     verify_classification,
 )
 from groupcovers.classify import _recognize_family
+from groupcovers.covers import _cover_universe
 from groupcovers.groups import Group, is_cyclic_mask, iter_bits
+from groupcovers.lattice import maximal_masks
 
 from _oracles import (
     CHECK_STATUS_ORACLES,
@@ -469,18 +471,27 @@ def library_abelian_candidates(g):
     return candidates
 
 
+def generator_traces(g, masks):
+    """The maximal traces of masks on the maximal-cyclic generators, which
+    are the candidates of a non-abelian group."""
+    if g.is_abelian:
+        return sorted(masks)
+    universe = _cover_universe(g)
+    return maximal_masks(sorted({m & universe for m in masks}))
+
+
 def oracle_abelian_candidates(g):
     masks = [s.members for s in all_subgroups(g)]
-    return sorted(pairwise_maximal_abelian_masks(g.cayley, masks))
+    return generator_traces(g, pairwise_maximal_abelian_masks(g.cayley, masks))
 
 
 def table_abelian_candidates(g):
-    """The candidates as check_abelian_sigma_cover chose them from a
+    """The candidates as check_abelian_sigma_cover once chose them from a
     centralizer table of every element."""
     masks = [s.members for s in all_subgroups(g)]
     if g.is_abelian:
         return sorted(s.members for s in maximal_subgroups(g))
-    return sorted(centralizer_table_abelian_masks(g.cayley, masks))
+    return generator_traces(g, centralizer_table_abelian_masks(g.cayley, masks))
 
 
 def test_cross_checks_match_quotient_group_oracles_on_corpus(corpus):

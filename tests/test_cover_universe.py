@@ -1,11 +1,15 @@
 """The exact set covers over the generators of the maximal cyclic
 subgroups, against the same covers over every element of G
-(tests/_oracles.py), and sigma against values from the literature."""
+(tests/_oracles.py), and sigma against values from the literature and
+against the direct-product lemma."""
+
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from groupcovers import (
+    INFINITE,
     alternating,
     build_catalog,
     check_abelian_sigma_cover,
@@ -16,6 +20,7 @@ from groupcovers import (
     from_permutation_generators,
     generalized_quaternion,
     is_cover,
+    is_solvable,
     lambda_,
     minimal_cover,
     one_sized_bruteforce,
@@ -28,6 +33,7 @@ from groupcovers import lattice
 from groupcovers.covers import _cover_universe, _maximal_cyclic_generators, _search_space
 
 from _oracles import (
+    commutator_derived_mask,
     full_group_abelian_cover_exists,
     full_group_minimal_cover,
     full_group_quotient_items,
@@ -146,3 +152,62 @@ def test_sigma_matches_literature_for_non_solvable_groups():
     groups = build_catalog(parse_catalog(LITERATURE_CATALOG))
     got = {name: (g.order, sigma_exact(g).value) for name, g in groups.items()}
     assert got == LITERATURE_SIGMA
+
+
+# sigma of a direct product.  If G and H have no common nontrivial simple
+# quotient, Goursat's lemma makes every maximal subgroup of G x H a product
+# M x H or G x M', so sigma(G x H) = min(sigma(G), sigma(H)), infinite when
+# both are cyclic.  A common abelian simple quotient C_p needs p to divide
+# both |G:G'| and |H:H'|, and a non-abelian one needs both non-solvable; so
+# coprime abelianizations and a solvable factor suffice.
+PRODUCT_PRESETS = [*SMALL, cyclic(5), cyclic(7), symmetric(4), alternating(5)]
+
+
+def abelianization_order(g):
+    return g.order // commutator_derived_mask(g.cayley, g.full_mask).bit_count()
+
+
+def smaller_sigma(a, b):
+    return min(
+        (sigma_exact(f) for f in (a, b) if not f.is_cyclic),
+        key=lambda s: s.value,
+        default=INFINITE,
+    )
+
+
+@st.composite
+def coprime_products(draw):
+    """Two presets with |G||H| <= 240 that share no simple quotient."""
+    a = draw(st.sampled_from(PRODUCT_PRESETS))
+    b = draw(st.sampled_from([f for f in PRODUCT_PRESETS if a.order * f.order <= 240]))
+    assume(gcd(abelianization_order(a), abelianization_order(b)) == 1)
+    assume(is_solvable(a) or is_solvable(b))
+    return a, b
+
+
+@given(coprime_products())
+@settings(max_examples=40, deadline=None)
+def test_sigma_of_a_product_is_the_smaller_factor_sigma(pair):
+    a, b = pair
+    assert sigma_exact(direct_product(a, b)) == smaller_sigma(a, b)
+
+
+@pytest.mark.parametrize(
+    "a, b, sigma",
+    [
+        (alternating(5), cyclic(7), 10),
+        (alternating(5), symmetric(3), 4),
+        (alternating(5), dihedral(4), 3),
+        (symmetric(5), cyclic(3), 16),
+    ],
+)
+def test_sigma_of_non_solvable_products(a, b, sigma):
+    # sigma_tomkinson cannot check these: each product is non-solvable
+    assert sigma_exact(direct_product(a, b)).value == smaller_sigma(a, b).value == sigma
+
+
+def test_sigma_of_a_product_with_a_common_quotient():
+    # S3 x S3 maps onto C2 x C2, so sigma is 3, below min(4, 4)
+    s3 = symmetric(3)
+    assert abelianization_order(s3) == 2
+    assert (sigma_exact(direct_product(s3, s3)).value, smaller_sigma(s3, s3).value) == (3, 4)

@@ -197,6 +197,17 @@ class TestCoverPredicates:
         with pytest.raises(NotProperSubgroup):
             is_cover(g, Cover((whole,), g.order))
 
+    def test_cover_predicates_check_a_cover_of_another_group(self):
+        # a Cover's members are checked like any family's: D12's minimum
+        # cover is no family of subgroups of A4, and S4's lies outside S3
+        d12 = minimal_cover(dihedral(6))
+        with pytest.raises(NotSubgroup):
+            is_cover(alternating(4), d12)
+        with pytest.raises(NotSubgroup):
+            is_irredundant(alternating(4), d12)
+        with pytest.raises(InvalidParameters, match="not a set of elements"):
+            is_cover(symmetric(3), minimal_cover(symmetric(4)))
+
     def test_is_irredundant(self):
         g = dihedral(4)
         fam = maximal_cyclic_family(g)

@@ -1,8 +1,9 @@
 """The lattice-free route for nilpotent groups above the enumeration bound,
 and the lattice-free answers every group now gets (complement counts of
-abelian chief factors, normal p-complements, maximal abelian subgroups,
-Sylow and minimal normal subgroups), each against the lattice route it
-replaced (tests/_oracles.py)."""
+abelian chief factors, normal p-complements, the commuting cliques of
+maximal-cyclic generators behind the Bryce-Serena check, Sylow and
+minimal normal subgroups), each against the route it replaced
+(tests/_oracles.py)."""
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -11,6 +12,7 @@ from groupcovers import (
     AnalyzeOptions,
     OrderBoundExceeded,
     alternating,
+    build_catalog,
     chief_series,
     cyclic,
     dihedral,
@@ -21,18 +23,21 @@ from groupcovers import (
     is_nilpotent,
     maximal_subgroups,
     minimal_normal_subgroups,
+    parse_catalog,
     prime_divisors,
     run_analyze,
     sylow_subgroup,
     symmetric,
 )
 from groupcovers import lattice
-from groupcovers.classify import _maximal_abelian_masks
-from groupcovers.covers import DEFAULT_ENUM_BOUND
+from groupcovers.classify import _commuting_cliques
+from groupcovers.covers import DEFAULT_ENUM_BOUND, _cover_universe
 from groupcovers.groups import DEFAULT_ENUM_BOUND as GROUPS_ENUM_BOUND, iter_bits
+from groupcovers.lattice import maximal_masks
 
 from _oracles import (
     central_chief_nilpotent,
+    clique_maximal_abelian_masks,
     coordinate_frattini_maximals,
     lattice_chief_series,
     lattice_has_normal_p_complement,
@@ -42,6 +47,7 @@ from _oracles import (
     self_centralizing_masks,
     sylow_count_nilpotent,
 )
+from test_cayley_tables import ladder_catalog_text
 
 
 def route_maximals(g):
@@ -206,8 +212,28 @@ def test_cliques_match_self_centralizing_scan_on_corpus(corpus):
     assert len(groups) == 55
     wrong = [
         name for name, g in groups.items()
-        if sorted(_maximal_abelian_masks(g)) != self_centralizing_masks(g)
+        if sorted(clique_maximal_abelian_masks(g)) != self_centralizing_masks(g)
     ]
+    assert not wrong
+
+
+def test_commuting_cliques_are_the_maximal_abelian_traces(corpus):
+    """The maximal cliques of commuting maximal-cyclic generators are the
+    maximal traces of the maximal abelian subgroups on those generators."""
+    ladder = build_catalog(parse_catalog(ladder_catalog_text()))
+    groups = [
+        *(("corpus", name, g) for name, g in corpus.items()),
+        *(("ladder", name, g) for name, g in ladder.items()),
+        *(("named", name, NOT_NILPOTENT[name][0]()) for name in ("A6", "PSL(2,8)")),
+    ]
+    groups = [(source, name, g) for source, name, g in groups if not g.is_abelian]
+    assert len(groups) == 65
+    wrong = []
+    for source, name, g in groups:
+        universe = _cover_universe(g)
+        traces = sorted({m & universe for m in self_centralizing_masks(g)})
+        if sorted(_commuting_cliques(g)) != maximal_masks(traces):
+            wrong.append((source, name))
     assert not wrong
 
 
