@@ -32,7 +32,9 @@ Conjugacy classes are the normality primitive: any set, subgroup or not,
 is invariant under conjugation exactly when it is a union of classes, so
 `is_normal_mask` asks each class C to meet a mask in nothing or in C.
 Central elements are singleton classes that never decide this, so
-`Group.conjugacy_classes` keeps only the classes of size > 1.
+`Group.conjugacy_classes` keeps only the classes of size > 1.  The same
+orbit walk fills `Group.class_masks`, whose entry x is x's class, so a
+question about one element's class is one lookup.
 """
 
 from __future__ import annotations
@@ -306,13 +308,14 @@ class Group:
         return mask_of(x for x, col in enumerate(zip(*t)) if t[x] == col)
 
     @cached_property
-    def conjugacy_classes(self) -> tuple[int, ...]:
-        """Masks of the classes of size > 1, by least element.
+    def class_masks(self) -> tuple[int, ...]:
+        """Entry x is the mask of x's conjugacy class.
 
-        Each class is the orbit of its least element under the conjugations
-        by non-central generators, which an abelian group never builds.
+        Each class of size > 1 is the orbit of its least element under the
+        conjugations by non-central generators, which an abelian group
+        never builds; a central x is its own class.
         """
-        classes, left = [], self.full_mask & ~self.center
+        masks, left = [1 << x for x in range(self.order)], self.full_mask & ~self.center
         perms = self._conjugations if left else ()
         while left:
             x = (left & -left).bit_length() - 1
@@ -323,9 +326,17 @@ class Group:
                     if not cls >> z & 1:
                         cls |= 1 << z
                         orbit.append(z)
-            classes.append(cls)
+            for y in orbit:
+                masks[y] = cls
             left &= ~cls
-        return tuple(classes)
+        return tuple(masks)
+
+    @cached_property
+    def conjugacy_classes(self) -> tuple[int, ...]:
+        """Masks of the classes of size > 1, by least element."""
+        return tuple(
+            c for x, c in enumerate(self.class_masks) if c & -c == 1 << x and c != 1 << x
+        )
 
     @cached_property
     def generators(self) -> tuple[int, ...]:

@@ -2,11 +2,17 @@
 
 Subgroups are bitmasks over element indices.  The full lattice is
 computed by cyclic extension up to conjugacy (Neubueser, Numer. Math. 2,
-1960): starting from the trivial subgroup, one representative S of each
-conjugacy class is joined with cyclic subgroups, and each new join
-brings its whole class, the orbit under conjugation by G's generators.
-Four lemmas make this exhaustive with few joins:
+1960): starting from the proper cyclic subgroups, one representative S
+of each conjugacy class is joined with cyclic subgroups, and each new
+join brings its whole class, the orbit under conjugation by G's
+generators.  Five lemmas make this exhaustive with few joins:
 
+* Cyclic layer.  <x>^g = <x^g>, so the class of <x> is the set of <y>
+  for y in x's class, read off `Group.class_masks` with no orbit walk,
+  and <x> is normal exactly when x's class lies in <x>.  The joins of
+  the trivial subgroup are the subgroups of prime order, all cyclic; so
+  the cyclic classes are listed first and the trivial subgroup is not
+  joined.  It is maximal exactly when |G| is prime.
 * Classes.  <S^g, c^g> = <S, c>^g, so joining only a representative of
   each class and adding the classes of the joins finds every subgroup.
 * Prime steps.  If x is not in S, then <x> meets S in <x^a> for some
@@ -28,8 +34,8 @@ maximal exactly when its index is prime or every prime-step join of S
 is G (any H strictly between S and G contains such a y), a property its
 conjugates share.
 
-Every representative keeps a short generator tuple: the trivial
-subgroup none, a join <S, c> the tuple of S followed by c's least
+Every representative keeps a short generator tuple: a cyclic subgroup
+its least generator, a join <S, c> the tuple of S followed by c's least
 generator.  One closure, `_coset_closure`, serves the joins, the double
 cosets and `generated_mask`: from a mask, a subgroup S and elements x
 and gens, it adds the right coset S*x and then, for each added coset's
@@ -137,7 +143,7 @@ from typing import NamedTuple, Sequence
 from .arith import is_prime, p_part, prime_divisors, prime_power_base
 from .errors import InvalidParameters, PrimeDoesNotDivideOrder
 from .groups import (
-    DEFAULT_ENUM_BOUND, Group, _integer, is_normal_mask, iter_bits, mask_of, per_group,
+    DEFAULT_ENUM_BOUND, Group, _integer, iter_bits, mask_of, per_group,
 )
 
 
@@ -242,23 +248,30 @@ def generated_mask(group: Group, seed_mask: int) -> int:
 def _lattice(group: Group) -> tuple[tuple[int, ...], frozenset[int], frozenset[int]]:
     """(all subgroup masks in canonical order, the normal ones, the maximal ones).
 
-    One representative per conjugacy class is joined, only by prime
-    steps; each new join brings its whole class (see the module docstring).
+    The proper cyclic subgroups come first, one representative per class
+    with its least generator; then one representative per class is
+    joined, only by prime steps, and each new join brings its whole class
+    (see the module docstring).
     """
-    t = group.cayley
+    t, cyclic, classes = group.cayley, group.cyclic_masks, group.class_masks
     full = group.full_mask
     cap = _proper_cap(group.order)
-    steps = [
-        (c.subgroup.members, c.subgroup.order, c.generator)
-        for c in cyclic_subgroups(group)
-        if c.subgroup.order > 1
-    ]
-    primes = set(prime_divisors(group.order))  # |c| divides |G|
-    found, normal, maximal = {1, full}, {1, full}, set()
-    reps = [(1, (), (1,))] if group.order > 1 else []
+    primes = set(prime_divisors(group.order))  # every index and |c| divides |G|
+    found, normal = {1, full}, {1, full}
+    maximal = {1} if group.order in primes else set()
+    steps, reps = [], []
+    for c in cyclic_subgroups(group)[1:]:
+        s, x = c.subgroup.members, c.generator
+        steps.append((s, c.subgroup.order, x))
+        if s not in found:  # the first of its class, G itself found already
+            s_class = {cyclic[y] for y in iter_bits(classes[x])}
+            found.update(s_class)
+            if c.subgroup.is_normal:
+                normal.add(s)
+            reps.append((s, (x,), s_class))
     for s, s_gens, s_class in reps:  # grows while it is scanned
         members = list(iter_bits(s))
-        if is_prime(group.order // len(members)):  # nothing lies between S and G
+        if group.order // len(members) in primes:  # nothing lies between S and G
             maximal.update(s_class)
             continue
         tried = s  # x needing no join: S, each S*x*S joined, each J of prime index
@@ -267,7 +280,7 @@ def _lattice(group: Group) -> tuple[tuple[int, ...], frozenset[int], frozenset[i
             if tried >> x & 1 or order // (c & s).bit_count() not in primes:
                 continue
             j = _coset_closure(t, members, s, x, s_gens + (x,), cap)
-            if j != full and is_prime(j.bit_count() // len(members)):
+            if j != full and j.bit_count() // len(members) in primes:
                 tried |= j
             else:  # the double coset S*x*S
                 tried |= _coset_closure(t, members, 0, x, s_gens, group.order)
@@ -308,6 +321,7 @@ def cyclic_subgroups(group: Group) -> tuple[CyclicSubgroup, ...]:
 
     <x> < C for a cyclic C exactly when x lies in C with order below |C|,
     so <x> is maximal among cyclic subgroups when no C puts x in `inner`.
+    <x> is normal when x's class lies in <x> (see the module docstring).
     """
     least: dict[int, int] = {}  # mask -> least generator
     for x, mask in enumerate(group.cyclic_masks):
@@ -316,9 +330,9 @@ def cyclic_subgroups(group: Group) -> tuple[CyclicSubgroup, ...]:
     inner = 0
     for mask in least:
         inner |= mask & ~of_order[mask.bit_count()]
-    out = []
+    classes, out = group.class_masks, []
     for mask, gen in sorted(least.items(), key=lambda kv: (kv[0].bit_count(), kv[0])):
-        sub = Subgroup(mask, mask.bit_count(), is_normal_mask(group, mask))
+        sub = Subgroup(mask, mask.bit_count(), not classes[gen] & ~mask)
         out.append(CyclicSubgroup(sub, gen, not inner >> gen & 1))
     return tuple(out)
 

@@ -22,6 +22,7 @@ from .classify import (
 from .covers import DEFAULT_ENUM_BOUND, SigmaValue
 from .errors import (
     GroupCoversError,
+    GroupIsCyclic,
     InvalidParameters,
 )
 from .groups import Group, _integer
@@ -200,10 +201,13 @@ def outcome_json(outcome: Any) -> dict[str, Any]:
 
 
 def run_check(group: Group, check_id: str) -> str:
-    """Status of one named cross-check on a non-cyclic group."""
+    """Status of one named cross-check on a non-cyclic group; a cyclic one
+    raises GroupIsCyclic."""
     status = _CHECKS.get(check_id)
     if status is None:
         raise InvalidParameters(f"unknown check id {check_id!r}")
+    if group.is_cyclic:
+        raise GroupIsCyclic("cyclic groups have no cover by proper subgroups")
     return status(group)
 
 

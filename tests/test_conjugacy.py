@@ -2,7 +2,8 @@
 conjugate-by-every-element reference routes in _oracles.
 
 The library decides normality, normal cores and central chief factors
-from the group's non-central classes; the oracles conjugate by every
+from the group's non-central classes, and the normality of cyclic
+subgroups from the per-element class map; the oracles conjugate by every
 element of G on the raw table.  Both must agree on every subgroup of the
 corpus and on arbitrary masks, subgroups or not, with or without the
 identity.
@@ -16,11 +17,14 @@ from hypothesis import given, settings, strategies as st
 from groupcovers import (
     all_subgroups,
     alternating,
+    build_catalog,
     cyclic,
+    cyclic_subgroups,
     dihedral,
     direct_product,
     generalized_quaternion,
     normal_subgroups,
+    parse_catalog,
     symmetric,
     validate_group,
 )
@@ -34,6 +38,8 @@ from _oracles import (
     conjugation_is_normal,
     conjugation_normal_core,
 )
+from test_cayley_tables import ladder_catalog_text
+from test_lattice import lattice_groups
 
 SMALL_CORPUS_ORDER = 128
 
@@ -117,6 +123,29 @@ def _class_of(g, x):
     for h in range(g.order):
         out |= 1 << g.conjugate(x, h)
     return out
+
+
+def class_map_disagreements(g):
+    """Where Group.class_masks differs from conjugating by every element,
+    or cyclic_subgroups' normality from the class scan it replaced."""
+    wrong = [x for x in range(g.order)
+             if g.class_masks[x] != sum(conjugation_class(g.cayley, 1 << x))]
+    wrong += [c.subgroup.members for c in cyclic_subgroups(g)
+              if c.subgroup.is_normal != is_normal_mask(g, c.subgroup.members)]
+    return wrong
+
+
+def test_class_map_matches_conjugation_on_corpus_and_ladder(corpus):
+    groups = list(corpus.values())
+    groups += build_catalog(parse_catalog(ladder_catalog_text())).values()
+    wrong = {g.name: w for g in groups if (w := class_map_disagreements(g))}
+    assert not wrong
+
+
+@given(lattice_groups())
+@settings(deadline=None, max_examples=60)
+def test_class_map_matches_conjugation_on_drawn_groups(g):
+    assert not class_map_disagreements(g)
 
 
 # ---------------------------------------------------------------------------

@@ -476,20 +476,32 @@ def test_double_coset_matches_bruteforce(triple):
         lambda: elementary_abelian(6),
         lambda: alternating(6),
         lambda: direct_product(symmetric(5), cyclic(2)),
+        lambda: cyclic(1),
+        lambda: cyclic(2),
+        lambda: cyclic(4),
+        lambda: cyclic(9),
+        lambda: direct_product(cyclic(7), cyclic(7)),
+        lambda: generalized_quaternion(3),
+        lambda: alternating(5),
     ],
-    ids=["S4xS3", "A5xC4", "D8xD8xC2", "E64", "A6", "S5xC2"],
+    ids=["S4xS3", "A5xC4", "D8xD8xC2", "E64", "A6", "S5xC2",
+         "C1", "C2", "C4", "C9", "C7xC7", "Q8", "A5"],
 )
 def test_lattice_matches_class_rep_oracle(make):
-    """Same masks in the same order, same normal and maximal sets."""
+    """Same masks in the same order, same normal and maximal sets.  The
+    cyclic layer is seeded from the class map: C1 and C2 seed nothing, so
+    {1} is maximal in C2 and nothing is in C1, and a cyclic G is not
+    seeded."""
     g = make()
     assert lattice._lattice(g) == class_rep_lattice(g.cayley)
 
 
-# Joins made with double-coset marking (before it, in the same order:
-# 54, 98, 1,812, 33, 297, 376 and 33).
+# Joins made from the seeded cyclic layer (from the trivial subgroup, in
+# the same order: 37, 57, 1,382, 26, 141, 200 and 33; before double-coset
+# marking: 54, 98, 1,812, 33, 297, 376 and 33).
 MOST_JOINS = {
-    "S4": 37, "A5": 57, "D8 x D8": 1382, "C7:C6[3]": 26, "S5": 141,
-    "A5 x C2": 200, "C7 x C7 x C2": 33,
+    "S4": 24, "A5": 26, "D8 x D8": 1347, "C7:C6[3]": 11, "S5": 100,
+    "A5 x C2": 153, "C7 x C7 x C2": 24,
 }
 
 
@@ -510,9 +522,11 @@ def test_closure_joins_one_class_representative_by_prime_steps(make, monkeypatch
     joined are pairwise non-conjugate and of composite index, each coset
     S*c is joined once, no c lies in an earlier join of prime index over
     the same S nor in S*c'*S for an earlier join <S, c'> that is G or of
-    composite index, and there are fewer joins than without these rules."""
+    composite index, and there are fewer joins than without these rules.
+    The cyclic layer is seeded: no join starts from the trivial subgroup
+    and no cyclic subgroup's class is an orbit walk."""
     g = make()
-    joins = []
+    joins, orbits = [], []
 
     def recording_closure(table, members, mask, x, gens, cap):
         out = closure(table, members, mask, x, gens, cap)
@@ -520,11 +534,18 @@ def test_closure_joins_one_class_representative_by_prime_steps(make, monkeypatch
             joins.append((mask, x, out))
         return out
 
-    closure = lattice._coset_closure
-    monkeypatch.setattr(lattice, "_coset_closure", recording_closure)
-    lattice._lattice(g)
-    assert joins
+    def recording_conjugates(group, mask):
+        orbits.append(mask)
+        return conjugates(group, mask)
+
+    closure, conjugates = lattice._coset_closure, type(g).conjugates
     cyclic = {c.generator: c.subgroup.members for c in cyclic_subgroups(g)}
+    monkeypatch.setattr(lattice, "_coset_closure", recording_closure)
+    monkeypatch.setattr(type(g), "conjugates", recording_conjugates)
+    lattice._lattice(g)
+    assert joins and orbits
+    assert all(s != 1 for s, _, _ in joins)
+    assert not set(orbits) & set(cyclic.values())
     for s, c, _ in joins:
         index = cyclic[c].bit_count() // (cyclic[c] & s).bit_count()
         assert is_prime(index), (s, c)

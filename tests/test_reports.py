@@ -7,6 +7,7 @@ from groupcovers import (
     COMPLEMENT_COUNT_ASSUMPTION,
     AnalyzeOptions,
     Group,
+    GroupIsCyclic,
     InvalidParameters,
     InvariantViolation,
     NoFactorWithMultipleComplements,
@@ -234,9 +235,18 @@ class TestRunCheck:
         # consistent at one prime beats vacuous at another
         assert run_check(alternating(4), "lemma-pnilp") == "consistent"
 
+    @pytest.mark.parametrize("n", [1, 4, 6])
+    @pytest.mark.parametrize("check_id", CHECK_IDS)
+    def test_cyclic_group_is_rejected(self, n, check_id):
+        # every check, lemma-pnilp too, is about groups that have a cover
+        with pytest.raises(GroupIsCyclic):
+            run_check(cyclic(n), check_id)
+
     def test_unknown_id(self):
         with pytest.raises(InvalidParameters):
             run_check(v4(), "bogus")
+        with pytest.raises(InvalidParameters):
+            run_check(cyclic(4), "bogus")
         with pytest.raises(InvalidParameters):
             AnalyzeOptions(checks=("bogus",))
 
