@@ -223,21 +223,20 @@ def _commuting_cliques(group: Group) -> list[int]:
 def check_abelian_sigma_cover(group: Group) -> AbelianCoverCheck:
     """Does some cover of minimum size consist of abelian subgroups?
 
-    The search runs exact set cover, capped at sigma, of the
-    maximal-cyclic generators (see covers.py).  Existence must imply
-    solvability.  In an abelian G the candidates are the maximal
-    subgroups; otherwise they are the maximal cliques of the commuting
-    graph on those generators, by the lemma above.
+    Existence must imply solvability.  Every subgroup of an abelian G is
+    abelian and G is solvable, so sigma's own minimum cover answers.
+    Otherwise the search runs exact set cover, capped at sigma, of the
+    maximal-cyclic generators (see covers.py) by the maximal cliques of
+    their commuting graph, by the lemma above.
     """
     if group.is_cyclic:
         raise GroupIsCyclic("cyclic groups have no cover by proper subgroups")
     sig = sigma_exact(group).value
     assert sig is not None
     if group.is_abelian:
-        candidates = [s.members for s in maximal_subgroups(group)]
-    else:
-        candidates = _commuting_cliques(group)
-    found = _min_set_cover(_cover_universe(group), sorted(candidates), limit=sig)
+        return AbelianCoverCheck(sig, True, True, _verdict(True, True))
+    cliques = _commuting_cliques(group)
+    found = _min_set_cover(_cover_universe(group), sorted(cliques), limit=sig)
     exists = found is not None
     solvable = is_solvable(group)
     return AbelianCoverCheck(sig, exists, solvable, _verdict(exists, solvable))

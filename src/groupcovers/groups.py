@@ -28,20 +28,23 @@ fails Light's test gets those two checks, before its NotAssociative, so
 the error names the first broken axiom (a column that repeats an entry,
 say, rather than the triple that this makes fail).
 
-Conjugacy classes are the normality primitive: any set, subgroup or not,
-is invariant under conjugation exactly when it is a union of classes, so
-`is_normal_mask` asks each class C to meet a mask in nothing or in C.
-Central elements are singleton classes that never decide this, so
-`Group.conjugacy_classes` keeps only the classes of size > 1.  The same
-orbit walk fills `Group.class_masks`, whose entry x is x's class, so a
-question about one element's class is one lookup.
+Conjugation by the generators is the one source of conjugation facts.
+`Group._conjugations` keeps the maps x -> g^-1 x g that are not the
+identity, so the group is abelian exactly when none is left.  The orbit
+walk under those maps fills `Group.class_masks`, whose entry x is x's
+class, so a question about one element's class is one lookup.  The
+center is read off the class map: it is the elements that are their own
+class.  Conjugacy classes are the normality primitive: any set, subgroup
+or not, is invariant under conjugation exactly when it is a union of
+classes, so `is_normal_mask` asks each class C to meet a mask in nothing
+or in C.  Central elements are singleton classes that never decide this,
+so `Group.conjugacy_classes` keeps only the classes of size > 1.
 """
 
 from __future__ import annotations
 
 import operator
 import re
-from collections import namedtuple
 from functools import cached_property, wraps
 from math import gcd, lcm
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -295,7 +298,8 @@ class Group:
 
     @cached_property
     def is_abelian(self) -> bool:
-        return self.center == self.full_mask
+        """No generator's conjugation moves anything."""
+        return not self._conjugations
 
     @cached_property
     def is_cyclic(self) -> bool:
@@ -303,22 +307,21 @@ class Group:
 
     @cached_property
     def center(self) -> int:
-        """The elements whose row equals their column."""
-        t = self.cayley
-        return mask_of(x for x, col in enumerate(zip(*t)) if t[x] == col)
+        """The elements that are their own class in `class_masks`."""
+        return mask_of(x for x, c in enumerate(self.class_masks) if c == 1 << x)
 
     @cached_property
     def class_masks(self) -> tuple[int, ...]:
         """Entry x is the mask of x's conjugacy class.
 
-        Each class of size > 1 is the orbit of its least element under the
-        conjugations by non-central generators, which an abelian group
-        never builds; a central x is its own class.
+        Each class is the orbit of its least element under `_conjugations`.
+        Every map fixes a central x, so x is its own orbit, and the center
+        is read off these masks.
         """
-        masks, left = [1 << x for x in range(self.order)], self.full_mask & ~self.center
-        perms = self._conjugations if left else ()
-        while left:
-            x = (left & -left).bit_length() - 1
+        perms, masks = self._conjugations, [0] * self.order
+        for x in range(self.order):
+            if masks[x]:
+                continue
             orbit, cls = [x], 1 << x
             for y in orbit:  # grows while it is scanned
                 for perm in perms:
@@ -328,7 +331,6 @@ class Group:
                         orbit.append(z)
             for y in orbit:
                 masks[y] = cls
-            left &= ~cls
         return tuple(masks)
 
     @cached_property
@@ -350,13 +352,11 @@ class Group:
 
     @cached_property
     def _conjugations(self) -> tuple[tuple[int, ...], ...]:
-        """x -> g^-1 * x * g as a tuple, for each non-central generator g."""
-        t, inv = self.cayley, self.inverse
-        return tuple(
-            tuple(t[y][g] for y in t[inv[g]])
-            for g in self.generators
-            if not self.center >> g & 1
-        )
+        """x -> g^-1 * x * g as a tuple, for each generator g whose map is
+        not the identity, that is, each non-central one."""
+        t, inv, fixed = self.cayley, self.inverse, tuple(range(self.order))
+        perms = (tuple(t[y][g] for y in t[inv[g]]) for g in self.generators)
+        return tuple(perm for perm in perms if perm != fixed)
 
     def conjugates(self, mask: int) -> tuple[int, ...]:
         """Every g^-1 * mask * g, mask first: the orbit under non-central generators."""
@@ -379,7 +379,11 @@ class Group:
         return tuple(orbit)
 
 
-CacheInfo = namedtuple("CacheInfo", "hits misses")
+class CacheInfo(NamedTuple):
+    """Hits and misses of a `per_group` function, summed over all groups."""
+
+    hits: int
+    misses: int
 
 
 def per_group(fn):

@@ -52,12 +52,22 @@ the union of the S*(x*s) for s in S, and with no generators the coset
 S*x alone.  The Sylow joins, and the chief terms L<x> and hyperplane
 preimages h<x> of the nilpotent route, are formed by the same closure.
 
-Normal structure reads the conjugacy classes (see groups.py).  x lies in
-every conjugate of a set exactly when its class lies in the set, so
-`normal_core` is the set's central part plus the classes it contains.
-For lower normal, upper/lower is central when [x, g] is in lower for all
-x in upper, g in G: each class C meeting upper outside lower must lie in
-x*lower for x in C, and one x is enough.  That is |C| lookups per class.
+Normal structure reads the class map and the generator conjugations
+(see groups.py).  x lies in every conjugate of a set exactly when its
+class lies in the set, so `normal_core` is the elements of the set whose
+class it contains.  For L normal, upper/L is central when every x in
+upper is central modulo L, and two commutator identities decide that
+with one test, `_central_mod`:
+
+* Generators.  [x, gh] = [x, h][x, g]^h, so the g with [x, g] in L are
+  closed under products, and in a finite group products of generators
+  give every element.  So x is central modulo L exactly when [x, g] =
+  x^-1 * x^g lies in L for each generator g, and a central g, whose map
+  `_conjugations` drops, gives [x, g] = 1.
+* Classes.  [x^h, g] = [x, g^(h^-1)]^h, so x^h is central modulo L
+  exactly when x is.  So one element of each class that meets upper
+  outside L decides, for any mask upper: the class's least element.
+  That is one lookup per non-central generator per class.
 
 Two lemmas give Sylow and minimal normal subgroups without the lattice,
 in every group:
@@ -70,10 +80,12 @@ in every group:
   them are conjugate, so the least by mask is the least of S's
   conjugates, and S is normal exactly when it has no other.
 * Minimal class closures.  The subgroup a class generates is the normal
-  closure of any of its elements; for a central z it is <z>.  A minimal
-  normal N holds some x other than 1, so the closure of x's class lies
-  in N and, being normal and not trivial, is N.  So the minimal normal
-  subgroups are the minimal members among the class closures.
+  closure of any of its elements; a central z is the class {z}, and its
+  closure is <z>.  A minimal normal N holds some x of prime order, a
+  power of any x other than 1 in N, so the closure of x's class lies in
+  N and, being normal and not trivial, is N.  So the minimal normal
+  subgroups are the minimal members among the closures of the classes of
+  elements of prime order.
 
 Solvability and supersolvability are read off the chief factors.  A
 chief factor H/K is minimal normal in G/K, so it is a direct power of
@@ -393,15 +405,15 @@ def normal_subgroups(group: Group) -> tuple[Subgroup, ...]:
 
 def minimal_normal_subgroups(group: Group) -> tuple[Subgroup, ...]:
     """The minimal class closures, in canonical order (module docstring)."""
-    closures = {group.cyclic_masks[z] for z in iter_bits(group.center & ~1)}
-    closures.update(generated_mask(group, c) for c in group.conjugacy_classes)
+    seeds = {group.class_masks[x] for x in iter_bits(_orders_mask(group, is_prime))}
+    closures = {generated_mask(group, c) for c in seeds}
     masks = minimal_masks(sorted(closures, key=lambda m: (m.bit_count(), m)))
     return tuple(Subgroup(m, m.bit_count(), True) for m in masks)
 
 
 def normal_core(group: Group, mask: int) -> int:
-    inside = (c for c in group.conjugacy_classes if c & ~mask == 0)
-    return (mask & group.center) | sum(inside)  # disjoint, so sum is union
+    """The elements of mask whose class lies in mask (module docstring)."""
+    return mask_of(x for x in iter_bits(mask) if group.class_masks[x] & ~mask == 0)
 
 
 def frattini_subgroup(group: Group) -> int:
@@ -442,14 +454,21 @@ def sylow_subgroup(group: Group, p: int) -> Subgroup:
     return Subgroup(min(orbit), target, len(orbit) == 1)
 
 
+def _central_mod(group: Group, x: int, lower: int) -> bool:
+    """Whether x is central modulo the normal subgroup lower: whether
+    [x, g] = x^-1 * x^g lies in lower for each generator g whose map
+    `_conjugations` keeps (see the module docstring)."""
+    row = group.cayley[group.inverse[x]]
+    return all(lower >> row[perm[x]] & 1 for perm in group._conjugations)
+
+
 def _is_central_section(group: Group, upper: int, lower: int) -> bool:
-    """upper/lower is central in G/lower; lower must be normal."""
-    for c in group.conjugacy_classes:
-        if c & upper & ~lower:
-            row = group.cayley[group.inverse[(c & -c).bit_length() - 1]]
-            if not all(lower >> row[y] & 1 for y in iter_bits(c)):
-                return False
-    return True
+    """upper/lower is central in G/lower, for any mask upper; lower must be
+    normal.  One element per class meeting upper outside lower decides."""
+    return all(
+        _central_mod(group, (c & -c).bit_length() - 1, lower)
+        for c in group.conjugacy_classes if c & upper & ~lower
+    )
 
 
 def _complement_count(group: Group, lower: int, upper: int) -> int:
@@ -485,8 +504,7 @@ def _central_chief_terms(group: Group) -> list[int]:
     Each x that fails a test takes the other generators of <x> with it,
     and each L<x> found takes its elements, since they pass or fail alike.
     """
-    t, inv, perms = group.cayley, group.inverse, group._conjugations
-    orders, cyclic = group.element_orders, group.cyclic_masks
+    t, orders, cyclic = group.cayley, group.element_orders, group.cyclic_masks
     terms, lower = [], 1
     while lower != group.full_mask:
         index = group.order // lower.bit_count()
@@ -500,10 +518,8 @@ def _central_chief_terms(group: Group) -> list[int]:
         best = group.full_mask
         while left:
             x = (left & -left).bit_length() - 1
-            row = t[inv[x]]
-            if (cyclic[x] & lower).bit_count() * q == orders[x] and all(
-                lower >> row[perm[x]] & 1 for perm in perms  # [x, g] in L
-            ):
+            order_q = (cyclic[x] & lower).bit_count() * q == orders[x]  # of xL
+            if order_q and _central_mod(group, x, lower):
                 term = _coset_closure(t, members, lower, x, (x,), group.order)
                 best = min(best, term)
                 left &= ~term

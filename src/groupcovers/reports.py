@@ -62,11 +62,15 @@ class AnalyzeOptions(_AnalyzeFields):
             raise InvalidParameters(f"enumeration bound {enum_bound} is negative")
         if isinstance(checks, str):  # would iterate its characters
             raise InvalidParameters("checks must be a sequence of check ids, not a str")
-        # A generator would be used up by the check below, a list unhashable.
-        checks = tuple(checks)
-        unknown = [c for c in checks if c not in CHECK_IDS]
-        if unknown:
-            raise InvalidParameters(f"unknown check id {unknown[0]!r}")
+        try:  # a generator would be used up by the loop below, a list unhashable
+            checks = tuple(checks)
+        except TypeError:
+            raise InvalidParameters(f"checks {checks!r} is not a sequence") from None
+        for i, c in enumerate(checks):
+            if c not in CHECK_IDS:
+                raise InvalidParameters(f"unknown check id {c!r}")
+            if c in checks[:i]:
+                raise InvalidParameters(f"check id {c!r} is given twice")
         return super().__new__(cls, max_order, enum_bound, checks)
 
 

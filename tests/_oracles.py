@@ -10,7 +10,8 @@ every subgroup with every cyclic one, the closure up to conjugacy
 without its prime-index shortcuts, conjugate masks built bit
 by bit, the triple-scan table check, the greedy generators for Light's
 test closed as a set, normality by conjugating with every element, the
-cover walk with per-node privacy lists (branching on the least
+center as the elements whose row equals their column, central sections
+by conjugating every member of each class, the cover walk with per-node privacy lists (branching on the least
 uncovered generator or by the library's fewest-live rule), the size walk
 branching on the least uncovered generator, irredundancy by the union
 of the other members, the structure predicates by derived series, Sylow
@@ -495,6 +496,29 @@ def commutator_central_section(table, upper: int, lower: int) -> bool:
     for x in bits(upper & ~lower):
         for g in range(len(table)):
             if not lower >> table[table[table[inv[x]][inv[g]]][x]][g] & 1:
+                return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# Reference routes: the center as the elements whose row equals their
+# column, and the central-section test that conjugated every member of each
+# class, as the library ran them before both were read off the generator
+# conjugation maps.  O(|G|^2), and |C| lookups per class.
+
+
+def row_column_center(table) -> int:
+    """The elements whose row equals their column."""
+    return sum(1 << x for x, col in enumerate(zip(*table)) if tuple(table[x]) == col)
+
+
+def class_member_central_section(group, upper: int, lower: int) -> bool:
+    """upper/lower is central in G/lower, lower normal: each class C meeting
+    upper outside lower lies in x*lower for x the least element of C."""
+    for c in group.conjugacy_classes:
+        if c & upper & ~lower:
+            row = group.cayley[group.inverse[(c & -c).bit_length() - 1]]
+            if not all(lower >> row[y] & 1 for y in bits(c)):
                 return False
     return True
 

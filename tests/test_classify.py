@@ -29,7 +29,6 @@ from groupcovers import (
     from_permutation_generators,
     generalized_quaternion,
     is_solvable,
-    maximal_subgroups,
     normal_subgroups,
     prime_divisors,
     run_check,
@@ -456,7 +455,9 @@ def library_quotient_items(g):
 
 
 def library_abelian_candidates(g):
-    """The candidate masks check_abelian_sigma_cover hands to set cover."""
+    """The candidate masks check_abelian_sigma_cover hands to set cover, or
+    None for an abelian group, which must run no search and find that an
+    abelian minimum cover exists."""
     seen = []
     real = classify_module._min_set_cover
 
@@ -466,7 +467,10 @@ def library_abelian_candidates(g):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(classify_module, "_min_set_cover", recording)
-        check_abelian_sigma_cover(g)
+        check = check_abelian_sigma_cover(g)
+    if pairwise_is_abelian(g.cayley, g.full_mask):
+        assert seen == [] and check.abelian_cover_exists, g.name
+        return None
     [candidates] = seen
     return candidates
 
@@ -474,23 +478,24 @@ def library_abelian_candidates(g):
 def generator_traces(g, masks):
     """The maximal traces of masks on the maximal-cyclic generators, which
     are the candidates of a non-abelian group."""
-    if g.is_abelian:
-        return sorted(masks)
     universe = _cover_universe(g)
     return maximal_masks(sorted({m & universe for m in masks}))
 
 
 def oracle_abelian_candidates(g):
+    """None for an abelian group, whose subgroups are all abelian."""
+    if pairwise_is_abelian(g.cayley, g.full_mask):
+        return None
     masks = [s.members for s in all_subgroups(g)]
     return generator_traces(g, pairwise_maximal_abelian_masks(g.cayley, masks))
 
 
 def table_abelian_candidates(g):
     """The candidates as check_abelian_sigma_cover once chose them from a
-    centralizer table of every element."""
-    masks = [s.members for s in all_subgroups(g)]
+    centralizer table of every element, and None for an abelian group."""
     if g.is_abelian:
-        return sorted(s.members for s in maximal_subgroups(g))
+        return None
+    masks = [s.members for s in all_subgroups(g)]
     return generator_traces(g, centralizer_table_abelian_masks(g.cayley, masks))
 
 

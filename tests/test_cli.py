@@ -322,6 +322,15 @@ class TestErrors:
         assert code == 1
         assert "bogus" in err
 
+    def test_repeated_check_id(self, capsys, catalog):
+        code, out, err = run(
+            capsys, "analyze", catalog, "--group", "V4",
+            "--checks", "bryce-serena,bryce-serena",
+        )
+        assert code == 1
+        assert out == ""
+        assert "'bryce-serena' is given twice" in err
+
     @pytest.mark.parametrize(
         "command", ["analyze", "sigma", "lambda", "covers", "classify", "verify-corpus"]
     )

@@ -2,9 +2,11 @@
 conjugate-by-every-element reference routes in _oracles.
 
 The library decides normality, normal cores and central chief factors
-from the group's non-central classes, and the normality of cyclic
-subgroups from the per-element class map; the oracles conjugate by every
-element of G on the raw table.  Both must agree on every subgroup of the
+from the group's non-central classes, reads the center and the normality
+of cyclic subgroups off the per-element class map, and decides
+centrality modulo a normal subgroup by commutators with the generators;
+the oracles conjugate by every element of G on the raw table, and take
+the center as the elements whose row equals their column.  Both must agree on every subgroup of the
 corpus and on arbitrary masks, subgroups or not, with or without the
 identity.
 """
@@ -33,13 +35,17 @@ from groupcovers.lattice import _is_central_section, generated_mask, normal_core
 
 from _oracles import (
     bitloop_conjugates,
+    class_member_central_section,
     commutator_central_section,
     conjugation_class,
     conjugation_is_normal,
     conjugation_normal_core,
+    row_column_center,
 )
 from test_cayley_tables import ladder_catalog_text
+from test_classify import classify_groups
 from test_lattice import lattice_groups
+from test_nilpotent_route import NOT_NILPOTENT, elementary
 
 SMALL_CORPUS_ORDER = 128
 
@@ -149,6 +155,40 @@ def test_class_map_matches_conjugation_on_drawn_groups(g):
 
 
 # ---------------------------------------------------------------------------
+# The center and abelianity read off the generator conjugations, against
+# the row-equals-column scan they replaced
+
+
+def center_disagreements(g):
+    center = row_column_center(g.cayley)
+    wrong = [] if g.center == center else ["center"]
+    if g.is_abelian != (center == g.full_mask):
+        wrong.append("is_abelian")
+    return wrong
+
+
+def test_center_matches_row_column_scan_on_corpus_ladder_and_large_groups(corpus):
+    large = {
+        "D512": dihedral(256), "E256": elementary(8),
+        "A6": NOT_NILPOTENT["A6"][0](), "PSL(2,8)": NOT_NILPOTENT["PSL(2,8)"][0](),
+    }
+    groups = [*corpus.values(), *large.values()]
+    groups += build_catalog(parse_catalog(ladder_catalog_text())).values()
+    wrong = {g.name: w for g in groups if (w := center_disagreements(g))}
+    assert not wrong
+    assert {name: g.center.bit_count() for name, g in large.items()} == {
+        "D512": 2, "E256": 256, "A6": 1, "PSL(2,8)": 1,
+    }
+    assert [name for name, g in large.items() if g.is_abelian] == ["E256"]
+
+
+@given(st.one_of(lattice_groups(), classify_groups()))
+@settings(deadline=None, max_examples=80)
+def test_center_matches_row_column_scan_on_drawn_groups(g):
+    assert not center_disagreements(g)
+
+
+# ---------------------------------------------------------------------------
 # Against the reference routes on the corpus
 
 
@@ -215,8 +255,23 @@ def test_central_section_on_every_nested_normal_pair(corpus):
                     assert _is_central_section(g, upper, lower) == want, (
                         g.name, upper, lower,
                     )
+                    assert class_member_central_section(g, upper, lower) == want
                     checked += 1
     assert checked > 3000
+
+
+def test_central_section_without_least_class_members(corpus):
+    """upper is a class without its least element, so every class it meets
+    has its least element outside upper."""
+    noncentral = 0
+    for g in small_corpus(corpus):
+        for lower in (s.members for s in normal_subgroups(g)):
+            for c in g.conjugacy_classes:
+                upper = c & ~(c & -c)
+                want = commutator_central_section(g.cayley, upper, lower)
+                assert _is_central_section(g, upper, lower) == want, (g.name, c, lower)
+                noncentral += not want
+    assert noncentral > 800
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +327,9 @@ def test_central_section_any_upper(which, raw, pick):
     normals = normal_subgroups(g)
     lower = normals[pick % len(normals)].members
     for upper in (raw & g.full_mask, (raw & g.full_mask) | lower):
-        assert _is_central_section(g, upper, lower) == commutator_central_section(
-            g.cayley, upper, lower
-        ), (g.name, upper, lower)
+        want = commutator_central_section(g.cayley, upper, lower)
+        assert _is_central_section(g, upper, lower) == want, (g.name, upper, lower)
+        assert class_member_central_section(g, upper, lower) == want
 
 
 def test_masks_without_identity():

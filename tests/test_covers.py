@@ -560,6 +560,12 @@ def test_set_cover_matches_listcomp_oracle_on_corpus_and_large_groups():
         # One-sized groups whose quotient checks solve set covers of their own
         for p, m in itertools.product((3, 5, 7), (2, 4, 6, 10)):
             run_analyze(direct_product(direct_product(cyclic(p), cyclic(p)), cyclic(m)), options)
+        # Non-abelian one-sized groups, whose Bryce-Serena checks search too
+        for h, m in itertools.product(
+            (generalized_quaternion(3), semidirect_cp_cn(3, 4, 2), semidirect_cp_cn(5, 4, 2)),
+            (7, 11, 13),
+        ):
+            run_analyze(direct_product(h, cyclic(m)), options)
 
     assert len(calls) > 200
     assert any(limit is not None for (_, _, limit), _ in calls)

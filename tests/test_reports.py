@@ -268,6 +268,17 @@ class TestAnalyzeOptions:
         with pytest.raises(InvalidParameters, match="a sequence of check ids, not a str"):
             AnalyzeOptions(checks="lemma-pnilp")
 
+    @pytest.mark.parametrize("checks", [None, 5])
+    def test_non_iterable_checks_are_rejected(self, checks):
+        with pytest.raises(InvalidParameters, match=f"checks {checks} is not a sequence"):
+            AnalyzeOptions(checks=checks)
+
+    def test_repeated_check_id_is_rejected(self):
+        with pytest.raises(InvalidParameters, match="'bryce-serena' is given twice"):
+            AnalyzeOptions(checks=["bryce-serena", "bryce-serena"])
+        with pytest.raises(InvalidParameters, match="'lemma-pnilp' is given twice"):
+            AnalyzeOptions(checks=(c for c in ["lemma-pnilp", "bryce-serena", "lemma-pnilp"]))
+
     def test_checks_from_a_generator_are_kept(self):
         g = symmetric(3)
         opts = AnalyzeOptions(checks=(c for c in ["lemma-pnilp"]))
