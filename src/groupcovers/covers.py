@@ -131,6 +131,10 @@ def _member_masks(group: Group, family: Cover | Iterable[Subgroup | int]) -> lis
     Cover is checked too, and its repeats are kept."""
     if isinstance(family, Cover):
         family = family.members
+    try:
+        family = iter(family)
+    except TypeError:
+        raise InvalidParameters(f"family {family!r} is not iterable") from None
     masks = []
     for mask in (_as_mask(group, m) for m in family):
         if not is_subgroup_mask(group, mask):
@@ -671,25 +675,3 @@ def one_sized_bruteforce(group: Group) -> bool:
     endpoints against the size walk wherever the walk runs.
     """
     return lambda_(group) == sigma_exact(group).value
-
-
-__all__ = [
-    "Cover",
-    "SigmaValue",
-    "INFINITE",
-    "EnumerationStats",
-    "make_cover",
-    "is_cover",
-    "is_irredundant",
-    "maximal_cyclic_family",
-    "lambda_",
-    "maximal_cyclic_pairs_generate",
-    "sigma_exact",
-    "minimal_cover",
-    "sigma_tomkinson",
-    "cover_enumeration_stats",
-    "irredundant_cover_sizes",
-    "enumerate_irredundant_covers",
-    "frobenius_style_cover",
-    "one_sized_bruteforce",
-]

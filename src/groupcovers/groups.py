@@ -365,17 +365,15 @@ class Group:
         perms = self._conjugations
         orbit = [mask]
         seen = {mask}
-        lists = [list(iter_bits(mask))]  # the elements of each orbit member
-        for elements in lists:  # grows while it is scanned
+        for member in orbit:  # grows while it is scanned
+            elements = list(iter_bits(member))
             for perm in perms:
-                image_elements = [perm[x] for x in elements]
                 image = 0
-                for y in image_elements:
-                    image |= 1 << y
+                for x in elements:
+                    image |= 1 << perm[x]
                 if image not in seen:
                     seen.add(image)
                     orbit.append(image)
-                    lists.append(image_elements)
         return tuple(orbit)
 
 
@@ -546,6 +544,12 @@ def from_permutation_generators(
     degree = _integer(degree, "permutation degree")
     if not 1 <= degree <= ORDER_BOUND:
         raise InvalidParameters(f"permutation degree must lie in 1..{ORDER_BOUND}")
+    if isinstance(generators, str):  # would be read one character at a time
+        raise InvalidParameters("generators must be a sequence of permutations, not a str")
+    try:
+        generators = iter(generators)
+    except TypeError:
+        raise InvalidParameters(f"generators {generators!r} is not iterable") from None
     gens: list[tuple[int, ...]] = []
     for g in generators:
         if isinstance(g, str):

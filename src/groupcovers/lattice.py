@@ -218,8 +218,6 @@ def _coset_closure(
     """
     n = len(members)
     size = mask.bit_count() + n
-    if size > cap:
-        return (1 << len(table)) - 1
     for s in members:
         mask |= 1 << table[s][x]
     reps = [x]
@@ -249,8 +247,6 @@ def generated_mask(group: Group, seed_mask: int) -> int:
     while left:
         x = (left & -left).bit_length() - 1
         mask = _coset_closure(t, list(iter_bits(mask)), mask, x, gens + (x,), cap)
-        if mask == group.full_mask:
-            break
         gens += (x,)
         left &= ~mask
     return mask

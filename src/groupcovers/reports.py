@@ -56,9 +56,11 @@ class AnalyzeOptions(_AnalyzeFields):
         enum_bound: int = DEFAULT_ENUM_BOUND,
         checks: Iterable[str] = CHECK_IDS,
     ) -> "AnalyzeOptions":
-        if _integer(max_order, "max order") < 0:
+        max_order = _integer(max_order, "max order")
+        if max_order < 0:
             raise InvalidParameters(f"max order {max_order} is negative")
-        if _integer(enum_bound, "enumeration bound") < 0:
+        enum_bound = _integer(enum_bound, "enumeration bound")
+        if enum_bound < 0:
             raise InvalidParameters(f"enumeration bound {enum_bound} is negative")
         if isinstance(checks, str):  # would iterate its characters
             raise InvalidParameters("checks must be a sequence of check ids, not a str")

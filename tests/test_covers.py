@@ -174,6 +174,12 @@ class TestCoverPredicates:
         with pytest.raises(InvalidParameters, match="not a set of elements"):
             make_cover(symmetric(3), [big])
 
+    @pytest.mark.parametrize("predicate", [make_cover, is_cover, is_irredundant])
+    @pytest.mark.parametrize("family", [None, 5])
+    def test_non_iterable_family_is_rejected(self, predicate, family):
+        with pytest.raises(InvalidParameters, match=f"family {family} is not iterable"):
+            predicate(symmetric(3), family)
+
     def test_make_cover_rejects_whole_group(self):
         g = symmetric(3)
         with pytest.raises(NotProperSubgroup):

@@ -189,6 +189,20 @@ class TestPermutationParsing:
         with pytest.raises(MalformedCycle):
             from_permutation_generators(2, [["1", "0"]])
 
+    @pytest.mark.parametrize("generators", [None, 5])
+    def test_non_iterable_generators_rejected(self, generators):
+        with pytest.raises(InvalidParameters, match=f"generators {generators} is not iterable"):
+            from_permutation_generators(3, generators)
+
+    def test_bare_string_of_generators_rejected(self):
+        # it was read one character at a time, "(" first
+        with pytest.raises(InvalidParameters, match="a sequence of permutations, not a str"):
+            from_permutation_generators(3, "(1 2)")
+
+    def test_generators_from_a_generator(self):
+        g = from_permutation_generators(3, (c for c in ["(1 2)", "(1 2 3)"]))
+        assert g.order == 6
+
     def test_garbage_rejected(self):
         with pytest.raises(MalformedCycle):
             from_permutation_generators(3, ["(1 2) junk"])

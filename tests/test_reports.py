@@ -264,6 +264,27 @@ class TestAnalyzeOptions:
         with pytest.raises(InvalidParameters, match="enumeration bound -1 is negative"):
             AnalyzeOptions(enum_bound=-1)
 
+    def test_integer_like_bounds_are_stored_as_ints(self):
+        class Index:
+            def __init__(self, n):
+                self.n = n
+
+            def __index__(self):
+                return self.n
+
+        opts = AnalyzeOptions(max_order=Index(64), enum_bound=Index(8))
+        assert opts == (64, 8, CHECK_IDS)
+        assert type(opts.max_order) is int and type(opts.enum_bound) is int
+        g = symmetric(3)
+        assert run_analyze(g, opts) == run_analyze(g, AnalyzeOptions(64, 8))
+        entries = parse_catalog(CATALOG)
+        assert run_verify_corpus(entries, opts) == run_verify_corpus(entries, AnalyzeOptions(64, 8))
+
+    def test_bool_bound_is_stored_as_an_int(self):
+        opts = AnalyzeOptions(max_order=True, enum_bound=False)
+        assert type(opts.max_order) is int and type(opts.enum_bound) is int
+        assert (opts.max_order, opts.enum_bound) == (1, 0)
+
     def test_bare_string_of_checks_is_rejected(self):
         with pytest.raises(InvalidParameters, match="a sequence of check ids, not a str"):
             AnalyzeOptions(checks="lemma-pnilp")
