@@ -1,25 +1,15 @@
 """Small number-theoretic helpers.
 
 Group orders here never exceed a few hundred, so trial division is all
-we need.
+we need.  `prime_divisors` holds the one trial-division loop; callers
+that can see a huge argument check it against the order bound first.
 """
 
 from __future__ import annotations
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return prime_divisors(n) == [n]
 
 
 def prime_divisors(n: int) -> list[int]:
@@ -48,10 +38,5 @@ def p_part(n: int, p: int) -> int:
 
 def prime_power_base(n: int) -> int | None:
     """Return p if n is a prime power p^k with k >= 1, else None."""
-    if n < 2:
-        return None
-    p = prime_divisors(n)[0]
-    m = n
-    while m % p == 0:
-        m //= p
-    return p if m == 1 else None
+    primes = prime_divisors(n)
+    return primes[0] if len(primes) == 1 else None

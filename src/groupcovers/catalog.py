@@ -14,10 +14,11 @@ by name.  '#' starts a comment anywhere on a line.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from importlib import resources
 from typing import NamedTuple
 
-from .errors import DuplicateName, OrderMismatch, ParseError
+from .errors import DuplicateName, InvalidParameters, OrderMismatch, ParseError
 from .groups import (
     Group,
     alternating,
@@ -138,6 +139,8 @@ def _parse_record(lines: list[tuple[int, str]]) -> CatalogEntry:
 
 def parse_catalog(text: str) -> tuple[CatalogEntry, ...]:
     """Parse catalog text into entries, in file order."""
+    if not isinstance(text, str):
+        raise InvalidParameters(f"catalog text must be a str, not {type(text).__name__}")
     record: list[tuple[int, str]] = []
     entries: list[CatalogEntry] = []
     seen: set[str] = set()
@@ -162,9 +165,24 @@ def parse_catalog(text: str) -> tuple[CatalogEntry, ...]:
     return tuple(entries)
 
 
+def _entry(entry: CatalogEntry) -> CatalogEntry:
+    """entry, once it is checked to be a CatalogEntry."""
+    if not isinstance(entry, CatalogEntry):
+        raise InvalidParameters(f"catalog entry {entry!r} is not a CatalogEntry")
+    return entry
+
+
+def _entries(entries: Iterable[CatalogEntry]) -> Iterator[CatalogEntry]:
+    """Each of entries, checked as it is reached to be a CatalogEntry."""
+    try:
+        return map(_entry, entries)
+    except TypeError:
+        raise InvalidParameters(f"catalog entries {entries!r} is not iterable") from None
+
+
 def build_entry(entry: CatalogEntry, built: dict[str, Group]) -> Group:
     """Construct the group for one entry; products resolve against built."""
-    src = entry.source
+    src = _entry(entry).source
     if isinstance(src, PermSource):
         group = from_permutation_generators(src.degree, src.generators, entry.name)
     else:
@@ -178,7 +196,7 @@ def build_entry(entry: CatalogEntry, built: dict[str, Group]) -> Group:
 def build_catalog(entries: tuple[CatalogEntry, ...]) -> dict[str, Group]:
     """Build every entry, in order, returning name -> Group."""
     built: dict[str, Group] = {}
-    for entry in entries:
+    for entry in _entries(entries):
         built[entry.name] = build_entry(entry, built)
     return built
 

@@ -23,7 +23,7 @@ from .catalog import build_catalog, bundled_catalog_text, parse_catalog
 from .classify import classify
 from .covers import DEFAULT_ENUM_BOUND
 from .errors import GroupCoversError, InvalidParameters
-from .groups import Group
+from .groups import Group, _natural
 from .reports import (
     CHECK_IDS,
     DEFAULT_MAX_ORDER,
@@ -230,8 +230,8 @@ def _cmd_lambda(args: argparse.Namespace, opts: AnalyzeOptions) -> int:
 
 
 def _cmd_covers(args: argparse.Namespace, opts: AnalyzeOptions) -> int:
-    if args.cap is not None and args.cap < 0:
-        raise InvalidParameters(f"size cap {args.cap} is negative")
+    if args.cap is not None:
+        _natural(args.cap, "size cap")
 
     def describe(g: Group, row: dict[str, Any]) -> str:
         family = covers.maximal_cyclic_family(g)

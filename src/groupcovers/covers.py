@@ -68,7 +68,7 @@ from .errors import (
     PreconditionViolation,
 )
 from .groups import (
-    DEFAULT_ENUM_BOUND, Group, _element_mask, _integer, is_cyclic_mask, is_normal_mask,
+    DEFAULT_ENUM_BOUND, Group, _element_mask, _natural, is_cyclic_mask, is_normal_mask,
     is_subgroup_mask, iter_bits, mask_of, per_group,
 )
 from .lattice import (
@@ -492,12 +492,8 @@ def _check_enumerable(
 ) -> int | None:
     """size_cap as an int (or None), once the walk may run on group."""
     if size_cap is not None:
-        size_cap = _integer(size_cap, "size cap")
-        if size_cap < 0:
-            raise InvalidParameters(f"size cap {size_cap} is negative")
-    enum_bound = _integer(enum_bound, "enumeration bound")
-    if enum_bound < 0:
-        raise InvalidParameters(f"enumeration bound {enum_bound} is negative")
+        size_cap = _natural(size_cap, "size cap")
+    enum_bound = _natural(enum_bound, "enumeration bound")
     if group.is_cyclic:
         raise GroupIsCyclic("cyclic groups have no cover by proper subgroups")
     if group.order > enum_bound:

@@ -209,6 +209,8 @@ class Group:
         *,
         _inverse: tuple[int, ...] | None = None,
     ) -> None:
+        if name is not None and not isinstance(name, str):
+            raise InvalidParameters(f"group name must be a str, not {name!r}")
         rows = _table_rows(cayley) if _inverse is None else tuple(cayley)
         self.order: int = len(rows)
         self.cayley: tuple[tuple[int, ...], ...] = rows
@@ -459,7 +461,9 @@ def _generated_group(identity, gens, mul, name: str | None) -> Group:
     new key b, an edge b = g * p.  The closure gives the generators' rows,
     and row b follows from row p as (g * p) * x = g * (p * x): one lookup
     per entry in the row of g, with no further products.  Likewise
-    b^-1 = p^-1 * g^-1 needs only the inverses of the generators.
+    b^-1 = p^-1 * g^-1 needs only the inverses of the generators.  A
+    closure that passes ORDER_BOUND keys raises OrderBoundExceeded, so no
+    constructor checks the order of what it builds.
     """
     keys, index, edges = [identity], {identity: 0}, []
     steps: list[list[int]] = [[] for _ in gens]
@@ -493,6 +497,14 @@ def _integer(value, what: str) -> int:
         return operator.index(value)
     except TypeError:
         raise InvalidParameters(f"{what} must be an integer, not {value!r}") from None
+
+
+def _natural(value, what: str) -> int:
+    """A bound as a non-negative int, else InvalidParameters."""
+    n = _integer(value, what)
+    if n < 0:
+        raise InvalidParameters(f"{what} {n} is negative")
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -576,9 +588,8 @@ def cyclic(n: int, name: str | None = None) -> Group:
     n = _integer(n, "cyclic group order")
     if n < 1:
         raise InvalidParameters("cyclic group order must be at least 1")
-    if n > ORDER_BOUND:
-        raise OrderBoundExceeded(ORDER_BOUND)
-    return _generated_group(0, [1 % n], lambda a, b: (a + b) % n, name or f"C{n}")
+    name = f"C{n}" if name is None else name
+    return _generated_group(0, [1 % n], lambda a, b: (a + b) % n, name)
 
 
 def dihedral(n: int, name: str | None = None) -> Group:
@@ -586,13 +597,11 @@ def dihedral(n: int, name: str | None = None) -> Group:
     n = _integer(n, "dihedral parameter")
     if n < 1:
         raise InvalidParameters("dihedral parameter must be at least 1")
-    if 2 * n > ORDER_BOUND:
-        raise OrderBoundExceeded(ORDER_BOUND)
     return _generated_group(  # r^i s = s r^-i
         (0, 0),
         [(0, 1 % n), (1, 0)],
         lambda a, b: (a[0] ^ b[0], (b[1] - a[1] if b[0] else b[1] + a[1]) % n),
-        name or f"D{2 * n}",
+        f"D{2 * n}" if name is None else name,
     )
 
 
@@ -615,7 +624,7 @@ def generalized_quaternion(k: int, name: str | None = None) -> Group:
         lambda a, b: (
             a[0] ^ b[0], (a[1] - b[1] + h * b[0] if a[0] else a[1] + b[1]) % m
         ),
-        name or f"Q{2 * m}",
+        f"Q{2 * m}" if name is None else name,
     )
 
 
@@ -624,7 +633,8 @@ def symmetric(n: int, name: str | None = None) -> Group:
     if not 1 <= n <= ORDER_BOUND:
         raise InvalidParameters(f"symmetric degree must lie in 1..{ORDER_BOUND}")
     gens = [] if n == 1 else ["(1 2)", "(" + " ".join(map(str, range(1, n + 1))) + ")"]
-    return from_permutation_generators(max(n, 1), gens, name or f"S{n}")
+    name = f"S{n}" if name is None else name
+    return from_permutation_generators(max(n, 1), gens, name)
 
 
 def alternating(n: int, name: str | None = None) -> Group:
@@ -632,18 +642,16 @@ def alternating(n: int, name: str | None = None) -> Group:
     if not 1 <= n <= ORDER_BOUND:
         raise InvalidParameters(f"alternating degree must lie in 1..{ORDER_BOUND}")
     gens = [f"(1 2 {k})" for k in range(3, n + 1)]  # the 3-cycles generate A_n
-    return from_permutation_generators(n, gens, name or f"A{n}")
+    return from_permutation_generators(n, gens, f"A{n}" if name is None else name)
 
 
 def direct_product(a: Group, b: Group, name: str | None = None) -> Group:
     """Componentwise product; element (x, y) gets index x * |b| + y."""
-    if a.order * b.order > ORDER_BOUND:
-        raise OrderBoundExceeded(ORDER_BOUND)
     return _generated_group(  # sorted (x, y) keys: label x * |b| + y
         (0, 0),
         [(g, 0) for g in a.generators] + [(0, h) for h in b.generators],
         lambda x, y: (a.cayley[x[0]][y[0]], b.cayley[x[1]][y[1]]),
-        name or f"{a.name} x {b.name}",
+        f"{a.name} x {b.name}" if name is None else name,
     )
 
 
@@ -668,7 +676,7 @@ def semidirect_cp_cn(p: int, n: int, l: int, name: str | None = None) -> Group:
         (0, 0),
         [(0, 1), (1 % n, 0)],
         lambda a, b: ((a[0] + b[0]) % n, (a[1] * pow(l, b[0], p) + b[1]) % p),
-        name or f"C{p}:C{n}[{l}]",
+        f"C{p}:C{n}[{l}]" if name is None else name,
     )
 
 

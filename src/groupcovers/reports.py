@@ -14,7 +14,7 @@ from collections.abc import Iterable
 from typing import Any, NamedTuple
 
 from . import covers, lattice
-from .catalog import CatalogEntry, build_entry
+from .catalog import CatalogEntry, _entries, build_entry
 from .classify import (
     _CHECKS,
     verify_classification,
@@ -25,7 +25,7 @@ from .errors import (
     GroupIsCyclic,
     InvalidParameters,
 )
-from .groups import Group, _integer
+from .groups import Group, _natural
 
 
 CHECK_IDS = tuple(_CHECKS)
@@ -56,12 +56,8 @@ class AnalyzeOptions(_AnalyzeFields):
         enum_bound: int = DEFAULT_ENUM_BOUND,
         checks: Iterable[str] = CHECK_IDS,
     ) -> "AnalyzeOptions":
-        max_order = _integer(max_order, "max order")
-        if max_order < 0:
-            raise InvalidParameters(f"max order {max_order} is negative")
-        enum_bound = _integer(enum_bound, "enumeration bound")
-        if enum_bound < 0:
-            raise InvalidParameters(f"enumeration bound {enum_bound} is negative")
+        max_order = _natural(max_order, "max order")
+        enum_bound = _natural(enum_bound, "enumeration bound")
         if isinstance(checks, str):  # would iterate its characters
             raise InvalidParameters("checks must be a sequence of check ids, not a str")
         try:  # a generator would be used up by the loop below, a list unhashable
@@ -186,7 +182,7 @@ def serialize_report(report: VerificationReport) -> str:
 def parse_report(text: str) -> VerificationReport:
     try:
         d = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, TypeError, RecursionError) as exc:
         raise InvalidParameters(f"report is not decodable JSON: {exc}") from None
     if not isinstance(d, dict):
         raise InvalidParameters("report is not a JSON object")
@@ -209,7 +205,7 @@ def outcome_json(outcome: Any) -> dict[str, Any]:
 def run_check(group: Group, check_id: str) -> str:
     """Status of one named cross-check on a non-cyclic group; a cyclic one
     raises GroupIsCyclic."""
-    status = _CHECKS.get(check_id)
+    status = _CHECKS.get(check_id) if isinstance(check_id, str) else None
     if status is None:
         raise InvalidParameters(f"unknown check id {check_id!r}")
     if group.is_cyclic:
@@ -217,10 +213,19 @@ def run_check(group: Group, check_id: str) -> str:
     return status(group)
 
 
+def _options(options: AnalyzeOptions | None) -> AnalyzeOptions:
+    """options, or the defaults for None; anything else is InvalidParameters."""
+    if options is None:
+        return AnalyzeOptions()
+    if not isinstance(options, AnalyzeOptions):
+        raise InvalidParameters(f"options {options!r} is not an AnalyzeOptions")
+    return options
+
+
 def run_analyze(
     group: Group, options: AnalyzeOptions | None = None
 ) -> VerificationReport:
-    opts = options or AnalyzeOptions()
+    opts = _options(options)
     errors: list[str] = []
 
     def stage(label, fn):
@@ -303,10 +308,10 @@ def run_verify_corpus(
     so later entries still run.  Reports are sorted by group name and
     all values are deterministic, making serialized output byte-stable.
     """
-    opts = options or AnalyzeOptions()
+    opts = _options(options)
     built: dict[str, Group] = {}
     reports: list[VerificationReport] = []
-    for entry in entries:
+    for entry in _entries(entries):
         try:
             group = build_entry(entry, built)
         except GroupCoversError as exc:

@@ -4,7 +4,8 @@ Every argument that is not the Group is drawn from values of any shape:
 None, bools, huge and negative ints, floats, str and bytes, lists of small
 ints, integer-like objects, and a Subgroup or Cover of another group.  Each
 call must return or raise a GroupCoversError; a bare TypeError or
-AttributeError from deep inside the library fails the test.
+AttributeError from deep inside the library fails the test.  A group
+built with a drawn name must carry that name, or its default for None.
 """
 
 from hypothesis import event, given, settings, strategies as st
@@ -14,6 +15,7 @@ from groupcovers import (
     AnalyzeOptions,
     GroupCoversError,
     all_subgroups,
+    build_catalog,
     check_p_nilpotence,
     cover_enumeration_stats,
     cyclic,
@@ -28,10 +30,15 @@ from groupcovers import (
     is_irredundant,
     make_cover,
     minimal_cover,
+    parse_catalog,
+    parse_report,
     quotient,
     run_analyze,
+    run_check,
+    run_verify_corpus,
     sylow_subgroup,
     symmetric,
+    validate_group,
 )
 
 
@@ -72,6 +79,23 @@ CHECKS = VALUES | st.lists(st.sampled_from(CHECK_IDS), max_size=4)
 GENERATORS = VALUES | st.lists(
     VALUES | st.sampled_from(["()", "(1 2)", "(1 2 3)", "(1 2)(3 4)", "(1 x)"]), max_size=3
 )
+OPTIONS = VALUES | st.tuples(VALUES, VALUES, CHECKS) | st.builds(
+    AnalyzeOptions,
+    st.integers(0, 64),
+    st.integers(0, 16),
+    st.lists(st.sampled_from(CHECK_IDS), unique=True),
+)
+ENTRIES = VALUES | st.lists(
+    VALUES | st.sampled_from(parse_catalog("group C2\npreset cyclic 2\n\ngroup S3\npreset sym 3")),
+    max_size=3,
+)
+
+
+def named(group, name):
+    """group, once its name is checked to be name, or a default str for None."""
+    assert type(group.name) is str and name in (None, group.name), group.name
+    return group
+
 
 # name -> (call on a group, a strategy per argument after the group)
 ENTRY_POINTS = {
@@ -99,10 +123,21 @@ ENTRY_POINTS = {
         lambda g, max_order, bound, checks: run_analyze(g, AnalyzeOptions(max_order, bound, checks)),
         [VALUES, VALUES, CHECKS],
     ),
+    "run_analyze raw options": (run_analyze, [OPTIONS]),
+    "run_check": (run_check, [VALUES | st.sampled_from(CHECK_IDS)]),
+    "run_verify_corpus": (lambda g, entries, opts: run_verify_corpus(entries, opts), [ENTRIES, OPTIONS]),
+    "parse_report": (lambda g, text: parse_report(text), [VALUES]),
+    "parse_catalog": (lambda g, text: parse_catalog(text), [VALUES]),
+    "build_catalog": (lambda g, entries: build_catalog(entries), [ENTRIES]),
     "from_permutation_generators": (
-        lambda g, degree, generators: from_permutation_generators(degree, generators),
-        [VALUES, GENERATORS],
+        lambda g, degree, generators, name: named(
+            from_permutation_generators(degree, generators, name), name
+        ),
+        [VALUES, GENERATORS, VALUES],
     ),
+    "validate_group": (lambda g, name: named(validate_group(g.cayley, name), name), [VALUES]),
+    "cyclic": (lambda g, name: named(cyclic(g.order, name), name), [VALUES]),
+    "direct_product": (lambda g, name: named(direct_product(g, g, name), name), [VALUES]),
 }
 
 

@@ -176,12 +176,19 @@ def test_malformed_cycles_surface_at_build():
         build_catalog(entries)
 
 
+# Entries that OVERSIZED rows may name, built before the timed call.
+FACTORS = "group C500\npreset cyclic 500\n\ngroup D500\npreset dihedral 250\n"
+
 # Construction lines whose parameters are far past the order bound.  Each
 # used to hang in a primality test, a huge power or a degree-sized
 # allocation before the bound was checked.
 OVERSIZED = [
     ("preset cpcn 2305843009213693951 2 1", OrderBoundExceeded),
     ("preset quaternion 10000000000", OrderBoundExceeded),
+    # the generated-table builder stops each of these at 512 elements
+    ("preset cyclic 10000000000", OrderBoundExceeded),
+    ("preset dihedral 10000000000", OrderBoundExceeded),
+    ("preset product C500 D500", OrderBoundExceeded),
     ("perm 10000000; (1 2); (3 4)", InvalidParameters),
     ("perm 300000000; (1 2)", InvalidParameters),
     ("preset sym 100000000", InvalidParameters),
@@ -191,11 +198,33 @@ OVERSIZED = [
 
 @pytest.mark.parametrize("line,error", OVERSIZED)
 def test_oversized_parameters_fail_fast(line, error):
+    built = build_catalog(parse_catalog(FACTORS))
     (entry,) = parse_catalog(f"group X\n{line}\n")
     start = time.perf_counter()
     with pytest.raises(error):
-        build_entry(entry, {})
+        build_entry(entry, built)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("text", [None, 5, b"group A\npreset cyclic 2\n"])
+def test_catalog_text_must_be_a_str(text):
+    with pytest.raises(InvalidParameters, match="catalog text must be a str"):
+        parse_catalog(text)
+
+
+@pytest.mark.parametrize(
+    "entries,message",
+    [(None, "None is not iterable"), (5, "5 is not iterable"),
+     ("abc", "'a' is not a CatalogEntry"), ([None], "None is not a CatalogEntry")],
+)
+def test_build_catalog_needs_catalog_entries(entries, message):
+    with pytest.raises(InvalidParameters, match=message):
+        build_catalog(entries)
+
+
+def test_build_entry_needs_a_catalog_entry():
+    with pytest.raises(InvalidParameters, match="None is not a CatalogEntry"):
+        build_entry(None, {})
 
 
 def test_perm_degree_at_the_bound_still_builds():

@@ -255,6 +255,28 @@ class TestPresets:
         with pytest.raises(InvalidParameters, match="n must be at least 1"):
             semidirect_cp_cn(3, 0, 1)
 
+    @pytest.mark.parametrize(
+        "make,args,default",
+        [
+            (cyclic, (4,), "C4"),
+            (dihedral, (4,), "D8"),
+            (generalized_quaternion, (3,), "Q8"),
+            (symmetric, (3,), "S3"),
+            (alternating, (4,), "A4"),
+            (semidirect_cp_cn, (3, 4, 2), "C3:C4[2]"),
+            (direct_product, (cyclic(2), cyclic(3)), "C2 x C3"),
+            (from_permutation_generators, (3, ["(1 2)"]), "G2"),
+            (validate_group, (((0, 1), (1, 0)),), "G2"),
+        ],
+    )
+    def test_name_is_kept_and_defaults_only_for_none(self, make, args, default):
+        assert make(*args).name == make(*args, name=None).name == default
+        assert make(*args, name="").name == ""
+        assert make(*args, name="G").name == "G"
+        for name in (0, 5, b"C4", ["C4"]):
+            with pytest.raises(InvalidParameters, match="group name must be a str"):
+                make(*args, name=name)
+
     def test_dihedral_matches_symmetric(self):
         a, b = dihedral(3), symmetric(3)
         assert find_isomorphism(a.cayley, b.cayley) is not None

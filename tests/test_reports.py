@@ -210,6 +210,20 @@ class TestSerialization:
         with pytest.raises(InvalidParameters, match="'isCyclic'"):
             VerificationReport.from_dict(d)
 
+    @pytest.mark.parametrize("text", [None, 5, ["{}"]])
+    def test_non_text_is_rejected(self, text):
+        with pytest.raises(InvalidParameters, match="not decodable JSON"):
+            parse_report(text)
+
+    def test_bytes_are_decoded(self):
+        r = run_analyze(v4())
+        assert parse_report(serialize_report(r).encode()) == r
+
+    def test_empty_group_name_round_trips(self):
+        r = run_analyze(cyclic(4, name=""))
+        assert r.group_name == ""
+        assert parse_report(serialize_report(r)) == r
+
     def test_non_object_is_rejected(self):
         with pytest.raises(InvalidParameters, match="not a JSON object"):
             parse_report("[]")
@@ -241,6 +255,11 @@ class TestRunCheck:
         # every check, lemma-pnilp too, is about groups that have a cover
         with pytest.raises(GroupIsCyclic):
             run_check(cyclic(n), check_id)
+
+    @pytest.mark.parametrize("check_id", [["bryce-serena"], {}, None, 5])
+    def test_check_id_that_is_not_a_str(self, check_id):
+        with pytest.raises(InvalidParameters, match="unknown check id"):
+            run_check(symmetric(3), check_id)
 
     def test_unknown_id(self):
         with pytest.raises(InvalidParameters):
@@ -306,6 +325,14 @@ class TestAnalyzeOptions:
         assert opts.checks == ("lemma-pnilp",)
         assert [c["id"] for c in run_analyze(g, opts).lemma_checks] == ["lemma-pnilp"]
 
+    @pytest.mark.parametrize("options", [(64, 32, ()), (), 5, {"max_order": 64}])
+    def test_options_must_be_analyze_options(self, options):
+        # a plain tuple equals the record but skips its checks
+        with pytest.raises(InvalidParameters, match="is not an AnalyzeOptions"):
+            run_analyze(symmetric(3), options)
+        with pytest.raises(InvalidParameters, match="is not an AnalyzeOptions"):
+            run_verify_corpus(parse_catalog(CATALOG), options)
+
     def test_checks_given_as_a_list_stay_hashable(self):
         opts = AnalyzeOptions(checks=["lemma-pnilp"])
         assert opts.checks == ("lemma-pnilp",)
@@ -337,6 +364,15 @@ class TestVerifyCorpus:
         }
         names = [r["groupName"] for r in env["reports"]]
         assert names == sorted(names) == ["C6", "D8", "S3"]
+
+    @pytest.mark.parametrize(
+        "entries,message",
+        [(None, "None is not iterable"), (5, "5 is not iterable"),
+         ([1], "1 is not a CatalogEntry"), ("abc", "'a' is not a CatalogEntry")],
+    )
+    def test_entries_must_be_catalog_entries(self, entries, message):
+        with pytest.raises(InvalidParameters, match=message):
+            run_verify_corpus(entries)
 
     def test_empty_catalog(self):
         env = run_verify_corpus(())
