@@ -69,16 +69,15 @@ def _groups(entry: CatalogEntry, built: dict[str, Group]) -> list[Group]:
 
 
 # Preset kind -> (arity, reader of its arguments from the entry and the
-# groups built so far, constructor).  The lambdas look each constructor up
-# when called, so a rebound module attribute is the one that runs.
+# groups built so far, constructor).
 _PRESETS = {
-    "cyclic": (1, _ints, lambda *a, name: cyclic(*a, name=name)),
-    "dihedral": (1, _ints, lambda *a, name: dihedral(*a, name=name)),
-    "quaternion": (1, _ints, lambda *a, name: generalized_quaternion(*a, name=name)),
-    "sym": (1, _ints, lambda *a, name: symmetric(*a, name=name)),
-    "alt": (1, _ints, lambda *a, name: alternating(*a, name=name)),
-    "product": (2, _groups, lambda *a, name: direct_product(*a, name=name)),
-    "cpcn": (3, _ints, lambda *a, name: semidirect_cp_cn(*a, name=name)),
+    "cyclic": (1, _ints, cyclic),
+    "dihedral": (1, _ints, dihedral),
+    "quaternion": (1, _ints, generalized_quaternion),
+    "sym": (1, _ints, symmetric),
+    "alt": (1, _ints, alternating),
+    "product": (2, _groups, direct_product),
+    "cpcn": (3, _ints, semidirect_cp_cn),
 }
 
 
@@ -165,11 +164,30 @@ def parse_catalog(text: str) -> tuple[CatalogEntry, ...]:
     return tuple(entries)
 
 
+def _is_preset(src: object) -> bool:
+    """Is src a preset line as parse_catalog reads it: a PresetSource of a
+    known kind with as many str arguments as that kind takes?"""
+    return (
+        isinstance(src, PresetSource) and isinstance(src.kind, str) and src.kind in _PRESETS
+        and isinstance(src.args, tuple) and len(src.args) == _PRESETS[src.kind][0]
+        and all(isinstance(a, str) for a in src.args)
+    )
+
+
 def _entry(entry: CatalogEntry) -> CatalogEntry:
-    """entry, once it is checked to be a CatalogEntry."""
+    """entry, once it is checked to have the shape parse_catalog gives one."""
     if not isinstance(entry, CatalogEntry):
         raise InvalidParameters(f"catalog entry {entry!r} is not a CatalogEntry")
-    return entry
+    src, order = entry.source, entry.expected_order
+    if not isinstance(entry.name, str):
+        problem = "has a name that is not a str"
+    elif not (isinstance(src, PermSource) or _is_preset(src)):
+        problem = f"has source {src!r}, not a PermSource or a preset the format knows"
+    elif order is not None and (type(order) is not int or order < 1):
+        problem = f"has expected order {order!r}, not None or a positive int"
+    else:
+        return entry
+    raise InvalidParameters(f"catalog entry {entry.name!r} {problem}")
 
 
 def _entries(entries: Iterable[CatalogEntry]) -> Iterator[CatalogEntry]:

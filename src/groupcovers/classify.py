@@ -23,10 +23,10 @@ from typing import NamedTuple
 
 from .arith import is_prime, prime_divisors
 from .covers import (
-    _cover_universe, _maximal_cyclic_generators, _min_set_cover, lambda_,
-    one_sized_bruteforce, sigma_exact,
+    _cover_universe, _maximal_cyclic_generators, _min_set_cover, _require_noncyclic,
+    _sigma, lambda_, one_sized_bruteforce,
 )
-from .errors import GroupIsCyclic, NotSolvable, PreconditionViolation
+from .errors import NotSolvable, PreconditionViolation
 from .groups import Group, iter_bits, per_group
 from .lattice import (
     Subgroup,
@@ -90,8 +90,7 @@ def classify(group: Group) -> ClassificationOutcome:
     Tries the Hall divisors d of |G| in ascending order, H and C being
     the elements of order dividing d and |G|/d; C may be trivial.
     """
-    if group.is_cyclic:
-        raise GroupIsCyclic("cyclic groups admit no cover at all")
+    _require_noncyclic(group)
     for d in range(1, group.order + 1):
         e = group.order // d
         if group.order % d or gcd(d, e) != 1 or e not in group.order_masks:
@@ -122,13 +121,11 @@ def verify_classification(group: Group) -> ClassificationAgreement:
     """Run the structural decision and the cover-based one side by side."""
     outcome = classify(group)
     brute = one_sized_bruteforce(group)
-    sig = sigma_exact(group).value
-    assert sig is not None
     return ClassificationAgreement(
         structural=outcome,
         bruteforce=brute,
         lambda_value=lambda_(group),
-        sigma_value=sig,
+        sigma_value=_sigma(group),
     )
 
 
@@ -229,10 +226,7 @@ def check_abelian_sigma_cover(group: Group) -> AbelianCoverCheck:
     maximal-cyclic generators (see covers.py) by the maximal cliques of
     their commuting graph, by the lemma above.
     """
-    if group.is_cyclic:
-        raise GroupIsCyclic("cyclic groups have no cover by proper subgroups")
-    sig = sigma_exact(group).value
-    assert sig is not None
+    sig = _sigma(group)
     if group.is_abelian:
         return AbelianCoverCheck(sig, True, True, _verdict(True, True))
     cliques = _commuting_cliques(group)
@@ -276,8 +270,7 @@ def check_quotient_invariants(group: Group) -> QuotientInvariantsCheck:
         raise PreconditionViolation(
             "quotient invariants only apply to one-sized groups"
         )
-    sig = sigma_exact(group).value
-    assert sig is not None
+    sig = _sigma(group)
     of_order: dict[int, list[int]] = {}
     for s in all_subgroups(group):
         of_order.setdefault(s.order, []).append(s.members)

@@ -178,15 +178,18 @@ def is_irredundant(
     return union == group.full_mask and all(m & ~twice for m in masks)
 
 
+def _require_noncyclic(group: Group) -> None:
+    """The hypothesis of every cover, sigma and lambda: G is not cyclic."""
+    if group.is_cyclic:
+        raise GroupIsCyclic("cyclic groups have no cover by proper subgroups")
+
+
 # ---------------------------------------------------------------------------
 # Maximal cyclic family and lambda
 
 
 def maximal_cyclic_family(group: Group) -> Cover:
-    if group.is_cyclic:
-        raise GroupIsCyclic(
-            "a cyclic group has a single maximal cyclic subgroup: itself"
-        )
+    _require_noncyclic(group)
     members = tuple(c.subgroup for c in cyclic_subgroups(group) if c.is_maximal)
     return Cover(members, group.order)
 
@@ -321,6 +324,12 @@ def sigma_exact(group: Group) -> SigmaValue:
     return SigmaValue(len(minimal_cover(group)))
 
 
+def _sigma(group: Group) -> int:
+    """sigma_exact(group) as an int, for a group that must not be cyclic."""
+    _require_noncyclic(group)
+    return sigma_exact(group).value
+
+
 def minimal_cover(group: Group) -> Cover:
     """A cover of minimum size, the witness for sigma_exact(group).
 
@@ -330,8 +339,7 @@ def minimal_cover(group: Group) -> Cover:
     The universe is the generators of the maximal cyclic subgroups (see
     the module docstring), and the witness is checked against all of G.
     """
-    if group.is_cyclic:
-        raise GroupIsCyclic("cyclic groups have no cover by proper subgroups")
+    _require_noncyclic(group)
     maximals = maximal_subgroups(group)  # in canonical order
     result = _min_set_cover(_cover_universe(group), [s.members for s in maximals])
     if result is None:
@@ -494,8 +502,7 @@ def _check_enumerable(
     if size_cap is not None:
         size_cap = _natural(size_cap, "size cap")
     enum_bound = _natural(enum_bound, "enumeration bound")
-    if group.is_cyclic:
-        raise GroupIsCyclic("cyclic groups have no cover by proper subgroups")
+    _require_noncyclic(group)
     if group.order > enum_bound:
         raise EnumerationBoundExceeded(group.order, enum_bound)
     return size_cap

@@ -491,12 +491,18 @@ def _generated_group(identity, gens, mul, name: str | None) -> Group:
     return Group(table, name, _inverse=tuple(inv[i] for i in rank))
 
 
-def _integer(value, what: str) -> int:
-    """A constructor parameter as an int, else InvalidParameters."""
+def _integer(value, what: str, low: int | None = None, high: int | None = None) -> int:
+    """A constructor parameter as an int, at least low and at most high if
+    given (high only with low), else InvalidParameters."""
     try:
-        return operator.index(value)
+        n = operator.index(value)
     except TypeError:
         raise InvalidParameters(f"{what} must be an integer, not {value!r}") from None
+    if high is not None and not low <= n <= high:
+        raise InvalidParameters(f"{what} must lie in {low}..{high}")
+    if low is not None and n < low:
+        raise InvalidParameters(f"{what} must be at least {low}")
+    return n
 
 
 def _natural(value, what: str) -> int:
@@ -553,9 +559,7 @@ def from_permutation_generators(
     ordered lexicographically by image tuple, which puts the identity
     first automatically.
     """
-    degree = _integer(degree, "permutation degree")
-    if not 1 <= degree <= ORDER_BOUND:
-        raise InvalidParameters(f"permutation degree must lie in 1..{ORDER_BOUND}")
+    degree = _integer(degree, "permutation degree", 1, ORDER_BOUND)
     if isinstance(generators, str):  # would be read one character at a time
         raise InvalidParameters("generators must be a sequence of permutations, not a str")
     try:
@@ -585,18 +589,14 @@ def from_permutation_generators(
 
 
 def cyclic(n: int, name: str | None = None) -> Group:
-    n = _integer(n, "cyclic group order")
-    if n < 1:
-        raise InvalidParameters("cyclic group order must be at least 1")
+    n = _integer(n, "cyclic group order", 1)
     name = f"C{n}" if name is None else name
     return _generated_group(0, [1 % n], lambda a, b: (a + b) % n, name)
 
 
 def dihedral(n: int, name: str | None = None) -> Group:
     """Dihedral group with n rotations (order 2n); element f*n + i is s^f r^i."""
-    n = _integer(n, "dihedral parameter")
-    if n < 1:
-        raise InvalidParameters("dihedral parameter must be at least 1")
+    n = _integer(n, "dihedral parameter", 1)
     return _generated_group(  # r^i s = s r^-i
         (0, 0),
         [(0, 1 % n), (1, 0)],
@@ -629,18 +629,14 @@ def generalized_quaternion(k: int, name: str | None = None) -> Group:
 
 
 def symmetric(n: int, name: str | None = None) -> Group:
-    n = _integer(n, "symmetric degree")
-    if not 1 <= n <= ORDER_BOUND:
-        raise InvalidParameters(f"symmetric degree must lie in 1..{ORDER_BOUND}")
+    n = _integer(n, "symmetric degree", 1, ORDER_BOUND)
     gens = [] if n == 1 else ["(1 2)", "(" + " ".join(map(str, range(1, n + 1))) + ")"]
     name = f"S{n}" if name is None else name
     return from_permutation_generators(max(n, 1), gens, name)
 
 
 def alternating(n: int, name: str | None = None) -> Group:
-    n = _integer(n, "alternating degree")
-    if not 1 <= n <= ORDER_BOUND:
-        raise InvalidParameters(f"alternating degree must lie in 1..{ORDER_BOUND}")
+    n = _integer(n, "alternating degree", 1, ORDER_BOUND)
     gens = [f"(1 2 {k})" for k in range(3, n + 1)]  # the 3-cycles generate A_n
     return from_permutation_generators(n, gens, f"A{n}" if name is None else name)
 
@@ -661,9 +657,7 @@ def semidirect_cp_cn(p: int, n: int, l: int, name: str | None = None) -> Group:
     Requires p prime, 1 <= l < p, and l^n = 1 mod p so the action is
     well defined.  Element j*p + i is a^j x^i.
     """
-    p, n, l = _integer(p, "p"), _integer(n, "n"), _integer(l, "twist l")
-    if n < 1:
-        raise InvalidParameters("n must be at least 1")
+    p, l, n = _integer(p, "p"), _integer(l, "twist l"), _integer(n, "n", 1)
     if p * n > ORDER_BOUND:
         raise OrderBoundExceeded(ORDER_BOUND)
     if not is_prime(p):

@@ -22,7 +22,6 @@ from .classify import (
 from .covers import DEFAULT_ENUM_BOUND, SigmaValue
 from .errors import (
     GroupCoversError,
-    GroupIsCyclic,
     InvalidParameters,
 )
 from .groups import Group, _natural
@@ -208,8 +207,7 @@ def run_check(group: Group, check_id: str) -> str:
     status = _CHECKS.get(check_id) if isinstance(check_id, str) else None
     if status is None:
         raise InvalidParameters(f"unknown check id {check_id!r}")
-    if group.is_cyclic:
-        raise GroupIsCyclic("cyclic groups have no cover by proper subgroups")
+    covers._require_noncyclic(group)
     return status(group)
 
 

@@ -11,10 +11,15 @@ from groupcovers import (
     OrderBoundExceeded,
     OrderMismatch,
     ParseError,
+    PermSource,
+    PresetSource,
     build_catalog,
     build_entry,
     bundled_catalog_text,
     parse_catalog,
+    parse_report,
+    run_verify_corpus,
+    serialize_envelope,
 )
 
 
@@ -225,6 +230,46 @@ def test_build_catalog_needs_catalog_entries(entries, message):
 def test_build_entry_needs_a_catalog_entry():
     with pytest.raises(InvalidParameters, match="None is not a CatalogEntry"):
         build_entry(None, {})
+
+
+C2_ENTRY = CatalogEntry("A", PresetSource("cyclic", ("2",)), None, 1)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [lambda entries: build_entry(entries[-1], {}), build_catalog, run_verify_corpus],
+    ids=["build_entry", "build_catalog", "run_verify_corpus"],
+)
+@pytest.mark.parametrize(
+    "entry,message",
+    [
+        (CatalogEntry("X", None, None, 1), "'X' has source None"),
+        (CatalogEntry("X", ("cyclic", ("3",)), None, 1), "'X' has source \\('cyclic'"),
+        (CatalogEntry("X", PresetSource("nosuch", ()), None, 1), "'X' has source PresetSource"),
+        (CatalogEntry("X", PresetSource(["cyclic"], ("3",)), None, 1), "'X' has source"),
+        (CatalogEntry("X", PresetSource("cyclic", ("3", "4")), None, 1), "'X' has source"),
+        (CatalogEntry("X", PresetSource("cyclic", ["3"]), None, 1), "'X' has source"),
+        (CatalogEntry("X", PresetSource("cyclic", (3,)), None, 1), "'X' has source"),
+        (CatalogEntry(3, PresetSource("cyclic", ("3",)), None, 1), "3 has a name that"),
+        (CatalogEntry("X", PresetSource("cyclic", ("3",)), "a", 1), "'X' has expected order 'a'"),
+        (CatalogEntry("X", PresetSource("cyclic", ("3",)), 0, 1), "'X' has expected order 0"),
+        (CatalogEntry("X", PresetSource("cyclic", ("3",)), True, 1), "'X' has expected order True"),
+    ],
+)
+def test_hand_built_entries_are_checked_like_parsed_ones(run, entry, message):
+    # the bad entry follows a good one, so a run over both reaches it
+    with pytest.raises(InvalidParameters, match="catalog entry " + message):
+        run((C2_ENTRY, entry))
+
+
+def test_hand_built_perm_entry_fails_as_a_build_error():
+    # from_permutation_generators checks a PermSource's degree and generators
+    entry = CatalogEntry("P", PermSource("3", ()), 6, 1)
+    with pytest.raises(InvalidParameters, match="permutation degree must be an integer"):
+        build_entry(entry, {})
+    (report,) = run_verify_corpus([entry])["reports"]
+    assert report["order"] == 6 and report["errors"][0].startswith("build: ")
+    assert parse_report(serialize_envelope(report)).order == 6
 
 
 def test_perm_degree_at_the_bound_still_builds():

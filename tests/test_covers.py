@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from groupcovers import (
+    CHECK_IDS,
     AnalyzeOptions,
     Cover,
     GroupIsCyclic,
@@ -18,6 +19,9 @@ from groupcovers import (
     all_subgroups,
     alternating,
     bundled_catalog_text,
+    check_abelian_sigma_cover,
+    check_quotient_invariants,
+    classify,
     cover_enumeration_stats,
     cyclic,
     dihedral,
@@ -37,11 +41,13 @@ from groupcovers import (
     one_sized_bruteforce,
     parse_catalog,
     run_analyze,
+    run_check,
     run_verify_corpus,
     semidirect_cp_cn,
     sigma_exact,
     sigma_tomkinson,
     symmetric,
+    verify_classification,
 )
 from groupcovers import covers
 from groupcovers.covers import _SearchSpace, _trace_cover_sizes, _walk_trace_covers
@@ -756,3 +762,40 @@ class TestEnumerationArguments:
         assert cover_enumeration_stats(g, Index(4)) == cover_enumeration_stats(g, 4)
         assert len(enumerate_irredundant_covers(g, Index(4), enum_bound=Index(6))) == 1
         assert irredundant_cover_sizes(g, enum_bound=Index(6)) == (4,)
+
+
+class TestNoCoverGate:
+    """Every entry point that needs a cover rejects a cyclic group with the
+    one message; sigma itself is infinite there, and analyze reports it."""
+
+    NEEDS_A_COVER = [
+        lambda_,
+        maximal_cyclic_family,
+        maximal_cyclic_pairs_generate,
+        minimal_cover,
+        cover_enumeration_stats,
+        irredundant_cover_sizes,
+        enumerate_irredundant_covers,
+        classify,
+        verify_classification,
+        check_abelian_sigma_cover,
+        check_quotient_invariants,
+        *(pytest.param(lambda g, c=c: run_check(g, c), id=f"run_check-{c}")
+          for c in CHECK_IDS),
+    ]
+
+    @pytest.mark.parametrize("n", [1, 2, 12])
+    @pytest.mark.parametrize("call", NEEDS_A_COVER)
+    def test_cyclic_group_is_rejected(self, call, n):
+        with pytest.raises(GroupIsCyclic) as info:
+            call(cyclic(n))
+        assert str(info.value) == "cyclic groups have no cover by proper subgroups"
+
+    @pytest.mark.parametrize("n", [1, 2, 12])
+    def test_sigma_is_infinite_and_analyze_reports_no_error(self, n):
+        g = cyclic(n)
+        assert sigma_exact(g) is INFINITE
+        assert sigma_tomkinson(g) is INFINITE
+        report = run_analyze(g)
+        assert report.is_cyclic and report.errors == ()
+        assert report.sigma_exact == "Infinite"

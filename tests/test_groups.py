@@ -256,6 +256,29 @@ class TestPresets:
             semidirect_cp_cn(3, 0, 1)
 
     @pytest.mark.parametrize(
+        "make,args,message",
+        [
+            (cyclic, (0,), "cyclic group order must be at least 1"),
+            (cyclic, (-7,), "cyclic group order must be at least 1"),
+            (dihedral, (0,), "dihedral parameter must be at least 1"),
+            (symmetric, (0,), "symmetric degree must lie in 1..512"),
+            (symmetric, (513,), "symmetric degree must lie in 1..512"),
+            (alternating, (0,), "alternating degree must lie in 1..512"),
+            (alternating, (513,), "alternating degree must lie in 1..512"),
+            (from_permutation_generators, (0, []), "permutation degree must lie in 1..512"),
+            (from_permutation_generators, (513, []), "permutation degree must lie in 1..512"),
+            (semidirect_cp_cn, (3, 0, 1), "n must be at least 1"),
+            (semidirect_cp_cn, (3, -2, 1), "n must be at least 1"),
+            # both n and l are bad: l is read before n
+            (semidirect_cp_cn, (3, 0.5, "2"), "twist l must be an integer, not '2'"),
+        ],
+    )
+    def test_range_messages(self, make, args, message):
+        with pytest.raises(InvalidParameters) as info:
+            make(*args)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
         "make,args,default",
         [
             (cyclic, (4,), "C4"),
