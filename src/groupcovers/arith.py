@@ -7,6 +7,8 @@ that can see a huge argument check it against the order bound first.
 
 from __future__ import annotations
 
+from .errors import InvalidParameters
+
 
 def is_prime(n: int) -> bool:
     return prime_divisors(n) == [n]
@@ -28,7 +30,10 @@ def prime_divisors(n: int) -> list[int]:
 
 
 def p_part(n: int, p: int) -> int:
-    """Largest power of p dividing n."""
+    """Largest power of p dividing n, for n >= 1 and p >= 2; every power
+    of p divides 0, and every power of 1 divides n."""
+    if n < 1 or p < 2:
+        raise InvalidParameters(f"p_part needs n >= 1 and p >= 2, got n={n}, p={p}")
     q = 1
     while n % p == 0:
         n //= p

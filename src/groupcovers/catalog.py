@@ -136,6 +136,13 @@ def _parse_record(lines: list[tuple[int, str]]) -> CatalogEntry:
     return CatalogEntry(name, source, expected_order, lineno)
 
 
+def _claim(name: str, seen: set[str]) -> None:
+    """Add name to the names seen so far, which must not hold it yet."""
+    if name in seen:
+        raise DuplicateName(f"group {name!r} defined twice")
+    seen.add(name)
+
+
 def parse_catalog(text: str) -> tuple[CatalogEntry, ...]:
     """Parse catalog text into entries, in file order."""
     if not isinstance(text, str):
@@ -148,9 +155,7 @@ def parse_catalog(text: str) -> tuple[CatalogEntry, ...]:
         if not record:
             return
         entry = _parse_record(record)
-        if entry.name in seen:
-            raise DuplicateName(f"group {entry.name!r} defined twice")
-        seen.add(entry.name)
+        _claim(entry.name, seen)
         entries.append(entry)
         record.clear()
 
@@ -185,17 +190,28 @@ def _entry(entry: CatalogEntry) -> CatalogEntry:
         problem = f"has source {src!r}, not a PermSource or a preset the format knows"
     elif order is not None and (type(order) is not int or order < 1):
         problem = f"has expected order {order!r}, not None or a positive int"
+    elif type(entry.line) is not int or entry.line < 1:
+        problem = f"has line {entry.line!r}, not a positive int"
     else:
         return entry
     raise InvalidParameters(f"catalog entry {entry.name!r} {problem}")
 
 
 def _entries(entries: Iterable[CatalogEntry]) -> Iterator[CatalogEntry]:
-    """Each of entries, checked as it is reached to be a CatalogEntry."""
+    """Each of entries, checked as it is reached to be a CatalogEntry
+    whose name no earlier entry has, as parse_catalog checks its records."""
     try:
-        return map(_entry, entries)
+        checked = map(_entry, entries)
     except TypeError:
         raise InvalidParameters(f"catalog entries {entries!r} is not iterable") from None
+    return _unique_names(checked)
+
+
+def _unique_names(entries: Iterator[CatalogEntry]) -> Iterator[CatalogEntry]:
+    seen: set[str] = set()
+    for entry in entries:
+        _claim(entry.name, seen)
+        yield entry
 
 
 def build_entry(entry: CatalogEntry, built: dict[str, Group]) -> Group:

@@ -32,6 +32,18 @@ fresh = t & ~union gives once' = (once & ~t) | fresh; every chosen trace
 must still meet once', and t completes a cover when fresh is every
 uncovered generator, which is reported without a further call.
 
+That test needs no scan of the chosen traces.  Each generator g in once
+has one owner, the chosen trace covering it.  A chosen trace c can lose
+all of once only if every generator of c in once lies in t, and c owns
+those; so t is rejected exactly when some g in once & t has an owner
+that misses once & ~t.  The walk writes a generator's owner when it
+turns fresh, and a deeper node writes only owners of generators its
+parent had uncovered, so an owner read at a node is always current.
+The walk carries down the product of the chosen traces' class sizes and
+whether one of them holds two or more generators, and tallies each
+leaf into the (counts, multi) it returns: covers by size, and the sizes
+at which a cover has a multi-generator member.
+
 Only the set of sizes matters for one-sizedness, and that walk can skip
 most of the tree.  Every member added below a node must own a generator
 that is still uncovered there, so a node at depth d with u uncovered
@@ -412,46 +424,63 @@ def _search_space(group: Group) -> _SearchSpace:
 
 def _walk_trace_covers(
     space: _SearchSpace,
-    on_cover: Callable[[list[int]], None],
+    on_cover: Callable[[list[int]], None] | None,
     size_cap: int | None,
     known: set[int] | None = None,
-) -> None:
+) -> tuple[dict[int, int], set[int]]:
     """Visit every irredundant trace family exactly once.
 
-    on_cover receives the live list of chosen traces; it may read the
-    list but not keep it, since the walk goes on mutating it.  Traces
-    already tried at a node are banned in later branches, which
-    partitions the cover space.  A node is (union, once, banned), with
-    once as in the module docstring.
+    Returns (counts, multi): counts maps each size to its number of
+    covers, the product of the class sizes of a family's traces summed
+    over its families, and multi holds the sizes at which some family
+    has a trace of two or more generators.  Both are tallied at each
+    leaf from a weight and a flag carried down the recursion.  on_cover,
+    when not None, also receives the live list of chosen traces at each
+    leaf; it may read the list but not keep it, since the walk goes on
+    mutating it.  Traces already tried at a node are banned in later
+    branches, which partitions the cover space.  A node is (union, once,
+    banned), with once as in the module docstring.
+
+    Privacy is tested through owner[g], the one chosen trace that covers
+    g while g is in once, written for each fresh generator on descent.
+    Adding t can leave a chosen trace c with no generator in once only
+    when every generator of c in once lies in t, and c owns those; so t
+    is rejected exactly when some g in once & t has
+    owner[g] & once & ~t == 0.  A node below writes owners only for
+    generators uncovered at its parent, which are not in once here, so
+    every owner read is current.
 
     Each node branches on the traces _fewest_options picks among the
     uncovered generators, from held[g], the bitmask of the traces holding
     g, and tries them from the top bit down, which is widest first since
-    traces are sorted by (width, mask).  With a set of known sizes (which
-    on_cover is expected to grow) a node at depth d with u uncovered
-    generators is also skipped when every size in d+1 .. d+|u| is already
-    known: each further member covers at least one of the u, so no
-    completion has a size outside that window.  Only the sizes are then
-    exact; the families visited are a subset.
+    traces are sorted by (width, mask).  With a set of known sizes, which
+    the walk grows at each leaf, a node below the root at depth d with u
+    uncovered generators is also skipped when every size in d+1 .. d+|u|
+    is already known: each further member covers at least one of the u,
+    so no completion has a size outside that window.  Only the sizes are
+    then exact; the families visited and the counts are a subset.  Both
+    prunes, and the size cap, are tested before descending, so a skipped
+    node costs no call.
     """
     traces = space.traces
-    full = (1 << len(space.generators)) - 1
-    held = [0] * len(space.generators)
+    k = len(space.generators)
+    full = (1 << k) - 1
+    held = [0] * k
     for tid, t in enumerate(traces):
-        for g in iter_bits(t):
-            held[g] |= 1 << tid
-
+        while t:
+            low = t & -t
+            held[low.bit_length() - 1] |= 1 << tid
+            t ^= low
+    weights = list(map(len, space.class_masks))
+    cap = k if size_cap is None else size_cap  # no cover has more than k members
+    owner = [0] * k
+    counts: dict[int, int] = {}
+    multi: set[int] = set()
     chosen: list[int] = []
 
-    def rec(union: int, once: int, banned: int) -> None:
+    def rec(union: int, once: int, banned: int, size: int, weight: int, wide: int) -> None:
+        # size: the size of a cover completed by one more member
         uncovered = full & ~union
-        d = len(chosen)
-        if size_cap is not None and d >= size_cap:
-            return
-        if known is not None and known.issuperset(
-            range(d + 1, d + uncovered.bit_count() + 1)
-        ):
-            return
         options = _fewest_options(uncovered, held, banned)
         while options:
             tid = options.bit_length() - 1
@@ -459,20 +488,42 @@ def _walk_trace_covers(
             options ^= bit
             banned |= bit
             t = traces[tid]
-            fresh = t & ~union  # holds the generator branched on
-            left = (once & ~t) | fresh
-            for c in chosen:
-                if c & left == 0:
+            keep = once & ~t
+            hit = once & t
+            while hit:
+                c = owner[(hit & -hit).bit_length() - 1]
+                if c & keep == 0:
                     break
+                hit &= ~c
             else:
-                chosen.append(t)
+                fresh = t & ~union  # holds the generator branched on
+                n = weight * weights[tid]
+                w = wide or t & (t - 1)
                 if fresh == uncovered:
-                    on_cover(chosen)
-                else:
-                    rec(union | t, left, banned)
-                chosen.pop()
+                    counts[size] = counts.get(size, 0) + n
+                    if w:
+                        multi.add(size)
+                    if known is not None:
+                        known.add(size)
+                    if on_cover is not None:
+                        chosen.append(t)
+                        on_cover(chosen)
+                        chosen.pop()
+                elif size < cap and (known is None or not known.issuperset(
+                    range(size + 1, size + 1 + (uncovered ^ fresh).bit_count())
+                )):
+                    f = fresh
+                    while f:
+                        low = f & -f
+                        owner[low.bit_length() - 1] = t
+                        f ^= low
+                    chosen.append(t)
+                    rec(union | t, keep | fresh, banned, size + 1, n, w)
+                    chosen.pop()
 
-    rec(0, 0, 0)
+    if cap > 0:
+        rec(0, 0, 0, 1, 1, 0)
+    return counts, multi
 
 
 class EnumerationStats(NamedTuple):
@@ -530,20 +581,7 @@ def _counted_covers(group: Group, size_cap: int | None) -> EnumerationStats:
 
 
 def _count_trace_covers(space: _SearchSpace, size_cap: int | None) -> EnumerationStats:
-    class_size = dict(zip(space.traces, map(len, space.class_masks)))
-    counts: dict[int, int] = {}
-    multi: set[int] = set()
-
-    def tally(chosen: list[int]) -> None:
-        n = 1
-        for t in chosen:
-            n *= class_size[t]
-        size = len(chosen)
-        counts[size] = counts.get(size, 0) + n
-        if size not in multi and any(t & (t - 1) for t in chosen):
-            multi.add(size)
-
-    _walk_trace_covers(space, tally, size_cap)
+    counts, multi = _walk_trace_covers(space, None, size_cap)
     if not counts and size_cap is None:
         raise InvariantViolation("no irredundant cover found for a non-cyclic group")
     return EnumerationStats(
@@ -558,11 +596,7 @@ cover_enumeration_stats.cache_info = _counted_covers.cache_info
 
 def _trace_cover_sizes(space: _SearchSpace) -> tuple[int, ...]:
     known: set[int] = set()
-
-    def note(chosen: list[int]) -> None:
-        known.add(len(chosen))
-
-    _walk_trace_covers(space, note, None, known)
+    _walk_trace_covers(space, None, None, known)
     return tuple(sorted(known))
 
 

@@ -1,3 +1,4 @@
+import re
 import time
 
 import pytest
@@ -234,12 +235,15 @@ def test_build_entry_needs_a_catalog_entry():
 
 C2_ENTRY = CatalogEntry("A", PresetSource("cyclic", ("2",)), None, 1)
 
-
-@pytest.mark.parametrize(
+# build_entry, build_catalog and run_verify_corpus, each run on a tuple of entries
+EACH_ENTRY_POINT = pytest.mark.parametrize(
     "run",
     [lambda entries: build_entry(entries[-1], {}), build_catalog, run_verify_corpus],
     ids=["build_entry", "build_catalog", "run_verify_corpus"],
 )
+
+
+@EACH_ENTRY_POINT
 @pytest.mark.parametrize(
     "entry,message",
     [
@@ -260,6 +264,24 @@ def test_hand_built_entries_are_checked_like_parsed_ones(run, entry, message):
     # the bad entry follows a good one, so a run over both reaches it
     with pytest.raises(InvalidParameters, match="catalog entry " + message):
         run((C2_ENTRY, entry))
+
+
+@EACH_ENTRY_POINT
+@pytest.mark.parametrize("line", [None, 0, -1, True, "1", 1.0])
+def test_hand_built_entry_line_is_checked(run, line):
+    # parse_catalog numbers lines from 1; a product names its line on a bad reference
+    entry = CatalogEntry("X", PresetSource("product", ("A", "A")), None, line)
+    message = f"catalog entry 'X' has line {line!r}, not a positive int"
+    with pytest.raises(InvalidParameters, match=re.escape(message)):
+        run((C2_ENTRY, entry))
+
+
+@pytest.mark.parametrize("run", [build_catalog, run_verify_corpus])
+def test_hand_built_entries_repeating_a_name_are_rejected(run):
+    # as parse_catalog rejects the same two records
+    d6 = CatalogEntry("A", PresetSource("dihedral", ("3",)), None, 4)
+    with pytest.raises(DuplicateName, match="group 'A' defined twice"):
+        run((C2_ENTRY, d6))
 
 
 def test_hand_built_perm_entry_fails_as_a_build_error():

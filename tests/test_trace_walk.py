@@ -175,6 +175,19 @@ def test_walk_visits_the_oracle_families_in_order(space, size_cap):
         assert _trace_cover_sizes(space) == old_order_sizes(space)
 
 
+@settings(max_examples=300, deadline=None)
+@given(search_spaces(), st.sampled_from(CAPS))
+def test_walk_returns_weighted_tallies(space, size_cap):
+    # classes of 1 to 3 masks, so a wrong product of the weights carried
+    # down the walk shows here and not only on the corpus
+    counts, multi = _walk_trace_covers(space, None, size_cap)
+    size_counts, multi_sizes = oracle_stats(space, oracle_families(space, size_cap))
+    assert tuple(sorted(counts.items())) == size_counts
+    assert tuple(sorted(multi)) == multi_sizes
+    sizes = _trace_cover_sizes(space)
+    assert tuple(s for s in sizes if size_cap is None or s <= size_cap) == tuple(sorted(counts))
+
+
 @settings(max_examples=150, deadline=None)
 @given(search_spaces(), st.sampled_from(CAPS))
 def test_enumeration_matches_oracle_on_synthetic_traces(space, size_cap):
