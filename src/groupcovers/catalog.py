@@ -201,16 +201,12 @@ def _entries(entries: Iterable[CatalogEntry]) -> Iterator[CatalogEntry]:
     """Each of entries, checked as it is reached to be a CatalogEntry
     whose name no earlier entry has, as parse_catalog checks its records."""
     try:
-        checked = map(_entry, entries)
+        entries = iter(entries)
     except TypeError:
         raise InvalidParameters(f"catalog entries {entries!r} is not iterable") from None
-    return _unique_names(checked)
-
-
-def _unique_names(entries: Iterator[CatalogEntry]) -> Iterator[CatalogEntry]:
     seen: set[str] = set()
     for entry in entries:
-        _claim(entry.name, seen)
+        _claim(_entry(entry).name, seen)
         yield entry
 
 

@@ -28,7 +28,6 @@ from .reports import (
     CHECK_IDS,
     DEFAULT_MAX_ORDER,
     AnalyzeOptions,
-    VerificationReport,
     _sigma_json,
     outcome_json,
     run_analyze,
@@ -110,7 +109,7 @@ def _options(args: argparse.Namespace) -> AnalyzeOptions:
 
 
 def _load_entries(path: str | None):
-    text = Path(path).read_text(encoding="utf-8") if path else bundled_catalog_text()
+    text = Path(path).read_text(encoding="utf-8-sig") if path else bundled_catalog_text()
     return parse_catalog(text)
 
 
@@ -273,15 +272,15 @@ def _cmd_verify(args: argparse.Namespace, opts: AnalyzeOptions) -> int:
     if args.json:
         sys.stdout.write(serialize_envelope(envelope))
     else:
-        for r in map(VerificationReport.from_dict, envelope["reports"]):
-            status = "agree" if r.agreement else (
-                "cyclic" if r.is_cyclic else
-                "DISAGREE" if r.agreement is False else "-"
+        for r in envelope["reports"]:
+            status = "agree" if r["agreement"] else (
+                "cyclic" if r["isCyclic"] else
+                "DISAGREE" if r["agreement"] is False else "-"
             )
-            extra = f" ! {'; '.join(r.errors)}" if r.errors else ""
+            extra = f" ! {'; '.join(r['errors'])}" if r["errors"] else ""
             print(
-                f"{r.group_name}: order={r.order}"
-                f" sigma={r.sigma_exact} {status}{extra}"
+                f"{r['groupName']}: order={r['order']}"
+                f" sigma={r['sigmaExact']} {status}{extra}"
             )
         print(
             "summary: groups={groups} nonCyclic={nonCyclic}"

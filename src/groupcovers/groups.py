@@ -594,15 +594,21 @@ def cyclic(n: int, name: str | None = None) -> Group:
     return _generated_group(0, [1 % n], lambda a, b: (a + b) % n, name)
 
 
+def _split_metacyclic(m: int, k: int, r: int, name: str) -> Group:
+    """The group <x, a | x^m, a^k, a^-1 x a = x^r>, r^k = 1 mod m; element
+    j*m + i is a^j x^i."""
+    return _generated_group(  # x^i a^j = a^j x^(i r^j)
+        (0, 0),
+        [(0, 1 % m), (1 % k, 0)],
+        lambda a, b: ((a[0] + b[0]) % k, (a[1] * pow(r, b[0], m) + b[1]) % m),
+        name,
+    )
+
+
 def dihedral(n: int, name: str | None = None) -> Group:
     """Dihedral group with n rotations (order 2n); element f*n + i is s^f r^i."""
     n = _integer(n, "dihedral parameter", 1)
-    return _generated_group(  # r^i s = s r^-i
-        (0, 0),
-        [(0, 1 % n), (1, 0)],
-        lambda a, b: (a[0] ^ b[0], (b[1] - a[1] if b[0] else b[1] + a[1]) % n),
-        f"D{2 * n}" if name is None else name,
-    )
+    return _split_metacyclic(n, 2, n - 1, f"D{2 * n}" if name is None else name)
 
 
 def generalized_quaternion(k: int, name: str | None = None) -> Group:
@@ -666,12 +672,7 @@ def semidirect_cp_cn(p: int, n: int, l: int, name: str | None = None) -> Group:
         raise InvalidParameters(f"twist l = {l} must lie in 1..{p - 1}")
     if pow(l, n, p) != 1:
         raise InvalidParameters(f"l^n = {l}^{n} is not 1 mod {p}")
-    return _generated_group(  # x^i a^j = a^j x^(i l^j)
-        (0, 0),
-        [(0, 1), (1 % n, 0)],
-        lambda a, b: ((a[0] + b[0]) % n, (a[1] * pow(l, b[0], p) + b[1]) % p),
-        f"C{p}:C{n}[{l}]" if name is None else name,
-    )
+    return _split_metacyclic(p, n, l, f"C{p}:C{n}[{l}]" if name is None else name)
 
 
 # ---------------------------------------------------------------------------

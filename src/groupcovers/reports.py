@@ -224,6 +224,9 @@ def run_analyze(
     group: Group, options: AnalyzeOptions | None = None
 ) -> VerificationReport:
     opts = _options(options)
+    if group.order > opts.max_order:
+        skipped = f"skipped: order {group.order} exceeds max-order {opts.max_order}"
+        return VerificationReport(group.name, group.order, errors=(skipped,))
     errors: list[str] = []
 
     def stage(label, fn):
@@ -233,67 +236,42 @@ def run_analyze(
             errors.append(f"{label}: {exc}")
             return None
 
-    if group.order > opts.max_order:
-        errors.append(
-            f"skipped: order {group.order} exceeds max-order {opts.max_order}"
-        )
-        return VerificationReport(group.name, group.order, errors=tuple(errors))
-
-    is_solv = stage("solvability", lambda: lattice.is_solvable(group))
-    is_nilp = stage("nilpotency", lambda: lattice.is_nilpotent(group))
-    is_sup = stage("supersolvability", lambda: lattice.is_supersolvable(group))
-    sig = stage("sigma", lambda: _sigma_json(covers.sigma_exact(group)))
-
-    lam = sig_tom = sizes = one_sized = outcome = agreement = None
-    lemma_checks: tuple[dict[str, Any], ...] = ()
+    # Each stage's value under the report field it fills, stages in order.
+    fields: dict[str, Any] = {
+        "is_solvable": stage("solvability", lambda: lattice.is_solvable(group)),
+        "is_nilpotent": stage("nilpotency", lambda: lattice.is_nilpotent(group)),
+        "is_supersolvable": stage(
+            "supersolvability", lambda: lattice.is_supersolvable(group)
+        ),
+        "sigma_exact": stage("sigma", lambda: _sigma_json(covers.sigma_exact(group))),
+    }
     if group.is_cyclic:
         # No cover by proper subgroups exists; nothing further applies.
-        sig_tom = sig
+        fields["sigma_tomkinson"] = fields["sigma_exact"]
     else:
-        lam = stage("lambda", lambda: covers.lambda_(group))
-        if is_solv:
-            sig_tom = stage(
+        fields["lambda_value"] = stage("lambda", lambda: covers.lambda_(group))
+        if fields["is_solvable"]:
+            fields["sigma_tomkinson"] = stage(
                 "tomkinson", lambda: _sigma_json(covers.sigma_tomkinson(group))
             )
-
         if group.order <= opts.enum_bound:
-            sizes = stage(
+            fields["irredundant_sizes"] = stage(
                 "enumeration",
                 lambda: covers.irredundant_cover_sizes(
                     group, enum_bound=opts.enum_bound
                 ),
             )
-
         verified = stage("classify", lambda: verify_classification(group))
         if verified is not None:
-            one_sized = verified.bruteforce
-            outcome = outcome_json(verified.structural)
-            agreement = verified.agreement
-
-        lemma_checks = tuple(
-            {
-                "id": cid,
-                "status": stage(cid, lambda cid=cid: run_check(group, cid)),
-            }
+            fields["one_sized_bruteforce"] = verified.bruteforce
+            fields["classify_outcome"] = outcome_json(verified.structural)
+            fields["agreement"] = verified.agreement
+        fields["lemma_checks"] = tuple(
+            {"id": cid, "status": stage(cid, lambda cid=cid: run_check(group, cid))}
             for cid in opts.checks
         )
-
     return VerificationReport(
-        group_name=group.name,
-        order=group.order,
-        is_cyclic=group.is_cyclic,
-        is_solvable=is_solv,
-        is_nilpotent=is_nilp,
-        is_supersolvable=is_sup,
-        lambda_value=lam,
-        sigma_exact=sig,
-        sigma_tomkinson=sig_tom,
-        irredundant_sizes=sizes,
-        one_sized_bruteforce=one_sized,
-        classify_outcome=outcome,
-        agreement=agreement,
-        lemma_checks=lemma_checks,
-        errors=tuple(errors),
+        group.name, group.order, group.is_cyclic, errors=tuple(errors), **fields
     )
 
 

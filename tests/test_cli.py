@@ -6,7 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from groupcovers import cli
+from groupcovers import cli, reports
 from groupcovers.reports import CHECK_IDS
 
 
@@ -259,6 +259,32 @@ class TestVerifyCorpus:
         code, _, _ = run(capsys, "verify-corpus", catalog, "--json")
         assert code == 1
 
+    def test_text_lines_for_a_build_error_and_a_disagreement(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "mixed.cat"
+        path.write_text(
+            "group S3\nperm 3; (1 2 3); (1 2)\n\n"
+            "group X\npreset product Y Z\n\n"
+            "group C2\npreset cyclic 2\n",
+            encoding="utf-8",
+        )
+        verify = reports.verify_classification
+
+        def flip_s3(group):  # the cover-based answer disagrees on S3 alone
+            v = verify(group)
+            return v._replace(bruteforce=not v.bruteforce) if group.name == "S3" else v
+
+        monkeypatch.setattr(reports, "verify_classification", flip_s3)
+        code, out, err = run(capsys, "verify-corpus", str(path))
+        assert (code, err) == (1, "")
+        assert out == (
+            "C2: order=2 sigma=Infinite cyclic\n"
+            "S3: order=6 sigma=4 DISAGREE\n"
+            "X: order=0 sigma=None - ! build: line 4: product refers to unknown group 'Y'\n"
+            "summary: groups=3 nonCyclic=1 agreements=0 disagreements=1 errors=1\n"
+        )
+
     def test_bundled_default(self, capsys):
         # restricting the work keeps this quick: small groups only
         code, out, _ = run(
@@ -287,6 +313,15 @@ class TestErrors:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and "utf-8" in err
+
+    def test_catalog_with_a_byte_order_mark(self, capsys, tmp_path):
+        path = tmp_path / "bom.cat"
+        path.write_bytes(
+            b"\xef\xbb\xbfgroup C2\npreset cyclic 2\n\ngroup V4\npreset product C2 C2\n"
+        )
+        code, out, err = run(capsys, "sigma", str(path))
+        assert (code, err) == (0, "")
+        assert out == "C2: sigma=Infinite\nV4: sigma=3\n"
 
     def test_parse_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.cat"

@@ -7,6 +7,7 @@ from groupcovers import (
     COMPLEMENT_COUNT_ASSUMPTION,
     AnalyzeOptions,
     Group,
+    GroupCoversError,
     GroupIsCyclic,
     InvalidParameters,
     InvariantViolation,
@@ -28,7 +29,7 @@ from groupcovers import (
     serialize_report,
     symmetric,
 )
-from groupcovers import covers
+from groupcovers import covers, lattice, reports
 from groupcovers.lattice import _lattice
 
 
@@ -113,6 +114,38 @@ class TestRunAnalyze:
     def test_checks_subset(self):
         r = run_analyze(v4(), AnalyzeOptions(checks=("bryce-serena",)))
         assert [c["id"] for c in r.lemma_checks] == ["bryce-serena"]
+
+    def test_every_stage_failing_leaves_its_error_in_stage_order(self, monkeypatch):
+        def fail(label):
+            def raise_error(*args, **kwargs):
+                raise GroupCoversError(f"{label} failed")
+            return raise_error
+
+        for module, name in [
+            (lattice, "is_solvable"), (lattice, "is_nilpotent"),
+            (lattice, "is_supersolvable"), (covers, "sigma_exact"),
+            (covers, "lambda_"), (covers, "irredundant_cover_sizes"),
+            (reports, "verify_classification"), (reports, "run_check"),
+        ]:
+            monkeypatch.setattr(module, name, fail(name))
+        r = run_analyze(symmetric(3))
+        # No tomkinson stage runs: solvability is unknown.
+        assert r == VerificationReport(
+            "S3", 6, is_cyclic=False,
+            lemma_checks=tuple({"id": c, "status": None} for c in CHECK_IDS),
+            errors=(
+                "solvability: is_solvable failed",
+                "nilpotency: is_nilpotent failed",
+                "supersolvability: is_supersolvable failed",
+                "sigma: sigma_exact failed",
+                "lambda: lambda_ failed",
+                "enumeration: irredundant_cover_sizes failed",
+                "classify: verify_classification failed",
+                "lemma-pnilp: run_check failed",
+                "bryce-serena: run_check failed",
+                "osclemma-quotients: run_check failed",
+            ),
+        )
 
     def test_one_lattice_per_corpus_group(self, corpus_entries):
         # built afresh, so no other test has filled their memos
