@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from importlib import resources
+from itertools import groupby
 from typing import NamedTuple
 
 from .errors import DuplicateName, InvalidParameters, OrderMismatch, ParseError
@@ -136,37 +137,19 @@ def _parse_record(lines: list[tuple[int, str]]) -> CatalogEntry:
     return CatalogEntry(name, source, expected_order, lineno)
 
 
-def _claim(name: str, seen: set[str]) -> None:
-    """Add name to the names seen so far, which must not hold it yet."""
-    if name in seen:
-        raise DuplicateName(f"group {name!r} defined twice")
-    seen.add(name)
-
-
 def parse_catalog(text: str) -> tuple[CatalogEntry, ...]:
-    """Parse catalog text into entries, in file order."""
+    """Parse catalog text into entries, in file order.
+
+    A line ends at a line feed, a carriage return and line feed, or a
+    lone carriage return, as editors count lines.  The other breaks that
+    str.splitlines knows (form feed, NEL, U+2028, ...) are whitespace.
+    """
     if not isinstance(text, str):
         raise InvalidParameters(f"catalog text must be a str, not {type(text).__name__}")
-    record: list[tuple[int, str]] = []
-    entries: list[CatalogEntry] = []
-    seen: set[str] = set()
-
-    def flush() -> None:
-        if not record:
-            return
-        entry = _parse_record(record)
-        _claim(entry.name, seen)
-        entries.append(entry)
-        record.clear()
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            flush()
-            continue
-        record.append((lineno, line))
-    flush()
-    return tuple(entries)
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    stripped = ((n, raw.split("#", 1)[0].strip()) for n, raw in enumerate(lines, 1))
+    records = (list(r) for filled, r in groupby(stripped, lambda nl: bool(nl[1])) if filled)
+    return tuple(_entries(map(_parse_record, records)))
 
 
 def _is_preset(src: object) -> bool:
@@ -198,15 +181,18 @@ def _entry(entry: CatalogEntry) -> CatalogEntry:
 
 
 def _entries(entries: Iterable[CatalogEntry]) -> Iterator[CatalogEntry]:
-    """Each of entries, checked as it is reached to be a CatalogEntry
-    whose name no earlier entry has, as parse_catalog checks its records."""
+    """Each of entries, checked as it is reached to be a CatalogEntry of
+    the shape parse_catalog gives and to have a name no earlier entry
+    has; parse_catalog's own records pass through here too."""
     try:
         entries = iter(entries)
     except TypeError:
         raise InvalidParameters(f"catalog entries {entries!r} is not iterable") from None
     seen: set[str] = set()
     for entry in entries:
-        _claim(_entry(entry).name, seen)
+        if _entry(entry).name in seen:
+            raise DuplicateName(f"group {entry.name!r} defined twice")
+        seen.add(entry.name)
         yield entry
 
 

@@ -36,53 +36,41 @@ from .reports import (
 )
 
 
-def _add_common(p: argparse.ArgumentParser, *, root: bool) -> None:
-    # On subparsers the defaults are suppressed so `tool --json analyze`
-    # and `tool analyze --json` both work without the later parse
-    # clobbering the earlier value.
-    d = (lambda v: v) if root else (lambda v: argparse.SUPPRESS)
-    p.add_argument(
-        "--json", action="store_true", default=d(False), help="emit JSON output"
-    )
-    p.add_argument(
-        "--max-order",
-        type=int,
-        metavar="N",
-        default=d(DEFAULT_MAX_ORDER),
+def build_parser() -> argparse.ArgumentParser:
+    # The global flags, on a parent that the root parser and every
+    # subcommand take, so they may stand on either side of the subcommand
+    # and the later value wins.  Their defaults are suppressed and main
+    # seeds the namespace with them instead: the parsers share these
+    # actions, so a default set on any parser would be written again by
+    # the subcommand's parse over a value given before the subcommand.
+    flags = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    flags.add_argument("--json", action="store_true", help="emit JSON output")
+    flags.add_argument(
+        "--max-order", type=int, metavar="N",
         help=f"skip groups larger than N (default {DEFAULT_MAX_ORDER})",
     )
-    p.add_argument(
-        "--enum-bound",
-        type=int,
-        metavar="N",
-        default=d(DEFAULT_ENUM_BOUND),
+    flags.add_argument(
+        "--enum-bound", type=int, metavar="N",
         help=f"enumerate covers only for groups of order at most N "
         f"(default {DEFAULT_ENUM_BOUND})",
     )
-    p.add_argument(
-        "--checks",
-        metavar="IDS",
-        default=d(",".join(CHECK_IDS)),
-        help="comma-separated cross-checks to run (default: all)",
+    flags.add_argument(
+        "--checks", metavar="IDS", help="comma-separated cross-checks to run (default: all)"
     )
-
-
-def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="groupcovers",
         description="Minimum covers of finite groups by proper subgroups.",
+        parents=[flags],
     )
-    _add_common(parser, root=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name: str, handler, help_text: str, group_flag: bool = True):
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, parents=[flags])
         p.add_argument(
             "catalog", nargs="?", default=None, help="catalog file (default: bundled)"
         )
         if group_flag:
             p.add_argument("--group", metavar="NAME", help="restrict to one group")
-        _add_common(p, root=False)
         p.set_defaults(func=handler)
         return p
 
@@ -291,8 +279,11 @@ def _cmd_verify(args: argparse.Namespace, opts: AnalyzeOptions) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    defaults = argparse.Namespace(
+        json=False, max_order=DEFAULT_MAX_ORDER, enum_bound=DEFAULT_ENUM_BOUND,
+        checks=",".join(CHECK_IDS),
+    )
+    args = build_parser().parse_args(argv, defaults)
     try:
         return args.func(args, _options(args))
     except (GroupCoversError, OSError, UnicodeDecodeError) as exc:

@@ -141,6 +141,36 @@ class TestParseErrors:
         self.check("group C4\npreset cyclic 4\nextra stuff\n", 3)
 
 
+# A catalog line ends at \n, \r\n or a lone \r.  str.splitlines also ends
+# one at a form feed, \x1c-\x1e, NEL, U+2028 and U+2029, which an editor
+# shows inside a line; those are whitespace.
+def test_a_form_feed_line_between_records_is_one_blank_line():
+    text = "group A\npreset cyclic 2\n\f\ngroup B\npreset bogus 1\n"
+    with pytest.raises(ParseError) as info:
+        parse_catalog(text)
+    assert str(info.value) == "line 5: unknown preset kind 'bogus'"
+
+
+@pytest.mark.parametrize(
+    "header",
+    ["group A  # note\u2028see below", "group A  # note\fsee below", "group A\x85"],
+    ids=["line-separator-in-comment", "form-feed-in-comment", "trailing-nel"],
+)
+def test_other_line_breaks_stay_inside_the_line(header):
+    [entry] = parse_catalog(header + "\npreset cyclic 2\n")
+    assert (entry.name, entry.source, entry.line) == ("A", PresetSource("cyclic", ("2",)), 1)
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_crlf_and_cr_line_numbers(newline):
+    lines = ["# comment", "group A", "preset cyclic 2", "", "group B", "preset cyclic 3"]
+    entries = parse_catalog(newline.join(lines) + newline)
+    assert [(e.name, e.line) for e in entries] == [("A", 2), ("B", 5)]
+    with pytest.raises(ParseError) as info:
+        parse_catalog(newline.join(lines + ["order x"]) + newline)
+    assert info.value.line == 7
+
+
 def test_duplicate_name():
     text = "group A\npreset cyclic 2\n\ngroup A\npreset cyclic 3\n"
     with pytest.raises(DuplicateName):

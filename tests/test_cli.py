@@ -43,6 +43,7 @@ def catalog(tmp_path):
 
 
 PER_GROUP_COMMANDS = ("sigma", "lambda", "covers", "classify")
+COMMANDS = ("analyze", "sigma", "lambda", "covers", "classify", "verify-corpus")
 
 
 def run(capsys, *argv):
@@ -295,6 +296,44 @@ class TestVerifyCorpus:
         assert env["summary"]["disagreements"] == 0
 
 
+class TestGlobalFlags:
+    """--json, --max-order, --enum-bound and --checks, which the root
+    parser and every subcommand take."""
+
+    @staticmethod
+    def argv(command, catalog):
+        # verify-corpus takes no --group and reads the whole catalog
+        return [command, catalog] + ([] if command == "verify-corpus" else ["--group", "S3"])
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_global_flag_position(self, capsys, catalog, command):
+        _, before, _ = run(capsys, "--json", *self.argv(command, catalog))
+        _, after, _ = run(capsys, *self.argv(command, catalog), "--json")
+        assert before == after
+        json.loads(before)
+
+    @pytest.mark.parametrize(
+        "root,sub,out",
+        [
+            ("3", "100", "V4: sigma=3\n"),
+            ("100", "3", "V4: skipped (order 4 exceeds --max-order 3)\n"),
+        ],
+        ids=["later-analyzes", "later-skips"],
+    )
+    def test_the_later_value_wins(self, capsys, catalog, root, sub, out):
+        argv = ["--max-order", root, "sigma", catalog, "--max-order", sub, "--group", "V4"]
+        assert run(capsys, *argv) == (0, out, "")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_every_subcommand_help_lists_them(self, capsys, command):
+        with pytest.raises(SystemExit) as info:
+            cli.main([command, "--help"])
+        out = capsys.readouterr().out
+        assert info.value.code == 0
+        for flag in ("--json", "--max-order N", "--enum-bound N", "--checks IDS"):
+            assert flag in out, flag
+
+
 class TestErrors:
     def test_unknown_group(self, capsys, catalog):
         code, _, err = run(capsys, "sigma", catalog, "--group", "Nope")
@@ -409,7 +448,6 @@ group Dic12
 preset cpcn 3 4 2
 """
 FUZZ_NAMES = ("C2", "C6", "V4", "S3", "D8", "Q8", "A4", "Dic12")
-COMMANDS = ("analyze", "sigma", "lambda", "covers", "classify", "verify-corpus")
 
 
 @pytest.fixture(scope="module")
