@@ -46,21 +46,24 @@ at which a cover has a multi-generator member.
 
 Only the set of sizes matters for one-sizedness, and that walk can skip
 most of the tree.  Every member added below a node must own a generator
-that is still uncovered there, so a node at depth d with u uncovered
-generators completes only to covers of size d+1 .. d+u.  Once every size
-in that window has been seen, the subtree has nothing new to report.
+that is still uncovered there, so a node with u uncovered generators
+completes only with 1 .. u further members, and _reachable_completions
+narrows that window by the generators each unbanned trace holds: with no
+trace holding two of them only u is left, and the sizes just below u
+need a trace holding few of them.  The size walk skips an option once
+every size it can still reach has been seen, before its privacy test.
 The counting walk (cover_enumeration_stats) never prunes this way and
 is the reference route for the size walk.
 
 Both walks branch the same way, on the options _fewest_options picks
 among the uncovered generators, widest trace first.  Few options make a
 narrow tree with few dead ends, and wide traces first bring the small
-covers, and with them the small sizes, early, so the window prune fires
+covers, and with them the small sizes, early, so the size prune fires
 sooner.  Any rule is sound: a node's branches split its families by
 which of the chosen generator's traces they hold first among those
 tried, because every tried trace is banned in the later branches; so
-counts, sizes, the set of covers and the window d+1 .. d+u do not depend
-on the generator or the option order.  Only the visit order does.
+counts, sizes, the set of covers and the sizes a node can reach do not
+depend on the generator or the option order.  Only the visit order does.
 """
 
 from __future__ import annotations
@@ -271,6 +274,68 @@ def _fewest_options(items: int, holders: Sequence[int], banned: int) -> int:
     return options
 
 
+def _reachable_completions(left: int, holders: Sequence[int], free: int) -> int:
+    """Bit m set for each number m of further members that can complete
+    a walk node whose uncovered generators are left, u of them; holders[g]
+    is the traces holding g and free those not banned.  With wmax the
+    largest count of generators of left held by one free trace and w the
+    least count of 2 or more, m = 0 if u = 0, else m = u or
+    ceil(u/wmax) <= m <= u - w + 1 (only u if no count reaches 2).
+
+    Proof.  Each new member is a free trace with a private generator, in
+    left as the members above cover the rest, so m <= u, and
+    m >= ceil(u/wmax).  Let m = u - j, j >= 1, N be the generators of
+    left covered twice or more and P_i those covered by new member i
+    alone.  Then u = |N| + sum |P_i|, so sum (|P_i| - 1) = j - |N|; as
+    every |P_i| >= 1, each member meets left in at most
+    |P_i| + |N| <= j + 1 generators.  A member covering a generator of N,
+    or with N empty one with |P_i| >= 2, meets it in two or more, so
+    w <= j + 1.
+
+    At the root, then, lambda - 1 is a size exactly when some trace holds
+    exactly two generators: that subgroup and the other lambda - 2
+    maximal cyclic subgroups are an irredundant cover.
+    _checked_cover_sizes checks this.  The counts are bit-sliced:
+    planes[i] holds the traces whose count has bit i set.
+    """
+    if not left:
+        return 1
+    u = left.bit_count()
+    planes: list[int] = []
+    while left:
+        low = left & -left
+        left ^= low
+        carry = holders[low.bit_length() - 1] & free
+        for i, p in enumerate(planes):
+            planes[i] = p ^ carry
+            carry &= p
+            if not carry:
+                break
+        else:
+            if carry:
+                planes.append(carry)
+    # The top plane never empties: a count only leaves it by carrying into
+    # a new one.  So some count is 2 or more exactly when there are two.
+    if len(planes) < 2:  # no free trace holds two generators of left
+        return 1 << u if planes else 0
+    widest, narrowest = planes[-1], 0
+    for p in planes[1:]:
+        narrowest |= p  # the traces with a count of 2 or more
+    most = fewest = 0  # wmax and w, read off the planes from the top bit
+    for i in range(len(planes) - 1, -1, -1):
+        p = planes[i]
+        if widest & p:
+            widest &= p
+            most |= 1 << i
+        if narrowest & ~p:
+            narrowest &= ~p
+        else:
+            fewest |= 1 << i
+    lo, hi = -(-u // most), u - fewest + 1
+    span = ((1 << (hi - lo + 1)) - 1) << lo if lo <= hi else 0
+    return 1 << u | span
+
+
 def _holders(sets: Sequence[int], width: int) -> list[int]:
     """holders[i] for i < width: the bitmask of the indices of the sets
     holding item i, the table _fewest_options reads."""
@@ -416,14 +481,18 @@ class _SearchSpace(NamedTuple):
 @per_group
 def _search_space(group: Group) -> _SearchSpace:
     gens = _maximal_cyclic_generators(group)
+    gen_mask = mask_of(gens)
+    trace_bit = {1 << g: 1 << i for i, g in enumerate(gens)}
     buckets: dict[int, list[int]] = {}
     for mask in (s.members for s in all_subgroups(group)):
         if mask == group.full_mask:
             continue
+        held = mask & gen_mask
         trace = 0
-        for i, g in enumerate(gens):
-            if mask >> g & 1:
-                trace |= 1 << i
+        while held:
+            low = held & -held
+            trace |= trace_bit[low]
+            held ^= low
         if trace:
             buckets.setdefault(trace, []).append(mask)
     traces = tuple(sorted(buckets, key=lambda t: (t.bit_count(), t)))
@@ -435,7 +504,7 @@ def _walk_trace_covers(
     space: _SearchSpace,
     on_cover: Callable[[list[int]], None] | None,
     size_cap: int | None,
-    known: set[int] | None = None,
+    sizes_only: bool = False,
 ) -> tuple[dict[int, int], set[int]]:
     """Visit every irredundant trace family exactly once.
 
@@ -462,14 +531,15 @@ def _walk_trace_covers(
     Each node branches on the traces _fewest_options picks among the
     uncovered generators, from held[g], the bitmask of the traces holding
     g, and tries them from the top bit down, which is widest first since
-    traces are sorted by (width, mask).  With a set of known sizes, which
-    the walk grows at each leaf, a node below the root at depth d with u
-    uncovered generators is also skipped when every size in d+1 .. d+|u|
-    is already known: each further member covers at least one of the u,
-    so no completion has a size outside that window.  Only the sizes are
-    then exact; the families visited and the counts are a subset.  Both
-    prunes, and the size cap, are tested before descending, so a skipped
-    node costs no call.
+    traces are sorted by (width, mask).  With sizes_only, the size walk,
+    an option t is skipped before its privacy test when every size it can
+    still reach is known, the sizes of the leaves found so far: a leaf
+    reaches only its own size, and a branch the sizes that
+    _reachable_completions allows the node it would enter, with
+    uncovered & ~t left and t banned.  Only the sizes are then exact; the
+    families visited and the counts are a subset.  That prune and the
+    size cap are tested before descending, so a skipped node costs no
+    call.
     """
     traces = space.traces
     k = len(space.generators)
@@ -481,9 +551,11 @@ def _walk_trace_covers(
     counts: dict[int, int] = {}
     multi: set[int] = set()
     chosen: list[int] = []
+    known = 0  # bit s set once a cover of size s is found, for sizes_only
 
     def rec(union: int, once: int, banned: int, size: int, weight: int, wide: int) -> None:
         # size: the size of a cover completed by one more member
+        nonlocal known
         uncovered = full & ~union
         options = _fewest_options(uncovered, held, banned)
         while options:
@@ -492,6 +564,15 @@ def _walk_trace_covers(
             options ^= bit
             banned |= bit
             t = traces[tid]
+            left = uncovered & ~t
+            if sizes_only:
+                # bit m: size + m is unknown, for the m further members a
+                # completion can add, 0 at a leaf and 1 .. u below a branch;
+                # m = u needs no count, the rest _reachable_completions
+                u = left.bit_count()
+                new = ~known >> size & ((2 << u) - (2 if left else 1))
+                if not (new >> u or new and new & _reachable_completions(left, held, ~banned)):
+                    continue
             keep = once & ~t
             hit = once & t
             while hit:
@@ -500,22 +581,20 @@ def _walk_trace_covers(
                     break
                 hit &= ~c
             else:
-                fresh = t & ~union  # holds the generator branched on
                 n = weight * weights[tid]
                 w = wide or t & (t - 1)
-                if fresh == uncovered:
+                if not left:
                     counts[size] = counts.get(size, 0) + n
                     if w:
                         multi.add(size)
-                    if known is not None:
-                        known.add(size)
+                    if sizes_only:
+                        known |= 1 << size
                     if on_cover is not None:
                         chosen.append(t)
                         on_cover(chosen)
                         chosen.pop()
-                elif size < cap and (known is None or not known.issuperset(
-                    range(size + 1, size + 1 + (uncovered ^ fresh).bit_count())
-                )):
+                elif size < cap:
+                    fresh = t & uncovered  # holds the generator branched on
                     f = fresh
                     while f:
                         low = f & -f
@@ -599,9 +678,8 @@ cover_enumeration_stats.cache_info = _counted_covers.cache_info
 
 
 def _trace_cover_sizes(space: _SearchSpace) -> tuple[int, ...]:
-    known: set[int] = set()
-    _walk_trace_covers(space, None, None, known)
-    return tuple(sorted(known))
+    counts, _ = _walk_trace_covers(space, None, None, True)  # sizes_only
+    return tuple(sorted(counts))
 
 
 def irredundant_cover_sizes(
@@ -620,12 +698,20 @@ def irredundant_cover_sizes(
 
 @per_group
 def _checked_cover_sizes(group: Group) -> tuple[int, ...]:
-    sizes = _trace_cover_sizes(_search_space(group))
+    space = _search_space(group)
+    sizes = _trace_cover_sizes(space)
     sig, lam = sigma_exact(group).value, lambda_(group)
     if not sizes or sizes[0] != sig or sizes[-1] != lam:
         raise InvariantViolation(
             f"{group.name}: enumerated sizes {sizes} conflict with "
             f"sigma={sig}, lambda={lam}"
+        )
+    pair = any(t.bit_count() == 2 for t in space.traces)
+    if (lam - 1 in sizes) != pair:  # the corollary in _reachable_completions
+        raise InvariantViolation(
+            f"{group.name}: {'a' if pair else 'no'} subgroup holds exactly two "
+            f"maximal-cyclic generators, yet lambda-1={lam - 1} is "
+            f"{'not ' if pair else ''}among the sizes {sizes}"
         )
     return sizes
 

@@ -14,7 +14,7 @@ from collections.abc import Iterable
 from typing import Any, NamedTuple
 
 from . import covers, lattice
-from .catalog import CatalogEntry, _entries, build_entry
+from .catalog import CatalogEntry, PresetSource, _entries, build_entry
 from .classify import (
     _CHECKS,
     verify_classification,
@@ -24,7 +24,7 @@ from .errors import (
     GroupCoversError,
     InvalidParameters,
 )
-from .groups import Group, _natural
+from .groups import ORDER_BOUND, Group, _natural
 
 
 CHECK_IDS = tuple(_CHECKS)
@@ -220,13 +220,18 @@ def _options(options: AnalyzeOptions | None) -> AnalyzeOptions:
     return options
 
 
+def _skipped(name: str, order: int, max_order: int) -> VerificationReport:
+    """The report of a group of the given order above max_order."""
+    skipped = f"skipped: order {order} exceeds max-order {max_order}"
+    return VerificationReport(name, order, errors=(skipped,))
+
+
 def run_analyze(
     group: Group, options: AnalyzeOptions | None = None
 ) -> VerificationReport:
     opts = _options(options)
     if group.order > opts.max_order:
-        skipped = f"skipped: order {group.order} exceeds max-order {opts.max_order}"
-        return VerificationReport(group.name, group.order, errors=(skipped,))
+        return _skipped(group.name, group.order, opts.max_order)
     errors: list[str] = []
 
     def stage(label, fn):
@@ -275,19 +280,53 @@ def run_analyze(
     )
 
 
+def _factors(entry: CatalogEntry) -> tuple[str, ...]:
+    """The names of the two factors of a product entry, () for any other."""
+    src = entry.source
+    return src.args if isinstance(src, PresetSource) and src.kind == "product" else ()
+
+
+def _unbuilt_order(
+    entry: CatalogEntry, built: dict[str, Group], factors: set[str], max_order: int
+) -> int | None:
+    """The order of a product entry that the corpus run reports as skipped
+    without building its table, else None.
+
+    That is a product of two built groups, of order above max_order and
+    within ORDER_BOUND, whose order line is absent or matches and which no
+    product entry names as a factor: building it could only give its
+    order, which the factors already give.
+    """
+    names = _factors(entry)
+    if not names or entry.name in factors or not all(n in built for n in names):
+        return None
+    a, b = (built[n].order for n in names)
+    if max_order < a * b <= ORDER_BOUND and entry.expected_order in (None, a * b):
+        return a * b
+    return None
+
+
 def run_verify_corpus(
     entries: Iterable[CatalogEntry], options: AnalyzeOptions | None = None
 ) -> dict[str, Any]:
     """Analyze every catalog entry; envelope with reports and summary.
 
     Construction failures become reports carrying only an error entry,
-    so later entries still run.  Reports are sorted by group name and
-    all values are deterministic, making serialized output byte-stable.
+    so later entries still run.  A product that run_analyze would only
+    report as skipped, and that no product uses, is reported so without
+    building its table.  Reports are sorted by group name and all values
+    are deterministic, making serialized output byte-stable.
     """
     opts = _options(options)
+    entries = tuple(_entries(entries))
+    factors = {name for e in entries for name in _factors(e)}
     built: dict[str, Group] = {}
     reports: list[VerificationReport] = []
-    for entry in _entries(entries):
+    for entry in entries:
+        order = _unbuilt_order(entry, built, factors, opts.max_order)
+        if order is not None:
+            reports.append(_skipped(entry.name, order, opts.max_order))
+            continue
         try:
             group = build_entry(entry, built)
         except GroupCoversError as exc:

@@ -32,8 +32,8 @@ cover and the quotient covers) over every element of G, the Sylow
 subgroup as the first of its order in the lattice, the minimal normal
 subgroups as the lattice's nontrivial normal subgroups containing no
 other one, and the lemma-check statuses decided by an if/elif chain per
-check and a ranking of per-prime statuses), kept as slower independent
-routes.
+check and a ranking of per-prime statuses, and the corpus run that builds
+every entry before analysing it), kept as slower independent routes.
 """
 
 from __future__ import annotations
@@ -1323,3 +1323,45 @@ def clique_maximal_abelian_masks(group) -> list[int]:
 
     expand(center, (1 << len(gens)) - 1, 0)
     return out
+
+
+# ---------------------------------------------------------------------------
+# The corpus run as it was before it left skipped products unbuilt
+
+
+def build_every_entry_verify_corpus(entries, options=None):
+    """run_verify_corpus building every entry, in order, then analysing it.
+
+    A build failure is a report holding only that error; every built
+    group goes through run_analyze, which reports one above max_order as
+    skipped.
+    """
+    from groupcovers import AnalyzeOptions, GroupCoversError, run_analyze
+    from groupcovers.catalog import build_entry
+    from groupcovers.reports import COMPLEMENT_COUNT_ASSUMPTION, VerificationReport
+
+    options = AnalyzeOptions() if options is None else options
+    built, reports = {}, []
+    for entry in entries:
+        try:
+            group = build_entry(entry, built)
+        except GroupCoversError as exc:
+            report = VerificationReport(
+                entry.name, entry.expected_order or 0, errors=(f"build: {exc}",)
+            )
+        else:
+            built[entry.name] = group
+            report = run_analyze(group, options)
+        reports.append(report)
+    reports.sort(key=lambda r: r.group_name)
+    return {
+        "assumptions": [COMPLEMENT_COUNT_ASSUMPTION],
+        "reports": [r.to_dict() for r in reports],
+        "summary": {
+            "groups": len(reports),
+            "nonCyclic": sum(r.is_cyclic is False for r in reports),
+            "agreements": sum(r.agreement is True for r in reports),
+            "disagreements": sum(r.agreement is False for r in reports),
+            "errors": sum(bool(r.errors) for r in reports),
+        },
+    }

@@ -349,6 +349,36 @@ class TestEnumeration:
         with pytest.raises(InvariantViolation, match="lambda=99"):
             irredundant_cover_sizes(g)
 
+    @pytest.mark.parametrize(
+        "make,sizes",
+        [
+            # D8's Klein four-groups hold two of its five maximal-cyclic
+            # generators, so lambda-1 = 4 must be a size
+            (lambda: dihedral(4), (3, 5)),
+            # E8's proper subgroups hold one or three of its seven
+            # involutions, so lambda-1 = 6 must not be
+            (lambda: direct_product(direct_product(cyclic(2), cyclic(2)), cyclic(2)),
+             (3, 4, 5, 6, 7)),
+        ],
+    )
+    def test_sizes_checked_against_two_generator_traces(self, monkeypatch, make, sizes):
+        monkeypatch.setattr(covers, "_trace_cover_sizes", lambda space: sizes)
+        with pytest.raises(InvariantViolation, match="lambda-1"):
+            irredundant_cover_sizes(make())
+
+    def test_lambda_minus_one_corollary_on_corpus(self, corpus):
+        # lambda-1 is a size exactly when some trace holds two generators;
+        # both sides occur, and the one-sized groups have no such trace
+        seen = set()
+        for name, g in sorted(corpus.items()):
+            if g.is_cyclic or g.order > 32:
+                continue
+            sizes = irredundant_cover_sizes(g, enum_bound=32)
+            pair = any(t.bit_count() == 2 for t in covers._search_space(g).traces)
+            assert (lambda_(g) - 1 in sizes) == pair, name
+            seen.add((pair, len(sizes) == 1))
+        assert seen == {(True, False), (False, False), (False, True)}
+
     def test_bounds_share_one_size_walk(self, monkeypatch):
         walks = []
 

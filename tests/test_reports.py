@@ -32,6 +32,8 @@ from groupcovers import (
 from groupcovers import covers, lattice, reports
 from groupcovers.lattice import _lattice
 
+from _oracles import build_every_entry_verify_corpus
+
 
 def v4():
     return direct_product(cyclic(2), cyclic(2), name="V4")
@@ -464,3 +466,107 @@ class TestVerifyCorpus:
         b = serialize_envelope(run_verify_corpus(parse_catalog(CATALOG)))
         assert a == b
         assert a.endswith("\n")
+
+
+# Products above max-order that the corpus run reports as skipped without
+# building: S3xS3 (36, its order line matching) and S3xC2xC3 (36, no order
+# line).  S3xC2 (12) is named by S3xC2xC3 and S3xC4 (24) by Early, which
+# names it before it is defined, so both are built.  Huge passes
+# ORDER_BOUND, Wrong's order line does not match, and Orphan and Early
+# name groups not built before them, so those four keep their build errors.
+PRODUCTS = """\
+group C2
+preset cyclic 2
+
+group C3
+preset cyclic 3
+
+group C4
+preset cyclic 4
+order 4
+
+group Early
+preset product S3xC4 C2
+
+group S3
+preset sym 3
+order 6
+
+group C6
+preset product C2 C3
+order 6
+
+group S3xC2
+preset product S3 C2
+order 12
+
+group S3xC4
+preset product S3 C4
+order 24
+
+group S3xC2xC3
+preset product S3xC2 C3
+
+group S3xS3
+preset product S3 S3
+order 36
+
+group Wrong
+preset product S3 C4
+order 25
+
+group A6
+preset alt 6
+
+group Huge
+preset product A6 C2
+
+group Orphan
+preset product Missing C2
+"""
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The names of the entries run_verify_corpus builds, in order."""
+    names = []
+    real = reports.build_entry
+    monkeypatch.setattr(
+        reports, "build_entry", lambda e, groups: names.append(e.name) or real(e, groups)
+    )
+    return names
+
+
+class TestUnbuiltProducts:
+    @pytest.mark.parametrize("max_order", [0, 4, 6, 11, 12, 24, 35, 36, 512])
+    def test_same_envelope_as_building_every_entry(self, max_order):
+        entries = parse_catalog(PRODUCTS)
+        opts = AnalyzeOptions(max_order=max_order, checks=())
+        assert serialize_envelope(run_verify_corpus(entries, opts)) == serialize_envelope(
+            build_every_entry_verify_corpus(entries, opts)
+        )
+
+    def test_skipped_products_are_not_built(self, built):
+        entries = parse_catalog(PRODUCTS)
+        env = run_verify_corpus(entries, AnalyzeOptions(max_order=11, checks=()))
+        assert sorted({e.name for e in entries} - set(built)) == ["S3xC2xC3", "S3xS3"]
+        by_name = {r["groupName"]: r for r in env["reports"]}
+        for name in ("S3xC2xC3", "S3xS3"):
+            assert by_name[name]["order"] == 36
+            assert by_name[name]["errors"] == ["skipped: order 36 exceeds max-order 11"]
+        assert by_name["S3xC4"]["errors"] == ["skipped: order 24 exceeds max-order 11"]
+        assert by_name["S3xC2"]["errors"] == ["skipped: order 12 exceeds max-order 11"]
+        for name in ("Early", "Wrong", "Huge", "Orphan"):
+            assert by_name[name]["errors"][0].startswith("build: "), name
+
+    def test_bundled_catalog_leaves_three_products_unbuilt(self, built, corpus_entries):
+        run_verify_corpus(corpus_entries, AnalyzeOptions(checks=()))
+        unbuilt = {e.name for e in corpus_entries} - set(built)
+        assert unbuilt == {"C7xC7xC2", "C13sC4xC3", "F42xC5"}
+
+    @pytest.mark.parametrize("max_order", [1, 32, 97, 98])
+    def test_bundled_catalog_matches_building_every_entry(self, max_order, corpus_entries):
+        opts = AnalyzeOptions(max_order=max_order)
+        assert serialize_envelope(run_verify_corpus(corpus_entries, opts)) == serialize_envelope(
+            build_every_entry_verify_corpus(corpus_entries, opts)
+        )

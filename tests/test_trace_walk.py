@@ -11,6 +11,9 @@ must visit the families of the oracle that branches by the same rule
 families, each as a set, as the oracle that branches on the least
 uncovered generator, narrowest first.  The size walk must find the same
 sizes as the size walk that branched on the least uncovered generator.
+Every cover below a node of the counting walk must have a size that
+_reachable_completions allows there, the bound by which the size walk
+skips options, and the size walk's nodes and four spectra are pinned.
 """
 
 import contextlib
@@ -357,6 +360,141 @@ def test_size_walk_on_s4xc4_is_fast():
     sizes = irredundant_cover_sizes(g, enum_bound=96)
     assert time.perf_counter() - start < 2.0
     assert sizes == tuple(range(3, 38))
+
+
+# ---------------------------------------------------------------------------
+# The sizes a node can still reach
+
+
+def path_nodes(space, family):
+    """(depth, uncovered, banned) of each node on the counting walk's path
+    to a leaf family, the leaf's parent last.
+
+    Replayed from the walk's branching rule: a node tries the options
+    _fewest_options picks from the top bit down and bans each before
+    trying it, so the child entered through option t has every option at
+    or above t banned.
+    """
+    k = len(space.generators)
+    held = covers._holders(space.traces, k)
+    index = {t: i for i, t in enumerate(space.traces)}
+    uncovered, banned, out = (1 << k) - 1, 0, []
+    for depth, t in enumerate(family):
+        out.append((depth, uncovered, banned))
+        options = covers._fewest_options(uncovered, held, banned)
+        bit = 1 << index[t]
+        assert options & bit, "the replay left the walk's path"
+        banned |= options & -bit
+        uncovered &= ~t
+    return out
+
+
+def unreachable_completions(space):
+    """The (node, members added) pairs, over every node of the counting
+    walk, whose cover size the node's _reachable_completions leaves out."""
+    held = covers._holders(space.traces, len(space.generators))
+    below = {}  # node -> the numbers of members the covers below it add
+
+    def leaf(chosen):
+        for node in path_nodes(space, chosen):
+            below.setdefault(node, set()).add(len(chosen) - node[0])
+
+    _walk_trace_covers(space, leaf, None)
+    assert below
+    return [
+        (node, m)
+        for node, added in below.items()
+        for m in added
+        if not covers._reachable_completions(node[1], held, ~node[2]) >> m & 1
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(search_spaces())
+def test_every_cover_size_is_reachable_on_synthetic_traces(space):
+    assert unreachable_completions(space) == []
+
+
+def test_every_cover_size_is_reachable_on_corpus(corpus):
+    # every non-cyclic group of order <= 32 but E16 and D12xC2: replaying
+    # the path of each of their 1,603,839 and 109,312 families takes seconds
+    groups = [
+        g for name, g in sorted(corpus.items())
+        if not g.is_cyclic and g.order <= WALK_ORDER and name not in ("E16", "D12xC2")
+    ]
+    assert len(groups) == 57
+    for g in groups:
+        assert unreachable_completions(_search_space(g)) == [], g.name
+
+
+def test_reachable_completions_by_hand():
+    # four generators; traces 0b0011 and 0b1100 hold two each, 0b0111 three
+    held = covers._holders([0b0001, 0b0010, 0b0100, 0b1000, 0b0011, 0b1100, 0b0111], 4)
+    free = ~0
+    assert covers._reachable_completions(0, held, free) == 0b1  # a leaf: no more members
+    # u = 4, wmax = 3, w = 2: ceil(4/3) = 2 .. 4 - 2 + 1 = 3, and 4
+    assert covers._reachable_completions(0b1111, held, free) == 0b11100
+    # with 0b0011 and 0b1100 banned, w = 3: 2 .. 2, and 4
+    assert covers._reachable_completions(0b1111, held, ~0b0110000) == 0b10100
+    # with every wide trace banned, only one member per generator
+    assert covers._reachable_completions(0b1111, held, 0b1111) == 0b10000
+    # a generator no free trace holds: no completion at all
+    assert covers._reachable_completions(0b1000, held, 0b0111) == 0
+
+
+# ---------------------------------------------------------------------------
+# Size-walk work and the spectra it finds
+
+
+def size_walk_nodes(g):
+    """The sizes of g by a fresh size walk, and its nodes (one
+    _fewest_options call each)."""
+    space = _search_space(g)
+    with recorded_scans() as calls:
+        sizes = _trace_cover_sizes(space)
+    return sizes, len(calls)
+
+
+def test_size_walk_nodes_on_corpus(corpus):
+    # 1,476 nodes in all, 397 of them E9sC2's, when a node was skipped only
+    # once its whole window d+1 .. d+u was known
+    nodes = {
+        name: size_walk_nodes(g)[1]
+        for name, g in sorted(corpus.items())
+        if not g.is_cyclic and g.order <= WALK_ORDER
+    }
+    assert len(nodes) == 59
+    assert sum(nodes.values()) <= 1150
+    assert nodes["E9sC2"] <= 150
+
+
+def elementary(p, k):
+    g = cyclic(p)
+    for _ in range(k - 1):
+        g = direct_product(g, cyclic(p))
+    return g
+
+
+# name: (group, least size, largest, sizes missing between them, most nodes).
+# The node bounds are below the 397, 234 and 2,124 nodes and the 195,124
+# nodes the size walk took before it read the reachable sizes.
+SPECTRA = {
+    "E27": (lambda: elementary(3, 3), 4, 13, (5, 9, 11, 12), 396),
+    "E64": (lambda: elementary(2, 6), 3, 63, (62,), 2123),
+    "S5": (lambda: symmetric(5), 16, 31, (28, 30), 233),
+    "A6": (lambda: alternating(6), 16, 121, (117, 119, 120), 7000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRA))
+def test_spectrum_at_its_own_order(name):
+    make, least, most, missing, max_nodes = SPECTRA[name]
+    g = make()
+    sizes = irredundant_cover_sizes(g, enum_bound=g.order)
+    assert sizes == tuple(s for s in range(least, most + 1) if s not in missing)
+    walked, nodes = size_walk_nodes(g)
+    assert walked == sizes
+    assert nodes <= max_nodes
 
 
 # ---------------------------------------------------------------------------
